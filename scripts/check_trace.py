@@ -32,10 +32,7 @@ Fails (exit 1) if any given trace file:
   means the phase instrumentation silently stopped;
 * records group-scoped collectives with an inconsistent member tally
   (``coll.group_alltoallv`` > 0 but ``coll.group_size`` == 0, or a mean
-  group size outside ``2 .. ranks``);
-* claims overlapped collectives (``coll.overlapped`` > 0) but contains
-  no ``wait``/``complete`` span — a posted-but-never-waited pipeline
-  would mean the nonblocking schedule silently degenerated.
+  group size outside ``2 .. ranks``).
 
 Out-of-core traces (``algo.external`` > 0) must carry their own lane:
 ``spill`` spans for both the write and read sides, a ``merge/external``
@@ -56,11 +53,8 @@ memory budget that must have degraded to the external sort.
 With ``--bench BENCH.json`` it additionally gates the quick benchmark
 trajectory: for every backend, the fused+group variant must not be more
 than 25% slower than the unfused world-wide baseline
-(``*_fused_over_unfused`` >= 0.75), and (schema
-``repro-bitonic-bench/5``+) the overlapped pipeline must not be more
-than 10% slower than its synchronous twin (``*_overlap_over_sync`` >=
-0.9) — a silently-engaged fallback or an overlap regression shows up
-here even when outputs stay correct.  Schema ``repro-bitonic-bench/6``+
+(``*_fused_over_unfused`` >= 0.75) — a silently-engaged fallback shows
+up here even when outputs stay correct.  Schema ``repro-bitonic-bench/6``+
 trajectories must additionally carry the ``*_sample_over_bitonic``
 crossover tables (positive ratios; no floor — which algorithm wins is
 the data).  Schema ``repro-bitonic-bench/7`` documents may instead (or
@@ -88,13 +82,6 @@ REQUIRED_COUNTERS = ("remaps", "messages", "bytes_sent")
 #: replaced (guards against the compatibility fallback engaging
 #: silently while outputs stay byte-identical).
 BENCH_MIN_FUSED_SPEEDUP = 0.75
-
-#: Minimum acceptable overlap-over-sync speedup in the bench gate: the
-#: chunked nonblocking pipeline may not be more than 10% slower than its
-#: synchronous twin (guards against per-chunk overhead swamping the
-#: overlap, or the schedule silently falling back to sync and paying
-#: chunking for nothing).
-BENCH_MIN_OVERLAP_SPEEDUP = 0.9
 
 #: Floor on the adapt-replay ratio: the adapting service must match or
 #: beat the frozen-profile service on the recorded load (the feedback
@@ -204,22 +191,6 @@ def check(path: str, allow_unfused: bool = False,
                 f"mean group size {mean:.2f} outside 2 .. {ranks} — "
                 "Lemma-4 group derivation looks wrong"
             )
-    if counters.get("coll.overlapped", 0):
-        completes = sum(
-            1 for e in spans
-            if e.get("cat") == "wait" and e.get("name") == "complete"
-        )
-        if not completes:
-            errors.append(
-                f"{counters['coll.overlapped']} overlapped collectives "
-                "posted but no wait/complete span recorded — the "
-                "nonblocking pipeline never completed an op"
-            )
-        if not counters.get("coll.chunks"):
-            errors.append(
-                "coll.overlapped recorded without coll.chunks — the "
-                "overlapped remaps lost their chunk accounting"
-            )
     if expect_adapt and not counters.get("adapt.updates"):
         errors.append(
             "no adapt.updates counter — the traced request never reached "
@@ -287,16 +258,6 @@ def check_bench(path: str) -> list:
         schema_version = int(schema.rsplit("/", 1)[1])
     except (IndexError, ValueError):
         schema_version = 0
-    overlap_tables = {
-        name: table
-        for name, table in speedups.items()
-        if name.endswith("_overlap_over_sync")
-    }
-    if schema_version >= 5 and not overlap_tables:
-        errors.append(
-            "no *_overlap_over_sync speedup tables — schema "
-            f"{schema!r} promises the overlapped variant"
-        )
     # Schema /6+: the sample-vs-bitonic crossover tables must be present
     # and well-formed (positive ratios); no floor is imposed — which
     # algorithm wins is exactly what the table records.
@@ -332,14 +293,6 @@ def check_bench(path: str) -> list:
                 f"external_over_inmem[{size}] = {ratio!r}: crossover "
                 "ratios must be positive measured speedups"
             )
-    for name, table in overlap_tables.items():
-        for size, ratio in table.items():
-            if ratio < BENCH_MIN_OVERLAP_SPEEDUP:
-                errors.append(
-                    f"{name}[{size}] = {ratio:.3f}x: overlapped pipeline "
-                    f"more than {(1 - BENCH_MIN_OVERLAP_SPEEDUP):.0%} slower "
-                    "than its synchronous twin (overlap regression)"
-                )
     return errors
 
 
@@ -394,8 +347,7 @@ def main(argv) -> int:
             if bench_doc.get("end_to_end") or bench_doc.get("end_to_end_speedup"):
                 parts.append(
                     f"fused+group within {BENCH_MIN_FUSED_SPEEDUP}x floor "
-                    f"of the unfused baseline; overlap within "
-                    f"{BENCH_MIN_OVERLAP_SPEEDUP}x floor of sync"
+                    f"of the unfused baseline"
                 )
             if bench_doc.get("adapt_replay") is not None:
                 ratio = bench_doc["adapt_replay"].get("adapted_over_static")

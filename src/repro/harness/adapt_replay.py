@@ -7,8 +7,8 @@ recovers; a frozen-profile service keeps dispatching into the model's
 mistake.*  This harness makes that claim reproducible:
 
 1. **Record** a mixed-shape load trace — a deterministic request
-   sequence (sizes, tracing cadence, overlap probes) generated from a
-   seed and persisted as JSON, so both replays see byte-identical load.
+   sequence (sizes, tracing cadence) generated from a seed and persisted
+   as JSON, so both replays see byte-identical load.
 2. **Drift** the host profile the way real hosts drift from one-shot
    calibration (the BSP sorting studies' observation): the replay
    profile believes the machine has cores to spare and near-free
@@ -52,7 +52,9 @@ __all__ = [
 ]
 
 #: Schema of a persisted load trace (the recorded request sequence).
-LOAD_SCHEMA = "repro-bitonic-load/1"
+#: /2 dropped the per-request ``overlap``/``P``/``algorithm`` overrides
+#: of the removed overlap probe pairs.
+LOAD_SCHEMA = "repro-bitonic-load/2"
 
 #: World sizes the replay planner chooses between.  Kept narrow so the
 #: replay is fast and the drift story is crisp: the drifted model prices
@@ -66,50 +68,20 @@ def record_load_trace(
     sizes: Sequence[int] = (4096, 16384),
     seed: int = 0,
     trace_every: int = 5,
-    overlap_every: int = 5,
-    probe_P: int = 8,
 ) -> Dict[str, Any]:
     """A deterministic mixed-shape load trace.
 
-    Every ``trace_every``-th request runs traced (feeding the adapter
-    phase deviations and wait splits), and every ``overlap_every``-th
-    *traced* request becomes an overlap **probe pair**: one forced
-    ``overlap=True`` request at ``P=probe_P`` followed by its forced
-    synchronous twin at the same shape.  The pair's traced wait splits
-    are what give the adapter a measured overlap efficiency without any
-    committed BENCH file (wait splits only exist at ``P > 1`` on the
-    bitonic pipeline, so probes pin their world size — planner-chosen
-    traced requests may well run single-rank).
+    Every ``trace_every``-th request runs traced, feeding the adapter
+    phase deviations.
     """
     rng = np.random.default_rng(seed)
     reqs: List[Dict[str, Any]] = []
-    traced_seen = 0
-    sync_twin = False
     for i in range(requests):
-        traced = trace_every > 0 and i % trace_every == 0
-        overlap: Optional[bool] = None
-        forced_P: Optional[int] = None
-        algorithm: Optional[str] = None
-        if sync_twin:
-            # The probe's synchronous twin: same shape, same world size,
-            # overlap off — the other half of the wait-split pair.
-            traced, overlap, forced_P, algorithm = (
-                True, False, probe_P, "smart"
-            )
-            sync_twin = False
-        elif traced:
-            traced_seen += 1
-            if overlap_every > 0 and traced_seen % overlap_every == 0:
-                overlap, forced_P, algorithm = True, probe_P, "smart"
-                sync_twin = True
         reqs.append(
             {
                 "keys": int(sizes[int(rng.integers(len(sizes)))]),
                 "seed": int(rng.integers(1 << 31)),
-                "trace": traced,
-                "overlap": overlap,
-                "P": forced_P,
-                "algorithm": algorithm,
+                "trace": trace_every > 0 and i % trace_every == 0,
             }
         )
     return {
@@ -213,18 +185,10 @@ def replay_load_trace(
             keys = rng.integers(
                 0, 1 << 32, size=req["keys"], dtype=np.uint32
             )
-            outcome = service.sort(
-                keys,
-                trace=bool(req.get("trace", False)),
-                overlap=req.get("overlap"),
-                P=req.get("P"),
-                algorithm=req.get("algorithm"),
-            )
+            outcome = service.sort(keys, trace=bool(req.get("trace", False)))
             walls.append(outcome.wall_s)
             d = outcome.decision
-            name = f"{d.algorithm}:{d.backend}x{d.P}" + (
-                "+ov" if d.overlap else ""
-            )
+            name = f"{d.algorithm}:{d.backend}x{d.P}"
             decision_mix[name] = decision_mix.get(name, 0) + 1
         total_s = time.perf_counter() - started
         report = service.report()

@@ -8,8 +8,7 @@ one):
   (:func:`~repro.runtime.spmd_bitonic_sort` and
   :func:`~repro.runtime.spmd_sample_sort`) across runtime backends,
   problem sizes, and variants (fused + group-scoped collectives, the
-  same run as the chunked nonblocking overlap pipeline, the unfused
-  world-wide baseline, and the splitter-driven sample sort),
+  unfused world-wide baseline, and the splitter-driven sample sort),
   cross-checking that every backend × variant produces byte-identical
   output;
 * **kernel hot paths** — the local radix sort and the batched bitonic
@@ -63,7 +62,7 @@ __all__ = ["run_bench", "write_bench", "BENCH_SCHEMA"]
 #: backend and size (with a candidate-P sweep), the ``warm_over_cold``
 #: speedup table, and the planner-vs-measured ``planner_matches`` tally;
 #: /5 added the overlapped-communication variant (``overlap`` /
-#: ``chunks`` flags, per-record measured ``wait_split``) and the
+#: ``chunks`` flags, per-record measured wait splits) and the
 #: ``overlap_over_sync`` speedup tables;
 #: /6 added the per-record ``algorithm`` field, the SPMD sample-sort
 #: variant, the ``sample_over_bitonic`` crossover tables, and the
@@ -78,28 +77,25 @@ __all__ = ["run_bench", "write_bench", "BENCH_SCHEMA"]
 #: external sort timed at budgets forcing 1 and several merge passes,
 #: against the unconstrained in-memory local sort on the same keys) and
 #: the ``external_over_inmem`` crossover table CI checks for presence and
-#: positivity — where spilling starts to pay is the data, not a floor.
-BENCH_SCHEMA = "repro-bitonic-bench/8"
+#: positivity — where spilling starts to pay is the data, not a floor;
+#: /9 dropped the overlapped variant with its record flags, per-record
+#: wait splits and ``overlap_over_sync`` tables (the overlapped remap
+#: pipeline was removed).
+BENCH_SCHEMA = "repro-bitonic-bench/9"
 
 #: World sizes the service section sweeps when measuring warm latency
 #: (and the planner's candidate set for the match tally).
 SERVICE_CANDIDATE_P = (1, 2, 4)
 
-#: Chunks per overlapped remap in the overlap variant (the sort's own
-#: default; the per-chunk 64-element clamp still applies).
-BENCH_CHUNKS = 4
-
 #: The variants every backend is benchmarked under
-#: (``name, algorithm, fused, grouped, overlap``): the default fused +
-#: group-scoped synchronous bitonic path, the same path run as the
-#: chunked nonblocking pipeline, the unfused world-wide baseline both
+#: (``name, algorithm, fused, grouped``): the default fused +
+#: group-scoped bitonic path, the unfused world-wide baseline it
 #: replaced, and the splitter-driven sample sort (one redistribution;
 #: the bitonic schedule flags do not apply to it).
 BENCH_VARIANTS = (
-    ("fused+group", "smart", True, True, False),
-    ("overlap+chunked", "smart", True, True, True),
-    ("unfused+world", "smart", False, False, False),
-    ("sample", "sample", True, True, False),
+    ("fused+group", "smart", True, True),
+    ("unfused+world", "smart", False, False),
+    ("sample", "sample", True, True),
 )
 
 
@@ -172,35 +168,30 @@ def _bench_end_to_end(
         keys = make_keys(N, seed=N % 104729)
         n = N // procs
 
-        def rank_sort(c, algorithm, fused, grouped, overlap):
+        def rank_sort(c, algorithm, fused, grouped):
             shard = keys[c.rank * n : (c.rank + 1) * n]
             if algorithm == "sample":
                 return spmd_sample_sort(c, shard)
-            return spmd_bitonic_sort(
-                c, shard, fused=fused, grouped=grouped,
-                overlap=overlap, chunks=BENCH_CHUNKS,
-            )
+            return spmd_bitonic_sort(c, shard, fused=fused, grouped=grouped)
 
         def sort_on(
-            backend: str, algorithm: str, fused: bool, grouped: bool,
-            overlap: bool,
+            backend: str, algorithm: str, fused: bool, grouped: bool
         ) -> np.ndarray:
             def prog(c):
-                return rank_sort(c, algorithm, fused, grouped, overlap)
+                return rank_sort(c, algorithm, fused, grouped)
 
             return np.concatenate(
                 run_spmd(procs, prog, backend=backend, timeout=timeout)
             )
 
         def traced_phases(
-            backend: str, algorithm: str, fused: bool, grouped: bool,
-            overlap: bool,
+            backend: str, algorithm: str, fused: bool, grouped: bool
         ) -> Dict[str, Any]:
             # One separate traced run; the timed reps above stay untraced
             # so the span bookkeeping can never contaminate the timings.
             def prog(c):
                 c.tracer = Tracer(c.rank)
-                rank_sort(c, algorithm, fused, grouped, overlap)
+                rank_sort(c, algorithm, fused, grouped)
                 return c.tracer
 
             tracers = run_spmd(procs, prog, backend=backend, timeout=timeout)
@@ -208,16 +199,12 @@ def _bench_end_to_end(
             return {
                 "phases": rep.measured_us or {},
                 "trace_counters": rep.counters,
-                "wait_split": {
-                    "transfer_wait_us": rep.measured_transfer_wait_us,
-                    "queue_wait_us": rep.measured_queue_wait_us,
-                },
             }
 
         reference: Optional[bytes] = None
         for backend in backends:
-            for variant, algorithm, fused, grouped, overlap in BENCH_VARIANTS:
-                output = sort_on(backend, algorithm, fused, grouped, overlap)
+            for variant, algorithm, fused, grouped in BENCH_VARIANTS:
+                output = sort_on(backend, algorithm, fused, grouped)
                 if reference is None:
                     reference = output.tobytes()
                     if reference != np.sort(keys).tobytes():
@@ -232,8 +219,7 @@ def _bench_end_to_end(
                         f"{procs} ranks"
                     )
                 timing = _time(
-                    lambda: sort_on(backend, algorithm, fused, grouped,
-                                    overlap),
+                    lambda: sort_on(backend, algorithm, fused, grouped),
                     reps,
                 )
                 records.append(
@@ -243,13 +229,10 @@ def _bench_end_to_end(
                         "algorithm": algorithm,
                         "fused": fused,
                         "grouped": grouped,
-                        "overlap": overlap,
-                        "chunks": BENCH_CHUNKS if overlap else 1,
                         "keys": N,
                         "procs": procs,
                         **timing,
-                        **traced_phases(backend, algorithm, fused, grouped,
-                                        overlap),
+                        **traced_phases(backend, algorithm, fused, grouped),
                     }
                 )
     return records
@@ -614,21 +597,6 @@ def run_bench(
             str(r["keys"]): unfused_best[r["keys"]] / r["best_s"]
             for r in end_to_end
             if r["backend"] == backend and r["variant"] == default_variant
-        }
-    # The overlap A/B: the chunked nonblocking pipeline against its own
-    # synchronous twin (same fused+group flags), per backend and size —
-    # > 1 means the pipeline hid transfer wait, < 1 means the per-chunk
-    # overhead won.
-    for backend in backends:
-        sync_best = {
-            r["keys"]: r["best_s"]
-            for r in end_to_end
-            if r["backend"] == backend and r["variant"] == default_variant
-        }
-        speedups[f"{backend}_overlap_over_sync"] = {
-            str(r["keys"]): sync_best[r["keys"]] / r["best_s"]
-            for r in end_to_end
-            if r["backend"] == backend and r["variant"] == "overlap+chunked"
         }
     # The algorithm crossover: the sample sort against the default
     # bitonic path, per backend and size — > 1 where one splitter-driven

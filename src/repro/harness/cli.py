@@ -236,14 +236,12 @@ def _cmd_trace(args) -> int:
 
     keys = make_keys(args.keys, distribution=args.distribution, seed=args.seed)
     options = None
-    if args.no_fused or args.no_group or args.overlap:
+    if args.no_fused or args.no_group:
         from repro.runtime import BackendOptions
 
         options = BackendOptions(
             fused=False if args.no_fused else None,
             grouped=False if args.no_group else None,
-            overlap=True if args.overlap else None,
-            chunks=args.chunks if args.overlap else None,
         )
     try:
         report = sort(
@@ -369,8 +367,7 @@ def _cmd_adapt_replay(args) -> int:
         print(f"           [{mix}]")
     adapt = ar["adapted"].get("adapt", {})
     print(f"  adapter: {adapt.get('updates', 0)} updates, "
-          f"factors {adapt.get('factors', {})}, "
-          f"overlap eff {adapt.get('overlap_efficiency', {})}")
+          f"factors {adapt.get('factors', {})}")
     print(f"  adapted_over_static: {ratio:.3f}x "
           f"(gate: >= {args.min_ratio})")
     if ratio < args.min_ratio:
@@ -1019,7 +1016,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--algorithm", default="smart",
                          choices=("smart", "sample"),
                          help="SPMD sort to trace (sample ignores the "
-                              "fused/group/overlap flags)")
+                              "fused/group flags)")
     p_trace.add_argument("--backend", default="threads",
                          choices=("threads", "procs"),
                          help="SPMD runtime backend to trace")
@@ -1034,11 +1031,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--no-group", action="store_true",
                          help="disable Lemma-4 group-scoped exchanges "
                               "(every remap synchronizes the whole world)")
-    p_trace.add_argument("--overlap", action="store_true",
-                         help="run each remap as the chunked nonblocking "
-                              "pipeline (overlap transfer with unpack/merge)")
-    p_trace.add_argument("--chunks", type=int, default=4,
-                         help="chunks per overlapped remap (with --overlap)")
     p_trace.set_defaults(fn=_cmd_trace)
 
     p_serve = sub.add_parser(

@@ -27,67 +27,7 @@ from repro.machine.simulator import Machine
 from repro.remap.cache import cached_remap_plan
 from repro.remap.plan import RemapPlan
 
-__all__ = ["chunk_plan", "perform_remap"]
-
-
-def chunk_plan(plan: RemapPlan, chunks: int) -> "tuple[RemapPlan, ...]":
-    """Split a remap plan's exchange into ``chunks`` positional sub-plans.
-
-    Sub-plan ``c`` carries, for every pairwise message of ``plan``, the
-    slice ``idx[(size * c) // K : (size * (c + 1)) // K]`` of that
-    message's gather (send) and scatter (recv) indices.  Because a matched
-    send/recv pair has identical element counts on both sides and message
-    order is destination-local-address order, this boundary rule is pure
-    per-pair algebra — sender and receiver agree on every chunk's extent
-    without exchanging a byte, the same property that lets the full plans
-    travel headerless (§3.3.1).  Pairs whose slice is empty are omitted
-    from the sub-plan, so no zero-length messages are posted.
-
-    The union of the sub-plans' messages is exactly ``plan``'s messages,
-    element order preserved; the kept elements (``keep_src``/``keep_dst``)
-    are deliberately *not* chunked — sub-plans describe only the exchange,
-    and the caller performs the keep-move once (sub-plan keeps are empty).
-    This is what the overlapped remap schedule pipelines on: the unpack of
-    chunk ``c`` overlaps the in-flight transfer of chunk ``c + 1``.
-
-    Results are memoized on the plan (plans are shared through
-    :mod:`repro.remap.cache`, so every rank's schedule amortizes the
-    slicing).
-    """
-    K = int(chunks)
-    if K <= 1:
-        return (plan,)
-    key = f"_chunks_{K}"
-    cached = plan.__dict__.get(key)
-    if cached is not None:
-        return cached
-    empty = np.empty(0, dtype=np.int64)
-    subs = []
-    for c in range(K):
-        send = {}
-        for q, idx in plan.send_sorted:
-            lo = (idx.size * c) // K
-            hi = (idx.size * (c + 1)) // K
-            if hi > lo:
-                send[q] = idx[lo:hi]
-        recv = {}
-        for p, idx in plan.recv_sorted:
-            lo = (idx.size * c) // K
-            hi = (idx.size * (c + 1)) // K
-            if hi > lo:
-                recv[p] = idx[lo:hi]
-        subs.append(
-            RemapPlan(
-                rank=plan.rank,
-                keep_src=empty,
-                keep_dst=empty,
-                send=send,
-                recv=recv,
-            )
-        )
-    result = tuple(subs)
-    plan.__dict__[key] = result
-    return result
+__all__ = ["perform_remap"]
 
 
 def perform_remap(

@@ -22,7 +22,7 @@ Porting to MPI is a matter of implementing :class:`Comm` over
 ``mpi4py.MPI.COMM_WORLD`` (the method names match deliberately).
 """
 
-from repro.runtime.api import Comm, PendingOp
+from repro.runtime.api import Comm
 from repro.runtime.driver import BACKENDS, BackendOptions, run_spmd, spawn_world
 from repro.runtime.world import World
 from repro.runtime.threads import ThreadComm, ThreadWorld
@@ -39,7 +39,6 @@ __all__ = [
     "BACKENDS",
     "BackendOptions",
     "Comm",
-    "PendingOp",
     "ThreadComm",
     "ThreadWorld",
     "ProcComm",

@@ -29,7 +29,6 @@ from repro.layouts.schedule import smart_schedule
 from repro.layouts.smart import smart_params
 from repro.localsort.radix import radix_sort
 from repro.remap.cache import cached_remap_plan
-from repro.remap.exchange import chunk_plan
 from repro.remap.groups import remap_group
 from repro.runtime.api import Comm
 from repro.sorts.smart import SmartBitonicSort
@@ -37,40 +36,6 @@ from repro.trace.recorder import trace_span
 from repro.utils.bits import ilog2
 
 __all__ = ["spmd_bitonic_sort"]
-
-#: Minimum partition elements per chunk worth pipelining: below this the
-#: fixed per-chunk collective overhead (an extra post/wait round trip per
-#: remap per chunk) exceeds any transfer the pipeline could hide, so the
-#: effective chunk count is clamped to ``n // _MIN_CHUNK_ELEMS`` — down
-#: to 1, which runs the plain synchronous path (pure local algebra:
-#: every rank computes the same clamp from the same ``n``).  Measured on
-#: the bench trajectory: chunking 4 096-element partitions costs 20-30%
-#: end-to-end; 16 384-element partitions amortize the posts.
-_MIN_CHUNK_ELEMS = 4096
-
-
-def _unpack_chunk(fresh, plan, received, r: int) -> None:
-    """Scatter one exchange's arrivals into ``fresh``: payloads
-    concatenated in ascending source order land in one fancy-index
-    assignment through the plan's precomputed scatter vector.  ``plan``
-    is a full remap plan or one of its :func:`chunk_plan` sub-plans."""
-    payloads: List[np.ndarray] = []
-    for p, slots in plan.recv_sorted:
-        payload = received[p]
-        if payload is None or payload.size != slots.size:
-            raise CommunicationError(
-                f"rank {r}: expected {slots.size} keys from rank {p}, "
-                f"got {0 if payload is None else payload.size}"
-            )
-        payloads.append(payload)
-    for p, payload in enumerate(received):
-        if p != r and payload is not None and p not in plan.recv:
-            raise CommunicationError(
-                f"rank {r}: unexpected payload of {payload.size} keys "
-                f"from rank {p}"
-            )
-    if payloads:
-        fresh[plan.recv_concat] = np.concatenate(payloads)
 
 
 def spmd_bitonic_sort(
@@ -81,8 +46,6 @@ def spmd_bitonic_sort(
     checkpoint: Optional["CheckpointStore"] = None,
     fused: bool = True,
     grouped: bool = True,
-    overlap: bool = False,
-    chunks: int = 4,
 ) -> np.ndarray:
     """Sort the distributed array whose rank-``r`` partition is
     ``local_keys``, returning this rank's partition of the globally sorted
@@ -111,18 +74,6 @@ def spmd_bitonic_sort(
     gracefully: communicators without a native fast path (e.g. the
     fault-injection transport) run the same semantics via their composed
     defaults.
-
-    ``overlap`` (off by default) runs each remap as a chunked pipeline
-    over the nonblocking collectives: the exchange is split into up to
-    ``chunks`` positional sub-plans (:func:`repro.remap.exchange.chunk_plan`)
-    and posted two-deep, so the unpack/merge work of chunk ``c`` — and the
-    keep-move of the pack phase — overlaps the in-flight transfer of chunk
-    ``c + 1``.  The schedule engages only when the communicator reports
-    :attr:`~repro.runtime.api.Comm.overlap_capable` (wrappers such as the
-    fault transport do not, so armed injectors transparently force the
-    synchronous path) and when partitions are large enough for chunking to
-    pay (at least ``64`` elements per chunk); otherwise the remap runs
-    exactly as without the flag.  Results are byte-identical either way.
 
     When ``comm.tracer`` carries a :class:`~repro.trace.recorder.Tracer`,
     the sort records its phase spans (``local_sort`` and per-remap
@@ -181,11 +132,6 @@ def spmd_bitonic_sort(
         schedule.initial_layout if resume < 1
         else schedule.phases[resume - 1].layout
     )
-    # Effective chunk count for the overlapped schedule: pure local
-    # algebra (every rank computes the same K), 1 means synchronous.
-    K = 1
-    if overlap and getattr(comm, "overlap_capable", False):
-        K = max(1, min(int(chunks), n // _MIN_CHUNK_ELEMS))
     for stage, phase in enumerate(schedule.phases, start=1):
         if stage <= resume:
             continue  # completed before the crash; restored above
@@ -198,28 +144,7 @@ def spmd_bitonic_sort(
             # Lemma 4: this remap only exchanges within a group of
             # 2**N_BitsChanged ranks — pure bit algebra, no coordination.
             group = remap_group(layout, phase.layout, r) if grouped else None
-            subs = chunk_plan(plan, K) if K > 1 else None
-        if tracer is not None and subs is not None:
-            tracer.add("coll.chunks", len(subs))
-        if fused and subs is not None:
-            # Overlapped fused pipeline: chunk 0's transfer is in flight
-            # while the kept elements move; each later chunk is posted
-            # before the previous one's wait() scatters its arrivals, so
-            # at most two ops fly and unpack(c) overlaps transfer(c+1).
-            fresh = np.empty_like(data)
-            with trace_span(tracer, "transfer", stage):
-                prev = comm.ialltoallv_fused(data, subs[0], fresh, group=group)
-            with trace_span(tracer, "pack", stage):
-                fresh[plan.keep_dst] = data[plan.keep_src]
-            with trace_span(tracer, "transfer", stage):
-                for c in range(1, len(subs)):
-                    nxt = comm.ialltoallv_fused(
-                        data, subs[c], fresh, group=group
-                    )
-                    prev.wait()
-                    prev = nxt
-                prev.wait()
-        elif fused:
+        if fused:
             # Fused pack/transfer/unpack (§4.3): the surviving pack work
             # is moving the kept elements; the collective gathers the
             # departing ones straight from ``data`` and scatters arrivals
@@ -229,37 +154,10 @@ def spmd_bitonic_sort(
                 fresh[plan.keep_dst] = data[plan.keep_src]
             with trace_span(tracer, "transfer", stage):
                 comm.alltoallv_fused(data, plan, fresh, group=group)
-        elif subs is not None:
-            # Overlapped bucketed pipeline: pack + post chunk c, then
-            # unpack chunk c - 1 while c's transfer is in flight.
-            with trace_span(tracer, "pack", stage):
-                fresh = np.empty_like(data)
-                fresh[plan.keep_dst] = data[plan.keep_src]
-            prev_op = prev_sub = None
-            for sub in subs:
-                with trace_span(tracer, "pack", stage):
-                    buckets: List[Optional[np.ndarray]] = [None] * P
-                    for q, idx in sub.send_sorted:
-                        buckets[q] = data[idx]
-                with trace_span(tracer, "transfer", stage):
-                    if group is not None and len(group) < P:
-                        op = comm.igroup_alltoallv(buckets, group)
-                    else:
-                        op = comm.ialltoallv(buckets)
-                if prev_op is not None:
-                    with trace_span(tracer, "transfer", stage):
-                        received = prev_op.wait()
-                    with trace_span(tracer, "unpack", stage):
-                        _unpack_chunk(fresh, prev_sub, received, r)
-                prev_op, prev_sub = op, sub
-            with trace_span(tracer, "transfer", stage):
-                received = prev_op.wait()
-            with trace_span(tracer, "unpack", stage):
-                _unpack_chunk(fresh, prev_sub, received, r)
         else:
             # Pack: one bucket per destination, by the plan's indices.
             with trace_span(tracer, "pack", stage):
-                buckets = [None] * P
+                buckets: List[Optional[np.ndarray]] = [None] * P
                 for q, idx in plan.send_sorted:
                     buckets[q] = data[idx]
                 fresh = np.empty_like(data)
@@ -273,7 +171,24 @@ def spmd_bitonic_sort(
             # Unpack: payloads concatenated in ascending source order land
             # in one scatter through the plan's precomputed index vector.
             with trace_span(tracer, "unpack", stage):
-                _unpack_chunk(fresh, plan, received, r)
+                payloads: List[np.ndarray] = []
+                for p, slots in plan.recv_sorted:
+                    payload = received[p]
+                    if payload is None or payload.size != slots.size:
+                        raise CommunicationError(
+                            f"rank {r}: expected {slots.size} keys from "
+                            f"rank {p}, "
+                            f"got {0 if payload is None else payload.size}"
+                        )
+                    payloads.append(payload)
+                for p, payload in enumerate(received):
+                    if p != r and payload is not None and p not in plan.recv:
+                        raise CommunicationError(
+                            f"rank {r}: unexpected payload of "
+                            f"{payload.size} keys from rank {p}"
+                        )
+                if payloads:
+                    fresh[plan.recv_concat] = np.concatenate(payloads)
         data = fresh
         layout = phase.layout
         # Local computation (Theorems 2/3) — the shared merge kernel.

@@ -20,14 +20,11 @@ back indexed by rank, the first rank failure is re-raised in the caller,
 and one wall-clock ``timeout`` bounds the whole world.
 
 Backend tuning lives in one typed :class:`BackendOptions` dataclass
-rather than loose keyword arguments; the old ``**options`` spelling
-(``run_spmd(..., arena_bytes=...)``) still works for one release but
-warns with :class:`DeprecationWarning`.
+rather than loose keyword arguments.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields
 from typing import Any, Callable, List, Optional
 
@@ -44,7 +41,7 @@ BACKENDS = ("threads", "procs")
 #: Fields consumed by the sort layer (:func:`repro.api.sort` /
 #: :func:`repro.runtime.bitonic_spmd.spmd_bitonic_sort`), not by the
 #: world launcher — valid on every backend.
-_ALGO_FIELDS = ("fused", "grouped", "overlap", "chunks")
+_ALGO_FIELDS = ("fused", "grouped")
 
 
 @dataclass(frozen=True)
@@ -53,10 +50,10 @@ class BackendOptions:
 
     Every field defaults to "backend decides"; *launch* fields that only
     apply to one backend are rejected elsewhere (the threads backend
-    takes no launch tuning at all, so any set launch field raises there —
-    same behaviour the old loose-kwargs interface had).  The *algorithm*
-    fields (``fused``, ``grouped``, ``overlap``, ``chunks``) tune the
-    sort running on top and are accepted on every SPMD backend.
+    takes no launch tuning at all, so any set launch field raises
+    there).  The *algorithm*
+    fields (``fused``, ``grouped``) tune the sort running on top and are
+    accepted on every SPMD backend.
 
     Attributes
     ----------
@@ -79,25 +76,12 @@ class BackendOptions:
         Scope each remap exchange to its Lemma-4 communication group of
         ``2**N_BitsChanged`` ranks instead of the world.  Default
         (``None``) means **on**.
-    overlap:
-        Run each remap as a chunked pipeline over the nonblocking
-        collectives, overlapping unpack/merge of one chunk with the
-        in-flight transfer of the next.  Default (``None``) means **off**
-        — deliberately the opposite polarity of ``fused``/``grouped``:
-        overlap is a measured trade (pipelining overhead vs hidden
-        transfer wait) that the service planner prices per host, so it is
-        opt-in rather than presumed.
-    chunks:
-        Chunks per overlapped remap (default 4 when ``overlap`` is on;
-        the sort clamps so chunks never drop below 64 elements).
     """
 
     arena_bytes: Optional[int] = None
     spin_budget: Optional[int] = None
     fused: Optional[bool] = None
     grouped: Optional[bool] = None
-    overlap: Optional[bool] = None
-    chunks: Optional[int] = None
 
     def set_fields(self) -> List[str]:
         """Names of the fields explicitly set (non-``None``)."""
@@ -115,36 +99,12 @@ def run_spmd(
     timeout: float = 120.0,
     backend: str = "threads",
     options: Optional[BackendOptions] = None,
-    **legacy_options: Any,
 ) -> List[Any]:
     """Run ``fn(comm)`` on ``size`` ranks of the chosen backend.
 
-    ``options`` carries backend tuning (:class:`BackendOptions`).  Extra
-    keyword arguments are the deprecated loose spelling of the same
-    fields — they warn, then fold into ``options``.  Returns the per-rank
-    results, indexed by rank.
+    ``options`` carries backend tuning (:class:`BackendOptions`).  Returns
+    the per-rank results, indexed by rank.
     """
-    if legacy_options:
-        known = {f.name for f in fields(BackendOptions)}
-        unknown = sorted(set(legacy_options) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown run_spmd option(s) {unknown}; "
-                f"BackendOptions accepts {sorted(known)}"
-            )
-        warnings.warn(
-            "passing backend options to run_spmd as loose keyword arguments "
-            f"({sorted(legacy_options)}) is deprecated; pass "
-            "options=BackendOptions(...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if options is not None:
-            raise ConfigurationError(
-                "pass backend options either as BackendOptions or as legacy "
-                "keywords, not both"
-            )
-        options = BackendOptions(**legacy_options)
     options = options or BackendOptions()
 
     if backend == "threads":
@@ -187,8 +147,7 @@ def spawn_world(
 
     ``options`` carries the same launch tuning :func:`run_spmd` accepts
     (``arena_bytes``, ``spin_budget`` on procs); the algorithm fields
-    (``fused``, ``grouped``, ``overlap``, ``chunks``) are per-job
-    concerns and are ignored here.
+    (``fused``, ``grouped``) are per-job concerns and are ignored here.
     """
     options = options or BackendOptions()
     if backend == "threads":

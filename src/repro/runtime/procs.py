@@ -53,6 +53,7 @@ import queue as queue_mod
 import secrets
 import threading
 import time
+from collections import deque
 from contextlib import suppress
 from multiprocessing import shared_memory
 from multiprocessing.connection import wait as _sentinel_wait
@@ -61,7 +62,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import CommunicationError, ConfigurationError, SpmdTimeoutError
-from repro.runtime.api import Comm, PendingOp
+from repro.runtime.api import Comm
 from repro.runtime.world import World
 from repro.trace.recorder import trace_span
 
@@ -162,49 +163,11 @@ class _ControlBlock:
         self.gen = self.cap = self.post = self.done = self.meta = None
 
 
-class _ProcPending(PendingOp):
-    """A posted nonblocking op on the procs backend.
-
-    The arena bytes and descriptors were published at post time and this
-    rank's ``post`` counter advanced; completion spins on the peers'
-    counters (only inside ``wait()``), runs the op's read closure against
-    the parity window, and feeds the collective into the contiguous
-    ``done`` accounting.
-    """
-
-    __slots__ = ("_k", "_peers", "_finish")
-
-    def __init__(self, comm: "ProcComm", k: int, peers, finish):
-        super().__init__(comm)
-        self._k = k
-        self._peers = peers
-        self._finish = finish
-
-    def _ready(self) -> bool:
-        comm = self._comm
-        post = comm._ctl.post
-        return all(
-            int(post[p]) >= self._k for p in self._peers if p != comm.rank
-        )
-
-    def _complete(self) -> Any:
-        comm = self._comm
-        with trace_span(comm.tracer, "wait", "complete"):
-            comm._spin(comm._ctl.post, self._peers, self._k, "pending-op post")
-            result = self._finish()
-        comm._mark_done(self._k)
-        return result
-
-
 class ProcComm(Comm):
     """One rank's endpoint of a multi-process SPMD world."""
 
     #: Ranks live in separate address spaces (see :class:`Comm`).
     in_process = False
-    #: Nonblocking collectives genuinely overlap here: posting writes the
-    #: arena + descriptors and advances ``post[rank]``; completion spins
-    #: on peers' counters only inside ``wait()``.
-    overlap_capable = True
 
     def __init__(
         self,
@@ -231,18 +194,11 @@ class ProcComm(Comm):
         #: (learned at world-barrier crossings; lets the arena-reuse guard
         #: skip its counter scan in the all-world steady state).
         self._world_seq = 0
-        #: Reader sets by collective index — who may still hold views into
-        #: the arena that collective filled.  Registered at post time,
-        #: consumed by the arena-reuse guard two collectives later.
-        self._readers: Dict[int, Tuple[int, ...]] = {}
-        #: Contiguous-completion bookkeeping for ``done[rank]``: with
-        #: nonblocking ops, collectives can *complete* out of post order,
-        #: but the shared counter must stay monotone — it advances only to
-        #: the highest ``k`` with every collective ``<= k`` complete.
-        self._done_upto = 0
-        self._done_pending: set = set()
-        #: Iterations of pure busy-spin before yielding in completion
-        #: polls.  From the host profile when the launcher provides it;
+        #: Reader sets of the last two collectives — who may still hold
+        #: views into this rank's arenas.
+        self._rhist: deque = deque(maxlen=2)
+        #: Iterations of pure busy-spin before yielding in the counter
+        #: handshakes.  From the host profile when the launcher provides it;
         #: the default burns a few hundred iterations only when cores
         #: outnumber typical worlds (on a 1-core CI host, spinning just
         #: delays the peer being waited for — yield immediately).
@@ -269,12 +225,8 @@ class ProcComm(Comm):
         with trace_span(self.tracer, "wait", "barrier"):
             self._wait_world()
         # Everyone crossed with the same collective count (collectives are
-        # world-ordered), so everything so far is globally complete —
-        # *unless* ops are still pending: a posted-but-unwaited collective
-        # crosses barriers unfinished, so the fast path must not record it
-        # (SPMD order means peers carry the same pending set here).
-        if self._pending_ops == 0:
-            self._world_seq = max(self._world_seq, self._coll)
+        # world-ordered), so everything so far is globally complete.
+        self._world_seq = max(self._world_seq, self._coll)
 
     # -- the collective sequence protocol ------------------------------
 
@@ -304,46 +256,21 @@ class ProcComm(Comm):
         readers served two collectives ago (same parity) must have
         finished before this rank rewrites that arena.  Free whenever a
         world barrier has been crossed since — only sequences that mix in
-        group-scoped or nonblocking collectives ever wait here."""
-        if self._pending_ops >= 2:
-            # A third in-flight collective would rewrite the arena parity
-            # of the oldest pending one, and the reuse guard below would
-            # wait on completions that, in SPMD program order, can only
-            # happen *after* this post — a guaranteed deadlock.  Two
-            # in-flight ops (the chunk pipeline's depth) is the most the
-            # double-buffer protocol can support.
-            raise CommunicationError(
-                f"rank {self.rank}: a third collective posted while two "
-                "nonblocking ops are in flight — the double-buffer arena "
-                "protocol supports at most two; wait() one first"
-            )
+        group-scoped collectives ever wait here."""
         self._coll += 1
         k = self._coll
-        readers = self._readers.pop(k - 2, None)
-        if readers and self._world_seq < k - 2:
-            with trace_span(self.tracer, "wait", "arena-reuse"):
-                self._spin(self._ctl.done, readers, k - 2, "arena re-use")
+        if k >= 3 and self._world_seq < k - 2 and len(self._rhist) == 2:
+            readers = self._rhist[0]
+            if readers:
+                with trace_span(self.tracer, "wait", "arena-reuse"):
+                    self._spin(self._ctl.done, readers, k - 2, "arena re-use")
         return k
 
-    def _mark_done(self, k: int) -> None:
-        """Record completion of collective ``k`` (reads included).  With
-        out-of-order ``wait()`` calls completions arrive unordered; the
-        shared ``done`` counter advances only contiguously."""
-        pend = self._done_pending
-        pend.add(k)
-        upto = self._done_upto
-        while upto + 1 in pend:
-            upto += 1
-            pend.discard(upto)
-        if upto != self._done_upto:
-            self._done_upto = upto
-            self._ctl.done[self.rank] = upto
-
     def _end_collective(self, k: int, readers) -> None:
-        """Publish completion of collective ``k`` and remember who may
-        hold views into the arena it filled."""
-        self._readers[k] = tuple(readers)
-        self._mark_done(k)
+        """Publish completion of collective ``k`` (reads included) and
+        remember who may hold views into the arena it filled."""
+        self._ctl.done[self.rank] = k
+        self._rhist.append(tuple(readers))
 
     def alltoallv(
         self, buckets: Sequence[Optional[np.ndarray]]
@@ -421,8 +348,7 @@ class ProcComm(Comm):
                 ctl.meta[b, me, dst] = (nbytes, 0, kind, dtcode)
             with trace_span(tr, "wait", "barrier"):
                 self._wait_world()
-            if self._pending_ops == 0:
-                self._world_seq = max(self._world_seq, k - 1)
+            self._world_seq = max(self._world_seq, k - 1)
             try:
                 if src == me:
                     return None
@@ -470,38 +396,6 @@ class ProcComm(Comm):
         k = self._begin_collective()
         b = self._parity
         self._parity ^= 1
-        ctl = self._ctl
-        self._post_payloads(b, sends, targets, share_payload)
-
-        if group is None:
-            with trace_span(tr, "wait", "barrier"):
-                self._wait_world()
-            # Crossing collective ``k``'s barrier proves every rank
-            # entered ``k``, i.e. (with nothing pending) completed
-            # ``k - 1``.
-            if self._pending_ops == 0:
-                self._world_seq = max(self._world_seq, k - 1)
-        else:
-            ctl.post[me] = k
-            with trace_span(tr, "wait", "group-post"):
-                self._spin(ctl.post, group, k, "group descriptor post")
-
-        out = self._read_targets(b, targets)
-        self._end_collective(k, tuple(range(P)) if group is None else group)
-        return out
-
-    def _post_payloads(
-        self,
-        b: int,
-        sends: List[Any],
-        targets,
-        share_payload: bool = False,
-    ) -> None:
-        """The deposit half of an exchange: serialize ``sends[q]`` per
-        target, lay the blobs out in the parity-``b`` arena, write the
-        bytes and publish the descriptors.  No synchronization."""
-        me = self.rank
-        tr = self.tracer
         ctl = self._ctl
 
         # Serialize: (kind, buffer, dtype_code) per destination.
@@ -553,12 +447,17 @@ class ProcComm(Comm):
                 tr.add("messages")
             ctl.meta[b, me, q] = (len(raw), off, kind, dtcode)
 
-    def _read_targets(self, b: int, targets) -> List[Any]:
-        """The pickup half of an exchange: scan the targets' descriptors
-        of parity ``b`` and copy out every payload addressed to this rank.
-        Callers synchronize first and mark completion after."""
-        me, P = self.rank, self.size
-        ctl = self._ctl
+        if group is None:
+            with trace_span(tr, "wait", "barrier"):
+                self._wait_world()
+            # Crossing collective ``k``'s barrier proves every rank
+            # entered ``k``, i.e. completed ``k - 1``.
+            self._world_seq = max(self._world_seq, k - 1)
+        else:
+            ctl.post[me] = k
+            with trace_span(tr, "wait", "group-post"):
+                self._spin(ctl.post, group, k, "group descriptor post")
+
         out: List[Any] = [None] * P
         for p in targets:
             if p == me:
@@ -587,6 +486,7 @@ class ProcComm(Comm):
                     out[p] = pickle.loads(raw)
             finally:
                 raw.release()
+        self._end_collective(k, tuple(range(P)) if group is None else group)
         return out
 
     def group_alltoallv(
@@ -648,36 +548,14 @@ class ProcComm(Comm):
                 tr.add("coll.group_alltoallv")
                 tr.add("coll.group_size", len(g))
             tr.add("coll.slots", len(g))
+        members = set(g)
         k = self._begin_collective()
         b = self._parity
         self._parity ^= 1
         ctl = self._ctl
-        self._fused_post(b, data, plan, g, dtcode)
-
-        if len(g) == P:
-            with trace_span(tr, "wait", "barrier"):
-                self._wait_world()
-            if self._pending_ops == 0:
-                self._world_seq = max(self._world_seq, k - 1)
-        else:
-            ctl.post[me] = k
-            with trace_span(tr, "wait", "group-post"):
-                self._spin(ctl.post, g, k, "group descriptor post")
-
-        self._fused_unpack(b, g, plan, data.dtype, dtcode, out)
-        self._end_collective(k, g)
-
-    def _fused_post(
-        self, b: int, data: np.ndarray, plan, g, dtcode: int
-    ) -> None:
-        """Fused pack: one gather pass straight from ``data`` into this
-        rank's parity-``b`` send window, plus the descriptor row.  No
-        synchronization."""
-        me = self.rank
-        tr = self.tracer
-        ctl = self._ctl
-        members = set(g)
         itemsize = data.dtype.itemsize
+
+        # Fused pack: one gather pass, straight into the send window.
         gather = plan.send_concat_src
         arena = self._ensure_capacity(b, gather.size * itemsize)
         if gather.size:
@@ -702,15 +580,17 @@ class ProcComm(Comm):
                 dtcode,
             )
 
-    def _fused_unpack(
-        self, b: int, g, plan, dtype: np.dtype, dtcode: int, out: np.ndarray
-    ) -> None:
-        """Fused unpack: scatter straight from each peer's parity-``b``
-        receive window into the final slots of ``out``.  Callers
-        synchronize first and mark completion after."""
-        me = self.rank
-        ctl = self._ctl
-        itemsize = dtype.itemsize
+        if len(g) == P:
+            with trace_span(tr, "wait", "barrier"):
+                self._wait_world()
+            self._world_seq = max(self._world_seq, k - 1)
+        else:
+            ctl.post[me] = k
+            with trace_span(tr, "wait", "group-post"):
+                self._spin(ctl.post, g, k, "group descriptor post")
+
+        # Fused unpack: scatter straight from each peer's receive window
+        # into the final slots of ``out``.
         expected = dict(plan.recv_sorted)
         for p in g:
             if p == me:
@@ -737,11 +617,11 @@ class ProcComm(Comm):
                 raise CommunicationError(
                     f"rank {me}: rank {p} sent a mismatched fused payload "
                     f"({nbytes} bytes, kind {kind}) where {slots.size} "
-                    f"elements of {dtype} were expected"
+                    f"elements of {data.dtype} were expected"
                 )
             seg = self._peer_arena(p, b)
             window = np.ndarray(
-                (slots.size,), dtype=dtype, buffer=seg.buf, offset=off
+                (slots.size,), dtype=data.dtype, buffer=seg.buf, offset=off
             )
             out[slots] = window
             del window
@@ -750,181 +630,7 @@ class ProcComm(Comm):
                 f"rank {me}: no payload arrived from rank(s) "
                 f"{sorted(expected)}"
             )
-
-    # -- nonblocking post/complete pairs ------------------------------
-    #
-    # Pending ops never touch the world barrier: the post half advances
-    # this rank's ``post`` counter after publishing its descriptors, and
-    # the complete half spins on the peers' counters — same handshake the
-    # group-scoped collectives already use, applied at any scope.  At most
-    # two ops may be in flight (``_begin_collective`` enforces it): a
-    # third would need the arena parity of the oldest, whose readers can
-    # only finish after this very post in SPMD program order.
-
-    def _ipost(self, sends: List[Any], targets, readers) -> Tuple[int, int]:
-        """Shared post half of the nonblocking exchanges: number the
-        collective, deposit payloads + descriptors, register the readers
-        for the arena-reuse guard, advance this rank's post counter."""
-        k = self._begin_collective()
-        b = self._parity
-        self._parity ^= 1
-        with trace_span(self.tracer, "wait", "post"):
-            self._post_payloads(b, sends, targets)
-            self._readers[k] = tuple(readers)
-            self._ctl.post[self.rank] = k
-        return k, b
-
-    def ialltoallv(
-        self, buckets: Sequence[Optional[np.ndarray]]
-    ) -> PendingOp:
-        if len(buckets) != self.size:
-            raise CommunicationError(
-                f"rank {self.rank}: ialltoallv needs {self.size} buckets, "
-                f"got {len(buckets)}"
-            )
-        me, P = self.rank, self.size
-        tr = self.tracer
-        if tr is not None:
-            tr.add("coll.alltoallv")
-            tr.add("coll.overlapped")
-            tr.add("coll.slots", P)
-        targets = tuple(range(P))
-        k, b = self._ipost(list(buckets), targets, targets)
-        own = buckets[me]
-
-        def finish() -> List[Optional[np.ndarray]]:
-            out = self._read_targets(b, targets)
-            out[me] = own
-            return out
-
-        return _ProcPending(self, k, targets, finish)
-
-    def igroup_alltoallv(
-        self,
-        buckets: Sequence[Optional[np.ndarray]],
-        group: Sequence[int],
-    ) -> PendingOp:
-        g = self._check_group(buckets, group)
-        me = self.rank
-        tr = self.tracer
-        if tr is not None:
-            tr.add("coll.group_alltoallv")
-            tr.add("coll.group_size", len(g))
-            tr.add("coll.overlapped")
-            tr.add("coll.slots", len(g))
-        k, b = self._ipost(list(buckets), g, g)
-        own = buckets[me]
-
-        def finish() -> List[Optional[np.ndarray]]:
-            out = self._read_targets(b, g)
-            out[me] = own
-            return out
-
-        return _ProcPending(self, k, g, finish)
-
-    def isendrecv(
-        self, send: Optional[np.ndarray], dst: int, src: int
-    ) -> PendingOp:
-        """Nonblocking pairwise exchange.  Still a world-ordered
-        collective (every rank must post it at the same program point, as
-        with the blocking spelling), but completion spins only on the
-        source's post counter — no barrier anywhere."""
-        if not (0 <= dst < self.size and 0 <= src < self.size):
-            raise CommunicationError(
-                f"rank {self.rank}: isendrecv peers ({dst}, {src}) outside "
-                f"world of {self.size}"
-            )
-        me = self.rank
-        tr = self.tracer
-        if tr is not None:
-            tr.add("coll.sendrecv")
-            tr.add("coll.overlapped")
-            tr.add("coll.slots")
-        k = self._begin_collective()
-        b = self._parity
-        self._parity ^= 1
-        ctl = self._ctl
-        with trace_span(tr, "wait", "post"):
-            ctl.meta[b, me] = (-1, 0, _KIND_NONE, 0)
-            wrote = dst != me and send is not None
-            if wrote:
-                kind, raw, dtcode = self._serialize(send)
-                nbytes = len(raw)
-                if tr is not None:
-                    tr.add("messages")
-                    tr.add("bytes_sent", nbytes)
-                arena = self._ensure_capacity(b, nbytes)
-                arena.buf[:nbytes] = raw
-                ctl.meta[b, me, dst] = (nbytes, 0, kind, dtcode)
-            self._readers[k] = (dst,) if wrote else ()
-            ctl.post[me] = k
-        peers = (src,) if src != me else ()
-
-        def finish() -> Optional[np.ndarray]:
-            if src == me:
-                return None
-            nbytes, off, kind, dtcode = (int(x) for x in ctl.meta[b, src, me])
-            if kind == _KIND_NONE:
-                return None
-            seg = self._peer_arena(src, b)
-            raw = seg.buf[off : off + nbytes]
-            try:
-                if kind == _KIND_NDARRAY:
-                    return np.frombuffer(
-                        raw, dtype=_decode_dtype(dtcode)
-                    ).copy()
-                return pickle.loads(raw)
-            finally:
-                raw.release()
-
-        return _ProcPending(self, k, peers, finish)
-
-    def ialltoallv_fused(
-        self,
-        data: np.ndarray,
-        plan,
-        out: np.ndarray,
-        group: Optional[Sequence[int]] = None,
-    ) -> PendingOp:
-        """Nonblocking fused exchange: the gather into this rank's send
-        window happens at post time; the scatter out of the peers' windows
-        into ``out`` happens at ``wait()``.  Falls back to the composed
-        (eager) default for payloads the raw-ndarray descriptor encoding
-        cannot carry, exactly like the blocking spelling."""
-        data = np.asarray(data)
-        dtcode = _encode_dtype(data.dtype) if data.ndim == 1 else None
-        if (
-            dtcode is None
-            or out.ndim != 1
-            or out.dtype != data.dtype
-            or not data.flags.c_contiguous
-        ):
-            return super().ialltoallv_fused(data, plan, out, group=group)
-        me, P = self.rank, self.size
-        g = tuple(group) if group is not None else tuple(range(P))
-        tr = self.tracer
-        if tr is not None:
-            tr.add("coll.fused")
-            tr.add("coll.fused_direct")
-            tr.add("coll.overlapped")
-            if group is not None and len(g) < P:
-                tr.add("coll.group_alltoallv")
-                tr.add("coll.group_size", len(g))
-            tr.add("coll.slots", len(g))
-        k = self._begin_collective()
-        b = self._parity
-        self._parity ^= 1
-        with trace_span(tr, "wait", "post"):
-            self._fused_post(b, data, plan, g, dtcode)
-            self._readers[k] = g
-            self._ctl.post[me] = k
-        dtype = data.dtype
-
-        def finish() -> None:
-            self._fused_unpack(b, g, plan, dtype, dtcode, out)
-            return None
-
-        return _ProcPending(self, k, g, finish)
+        self._end_collective(k, g)
 
     def _serialize(self, payload: Any) -> Tuple[int, memoryview, int]:
         if isinstance(payload, np.ndarray) and payload.ndim == 1:
@@ -1019,15 +725,6 @@ def _run_one(comm, fn, args, job: int, barrier, result_q) -> bool:
     so the rank retires)."""
     try:
         result = fn(comm) if args is None else fn(comm, *args)
-        leaked = comm.pending_ops()
-        if leaked:
-            # A posted-but-never-waited op leaves peers spinning on this
-            # rank's counters and desynchronizes the collective numbering
-            # for the next job — fail loudly instead.
-            raise CommunicationError(
-                f"rank {comm.rank}: job finished with {leaked} nonblocking "
-                "op(s) posted but never waited (pending-op leak)"
-            )
     except BaseException as exc:  # noqa: BLE001 — re-raised in the parent
         barrier.abort()  # unblock peers before reporting
         _put(result_q, comm.rank, job, False, exc)

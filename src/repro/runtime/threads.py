@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from queue import Empty, SimpleQueue
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import CommunicationError, ConfigurationError, SpmdTimeoutError
-from repro.runtime.api import Comm, PendingOp
+from repro.runtime.api import Comm
 from repro.runtime.world import World
 from repro.trace.recorder import trace_span
 
@@ -101,44 +100,8 @@ class _SharedState:
             bar.abort()
 
 
-class _ThreadPending(PendingOp):
-    """A posted nonblocking op on the threads backend.
-
-    Every outgoing deposit already happened at post time (the per-pair
-    channels are unbounded queues, so posting never blocks); completion
-    only drains one tagged item per expected source and hands the
-    payloads to the op's ``finish`` closure.
-    """
-
-    __slots__ = ("_sources", "_finish")
-
-    def __init__(
-        self,
-        comm: "ThreadComm",
-        sources: Tuple[Tuple[int, int], ...],
-        finish: Callable[[Dict[int, Any]], Any],
-    ):
-        super().__init__(comm)
-        self._sources = sources
-        self._finish = finish
-
-    def _ready(self) -> bool:
-        comm = self._comm
-        return all(comm._chan_poll(p, tag) for p, tag in self._sources)
-
-    def _complete(self) -> Any:
-        comm = self._comm
-        with trace_span(comm.tracer, "wait", "complete"):
-            payloads = {
-                p: comm._chan_recv(p, tag) for p, tag in self._sources
-            }
-        return self._finish(payloads)
-
-
 class ThreadComm(Comm):
     """One rank's endpoint of an in-process SPMD world."""
-
-    overlap_capable = True
 
     def __init__(self, rank: int, state: _SharedState):
         if not 0 <= rank < state.size:
@@ -146,88 +109,6 @@ class ThreadComm(Comm):
         self.rank = rank
         self.size = state.size
         self._state = state
-        # Nonblocking-op plumbing: per-ordered-pair sequence counters (tx
-        # counts deposits to dst, rx counts expected pickups from src) and
-        # a per-source stash for items drained out of arrival order.  Both
-        # sides advance their counter at post time in SPMD program order,
-        # so matching tags meet without any synchronization.
-        self._ntx: Dict[int, int] = {}
-        self._nrx: Dict[int, int] = {}
-        self._stash: Dict[int, Dict[Any, Any]] = {}
-
-    # -- channel wire protocol ----------------------------------------
-    #
-    # Every channel item is a ``(tag, payload)`` pair.  The blocking
-    # sendrecv stream uses ``tag=None`` (strictly FIFO per pair, as
-    # before); nonblocking ops tag each deposit with the pair's next
-    # sequence number so out-of-order ``wait()`` calls can claim their
-    # own items while stashing anything that arrives early.
-
-    def _next_tx(self, dst: int) -> int:
-        seq = self._ntx.get(dst, 0) + 1
-        self._ntx[dst] = seq
-        return seq
-
-    def _next_rx(self, src: int) -> int:
-        seq = self._nrx.get(src, 0) + 1
-        self._nrx[src] = seq
-        return seq
-
-    def _src_stash(self, src: int) -> Dict[Any, Any]:
-        st = self._stash.get(src)
-        if st is None:
-            st = self._stash[src] = {}
-        return st
-
-    def _chan_send(self, dst: int, tag: Any, payload: Any) -> None:
-        self._state.channel(self.rank, dst).put((tag, payload))
-
-    def _chan_recv(self, src: int, tag: Any) -> Any:
-        """Block until the item tagged ``tag`` from ``src`` is available,
-        stashing any other arrivals from that source along the way."""
-        stash = self._src_stash(src)
-        if tag is None:
-            plain = stash.get(None)
-            if plain:
-                return plain.popleft()
-        elif tag in stash:
-            return stash.pop(tag)
-        channel = self._state.channel(src, self.rank)
-        while True:
-            try:
-                got, payload = channel.get(timeout=0.05)
-            except Empty:
-                if self._state.barrier.broken:
-                    raise CommunicationError(
-                        "SPMD world collapsed: a peer rank failed while "
-                        "this rank waited on a channel"
-                    ) from None
-                continue
-            if got == tag:
-                return payload
-            if got is None:
-                stash.setdefault(None, deque()).append(payload)
-            else:
-                stash[got] = payload
-
-    def _chan_poll(self, src: int, tag: Any) -> bool:
-        """Whether the tagged item from ``src`` is claimable without
-        blocking; drains whatever is already queued into the stash."""
-        stash = self._src_stash(src)
-        if tag in stash:
-            return True
-        channel = self._state.channel(src, self.rank)
-        while True:
-            try:
-                got, payload = channel.get_nowait()
-            except Empty:
-                return tag in stash
-            if got is None:
-                stash.setdefault(None, deque()).append(payload)
-            else:
-                stash[got] = payload
-            if got == tag:
-                return True
 
     # -- primitives ---------------------------------------------------
 
@@ -437,172 +318,20 @@ class ThreadComm(Comm):
                 if tr is not None and send is not None:
                     tr.add("messages")
                     tr.add("bytes_sent", _payload_nbytes(send))
-                self._chan_send(dst, None, send)
+                self._state.channel(self.rank, dst).put(send)
             if src == self.rank:
                 return None
+            channel = self._state.channel(src, self.rank)
             with trace_span(tr, "wait", "sendrecv-recv"):
-                return self._chan_recv(src, None)
-
-    # -- nonblocking post/complete pairs ------------------------------
-
-    def ialltoallv(
-        self, buckets: Sequence[Optional[np.ndarray]]
-    ) -> PendingOp:
-        """Post a world alltoallv; barrier-free — one tagged deposit per
-        peer at post time, pickups deferred to the handle's ``wait()``."""
-        if len(buckets) != self.size:
-            raise CommunicationError(
-                f"rank {self.rank}: ialltoallv needs {self.size} buckets, "
-                f"got {len(buckets)}"
-            )
-        me, P = self.rank, self.size
-        tr = self.tracer
-        if tr is not None:
-            tr.add("coll.alltoallv")
-            tr.add("coll.overlapped")
-            tr.add("coll.slots", P)
-            for q, payload in enumerate(buckets):
-                if q != me and payload is not None:
-                    tr.add("messages")
-                    tr.add("bytes_sent", _payload_nbytes(payload))
-        with trace_span(tr, "wait", "post"):
-            for q in range(P):
-                if q != me:
-                    self._chan_send(q, self._next_tx(q), buckets[q])
-        sources = tuple((p, self._next_rx(p)) for p in range(P) if p != me)
-        own = buckets[me]
-
-        def finish(payloads: Dict[int, Any]) -> List[Optional[np.ndarray]]:
-            received: List[Optional[np.ndarray]] = [None] * P
-            for p, payload in payloads.items():
-                received[p] = payload
-            received[me] = own
-            return received
-
-        return _ThreadPending(self, sources, finish)
-
-    def igroup_alltoallv(
-        self,
-        buckets: Sequence[Optional[np.ndarray]],
-        group: Sequence[int],
-    ) -> PendingOp:
-        """Post a group-scoped alltoallv (Lemma 4 scope, no barrier at
-        all): deposits and expected pickups range over the group only."""
-        g = self._check_group(buckets, group)
-        me = self.rank
-        tr = self.tracer
-        if tr is not None:
-            tr.add("coll.group_alltoallv")
-            tr.add("coll.group_size", len(g))
-            tr.add("coll.overlapped")
-            tr.add("coll.slots", len(g))
-            for q in g:
-                payload = buckets[q]
-                if q != me and payload is not None:
-                    tr.add("messages")
-                    tr.add("bytes_sent", _payload_nbytes(payload))
-        with trace_span(tr, "wait", "post"):
-            for q in g:
-                if q != me:
-                    self._chan_send(q, self._next_tx(q), buckets[q])
-        sources = tuple((p, self._next_rx(p)) for p in g if p != me)
-        own = buckets[me]
-        size = self.size
-
-        def finish(payloads: Dict[int, Any]) -> List[Optional[np.ndarray]]:
-            received: List[Optional[np.ndarray]] = [None] * size
-            for p, payload in payloads.items():
-                received[p] = payload
-            received[me] = own
-            return received
-
-        return _ThreadPending(self, sources, finish)
-
-    def isendrecv(
-        self, send: Optional[np.ndarray], dst: int, src: int
-    ) -> PendingOp:
-        """Post a pairwise exchange; the deposit happens now, the pickup
-        on ``wait()``."""
-        if not (0 <= dst < self.size and 0 <= src < self.size):
-            raise CommunicationError(
-                f"rank {self.rank}: isendrecv peers ({dst}, {src}) outside "
-                f"world of {self.size}"
-            )
-        tr = self.tracer
-        if tr is not None:
-            tr.add("coll.sendrecv")
-            tr.add("coll.overlapped")
-            tr.add("coll.slots")
-        with trace_span(tr, "wait", "post"):
-            if dst != self.rank:
-                if tr is not None and send is not None:
-                    tr.add("messages")
-                    tr.add("bytes_sent", _payload_nbytes(send))
-                self._chan_send(dst, self._next_tx(dst), send)
-        if src == self.rank:
-            sources: Tuple[Tuple[int, int], ...] = ()
-        else:
-            sources = ((src, self._next_rx(src)),)
-
-        def finish(payloads: Dict[int, Any]) -> Optional[np.ndarray]:
-            return payloads.get(src)
-
-        return _ThreadPending(self, sources, finish)
-
-    def ialltoallv_fused(
-        self,
-        data: np.ndarray,
-        plan,
-        out: np.ndarray,
-        group: Optional[Sequence[int]] = None,
-    ) -> PendingOp:
-        """Post the zero-copy fused exchange: ``(data, gather indices)``
-        references go onto the per-pair channels now; the fused
-        gather/scatter into ``out`` runs at ``wait()``.  The remap plan
-        is symmetric (q receives from p iff p sends to q), so sender and
-        receiver advance each pair's tag counter in lockstep without a
-        barrier.  Senders must not mutate ``data`` until ``wait()``
-        returns — same reference discipline as the blocking fused path.
-        """
-        me, P = self.rank, self.size
-        g = tuple(group) if group is not None else tuple(range(P))
-        members = frozenset(g)
-        tr = self.tracer
-        if tr is not None:
-            tr.add("coll.fused")
-            tr.add("coll.fused_direct")
-            tr.add("coll.overlapped")
-            if group is not None and len(g) < P:
-                tr.add("coll.group_alltoallv")
-                tr.add("coll.group_size", len(g))
-            tr.add("coll.slots", len(g))
-            for q, idx in plan.send_sorted:
-                tr.add("messages")
-                tr.add("bytes_sent", int(idx.size * data.dtype.itemsize))
-        with trace_span(tr, "wait", "post"):
-            for q, idx in plan.send_sorted:
-                if q not in members or q == me:
-                    raise CommunicationError(
-                        f"rank {me}: fused plan sends to rank {q}, outside "
-                        f"its communication group {g}"
-                    )
-                self._chan_send(q, self._next_tx(q), (data, idx))
-        sources = tuple((p, self._next_rx(p)) for p, _ in plan.recv_sorted)
-        expected = dict(plan.recv_sorted)
-
-        def finish(payloads: Dict[int, Any]) -> None:
-            for p, entry in payloads.items():
-                slots = expected[p]
-                src_data, src_idx = entry
-                if src_idx.size != slots.size:
-                    raise CommunicationError(
-                        f"rank {me}: rank {p} sent {src_idx.size} keys, "
-                        f"expected {slots.size}"
-                    )
-                out[slots] = src_data[src_idx]
-            return None
-
-        return _ThreadPending(self, sources, finish)
+                while True:
+                    try:
+                        return channel.get(timeout=0.05)
+                    except Empty:
+                        if self._state.barrier.broken:
+                            raise CommunicationError(
+                                "SPMD world collapsed: a peer rank failed "
+                                "while this rank waited in sendrecv"
+                            ) from None
 
 
 class ThreadWorld(World):
@@ -648,16 +377,6 @@ class ThreadWorld(World):
             job, fn, args = msg
             try:
                 result = fn(comm) if args is None else fn(comm, *args)
-                leaked = comm.pending_ops()
-                if leaked:
-                    # A posted-but-never-waited op leaves tagged items on
-                    # the pair channels that would corrupt the next job's
-                    # exchanges — fail loudly instead.
-                    raise CommunicationError(
-                        f"rank {rank}: job finished with {leaked} "
-                        "nonblocking op(s) posted but never waited "
-                        "(pending-op leak)"
-                    )
             except BaseException as exc:  # noqa: BLE001 — re-raised in caller
                 self._state.abort_all()  # unblock peers before reporting
                 self._result_q.put((rank, job, False, exc))

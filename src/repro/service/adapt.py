@@ -17,16 +17,12 @@ calibration.  :class:`RequestAdapter` closes the loop
   pattern that produced it;
 * traced requests additionally fold the
   :class:`~repro.trace.report.PhaseReport` deviation ratios
-  (communication vs computation share, measured over predicted) and the
-  measured wait split into per-key diagnostic EWMAs and a per-backend
-  **measured** :attr:`~repro.service.profile.HostProfile.overlap_efficiency`
-  — which lets the planner's ``+ov`` candidates win on live evidence,
-  without a committed BENCH file;
+  (communication vs computation share, measured over predicted) into
+  per-key diagnostic EWMAs;
 * :meth:`Planner.plan(adapt=True) <repro.service.planner.Planner.plan>`
-  then prices every candidate with the adapted factors, on a
-  copy-on-write view of the host profile — the static profile object is
-  never mutated, and ``adapt=False`` (or an armed fault plan) yields
-  decisions byte-identical to the static planner's.
+  then prices every candidate with the adapted factors — the static
+  profile object is never mutated, and ``adapt=False`` (or an armed
+  fault plan) yields decisions byte-identical to the static planner's.
 
 State persists through the profile schema
 (:meth:`~repro.service.profile.HostProfile.save` with
@@ -43,7 +39,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -97,22 +93,6 @@ class CorrectionState:
         return self.value
 
 
-@dataclass
-class _BackendWaits:
-    """Per-backend measured transfer-wait shares, by overlap polarity.
-
-    The measured :attr:`overlap efficiency
-    <repro.service.profile.HostProfile.overlap_efficiency>` is the
-    fraction of the synchronous transfer-wait share the overlapped
-    pipeline removed: ``1 - overlapped_share / sync_share`` — the live
-    twin of :meth:`~repro.service.planner.BenchHistory.overlap_efficiency`,
-    conservative for the same reason (wait is at most the whole run).
-    """
-
-    sync_share: CorrectionState = field(default_factory=CorrectionState)
-    overlap_share: CorrectionState = field(default_factory=CorrectionState)
-
-
 class RequestAdapter:
     """Fold completed-request measurements into live planner corrections.
 
@@ -153,7 +133,6 @@ class RequestAdapter:
         #: and computation category groups of traced requests.
         self._comm_dev: Dict[AdaptKey, CorrectionState] = {}
         self._comp_dev: Dict[AdaptKey, CorrectionState] = {}
-        self._waits: Dict[str, _BackendWaits] = {}
         self.updates = 0
 
     # -- monitor: fold one completed request ---------------------------
@@ -169,8 +148,6 @@ class RequestAdapter:
         dtype_size: int = 4,
         fused: bool = True,
         grouped: bool = True,
-        overlap: bool = False,
-        chunks: int = 4,
         tracers: Optional[Sequence[Any]] = None,
     ) -> float:
         """Fold one completed request; returns the key's updated factor.
@@ -182,13 +159,12 @@ class RequestAdapter:
         converge to the model's true error instead of compounding
         through their own feedback.  ``tracers``, when given (a traced
         request's per-rank recorders), additionally fold the phase-share
-        deviation ratios and the measured wait split.
+        deviation ratios.
         """
         try:
             static = self.profile.estimate(
                 N, P, backend, algorithm=algorithm, fused=fused,
-                grouped=grouped, overlap=overlap, chunks=chunks,
-                warm=True, dtype_size=dtype_size,
+                grouped=grouped, warm=True, dtype_size=dtype_size,
             )
         except ConfigurationError:
             return 1.0
@@ -203,8 +179,7 @@ class RequestAdapter:
             self.updates += 1
         if tracers:
             self._observe_trace(
-                key, N, dtype_size, fused, overlap,
-                [t for t in tracers if t is not None], now,
+                key, N, fused, [t for t in tracers if t is not None], now
             )
         return factor
 
@@ -212,13 +187,11 @@ class RequestAdapter:
         self,
         key: AdaptKey,
         N: int,
-        dtype_size: int,
         fused: bool,
-        overlap: bool,
         tracers: Sequence[Any],
         now: float,
     ) -> None:
-        """Fold a traced request's phase deviations and wait split."""
+        """Fold a traced request's phase deviations."""
         from repro.theory.predict import predict
         from repro.trace.report import build_phase_report
 
@@ -238,10 +211,6 @@ class RequestAdapter:
         )
         comm_dev = _group_deviation(rep, COMM_CATEGORIES)
         comp_dev = _group_deviation(rep, COMPUTE_CATEGORIES)
-        total_us = rep.total("measured")
-        share = None
-        if total_us > 0 and rep.measured_transfer_wait_us is not None:
-            share = min(1.0, rep.measured_transfer_wait_us / total_us)
         with self._lock:
             if comm_dev is not None:
                 self._comm_dev.setdefault(key, CorrectionState()).update(
@@ -251,18 +220,6 @@ class RequestAdapter:
                 self._comp_dev.setdefault(key, CorrectionState()).update(
                     _clamped(comp_dev), now, self.alpha, self.decay_s
                 )
-            if share is not None and algorithm == "smart" and P > 1:
-                waits = self._waits.setdefault(backend, _BackendWaits())
-                target = waits.overlap_share if overlap else waits.sync_share
-                # Shares live in [0, 1]; reuse the EWMA/decay machinery
-                # with the clamp widened below 1.0's floor.
-                base = target.effective(now, self.decay_s) \
-                    if target.updates else share
-                target.value = min(
-                    1.0, max(0.0, base + self.alpha * (share - base))
-                )
-                target.stamp_s = now
-                target.updates += 1
 
     # -- model: the adapted corrections the planner prices with --------
 
@@ -281,28 +238,6 @@ class RequestAdapter:
             if state is None or not state.updates:
                 return None
             return _clamped(state.effective(self._clock(), self.decay_s))
-
-    def overlap_efficiency(self, backend: str) -> Optional[float]:
-        """Measured overlap payoff for ``backend`` from live wait splits:
-        the fraction of the synchronous transfer-wait share the
-        overlapped pipeline removed, in [0, 1].  ``None`` until both
-        polarities have been observed traced — the planner then falls
-        back to bench history (or never chooses overlap on its own)."""
-        with self._lock:
-            waits = self._waits.get(backend)
-            if waits is None:
-                return None
-            if not waits.sync_share.updates or not waits.overlap_share.updates:
-                return None
-            now = self._clock()
-            # Decay pulls both shares toward the *neutral* 1.0 of the
-            # correction machinery, which is meaningless for shares; use
-            # the raw EWMAs — staleness is bounded by the paired ratio.
-            sync = waits.sync_share.value
-            ov = waits.overlap_share.value
-        if sync <= 0.0:
-            return None
-        return min(max(1.0 - ov / sync, 0.0), 1.0)
 
     def deviations(self, backend: str, P: int, algorithm: str) -> Dict[str, float]:
         """The key's diagnostic deviation EWMAs (empty when untraced)."""
@@ -329,22 +264,7 @@ class RequestAdapter:
                     )
                     for (b, p, a), state in sorted(self._corr.items())
                 },
-                "overlap_efficiency": {
-                    b: self.overlap_efficiency_unlocked(b)
-                    for b in sorted(self._waits)
-                },
             }
-
-    def overlap_efficiency_unlocked(self, backend: str) -> Optional[float]:
-        # stats() holds the lock; recompute without re-acquiring.
-        waits = self._waits.get(backend)
-        if (waits is None or not waits.sync_share.updates
-                or not waits.overlap_share.updates
-                or waits.sync_share.value <= 0.0):
-            return None
-        return round(min(max(
-            1.0 - waits.overlap_share.value / waits.sync_share.value,
-            0.0), 1.0), 4)
 
     # -- persistence: the profile-schema /2 adapted-state blob ----------
 
@@ -378,13 +298,6 @@ class RequestAdapter:
                     for grp, table in (("comm", self._comm_dev),
                                        ("comp", self._comp_dev))
                     for (b, p, a), s in sorted(table.items())
-                ],
-                "waits": [
-                    {"backend": b, "polarity": pol, **dump(s)}
-                    for b, w in sorted(self._waits.items())
-                    for pol, s in (("sync", w.sync_share),
-                                   ("overlap", w.overlap_share))
-                    if s.updates
                 ],
             }
 
@@ -425,16 +338,6 @@ class RequestAdapter:
                 table = (adapter._comm_dev if entry.get("group") == "comm"
                          else adapter._comp_dev)
                 table[key] = load(entry)
-            for entry in blob.get("waits", []):
-                waits = adapter._waits.setdefault(
-                    str(entry["backend"]), _BackendWaits()
-                )
-                state = load(entry)
-                state.value = min(1.0, max(0.0, state.value))
-                if entry.get("polarity") == "overlap":
-                    waits.overlap_share = state
-                else:
-                    waits.sync_share = state
             adapter.updates = max(0, int(blob.get("updates", 0)))
         except (KeyError, TypeError, ValueError):
             return cls(profile=profile, clock=clock)

@@ -16,6 +16,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.runtime.bitonic_spmd import spmd_bitonic_sort
 from repro.runtime.sample_spmd import spmd_sample_sort
 from repro.trace.recorder import Tracer
@@ -30,8 +31,9 @@ def sort_shards_job(
     grouped: bool,
     trace: bool,
     injector: Optional[Any] = None,
+    # overlap/chunks: positional slots perfbench/ladder.py still fills.
     overlap: bool = False,
-    chunks: int = 4,
+    chunks: int = 1,
     algorithm: str = "smart",
 ) -> Tuple[List[np.ndarray], List[Optional[Tracer]]]:
     """Run one batch of same-shape sort requests back to back.
@@ -41,13 +43,17 @@ def sort_shards_job(
     :class:`Tracer` per request, so the service can surface per-request
     spans rather than one blurred batch.  ``injector`` (threads backend
     only — it needs one address space) wraps the comm in the
-    fault-tolerant transport for the whole batch; the wrapped comm is
-    not :attr:`~repro.runtime.api.Comm.overlap_capable`, so an armed
-    injector transparently forces the synchronous schedule even when
-    ``overlap`` is requested.  ``algorithm`` picks the SPMD sort:
-    ``"smart"`` bitonic (honours the schedule flags) or ``"sample"``
-    (one splitter-driven redistribution; the flags do not apply).
+    fault-tolerant transport for the whole batch.  ``algorithm`` picks
+    the SPMD sort: ``"smart"`` bitonic (honours the schedule flags) or
+    ``"sample"`` (one splitter-driven redistribution; the flags do not
+    apply).  ``overlap=True`` raises
+    :class:`~repro.errors.ConfigurationError`; ``chunks`` is ignored.
     """
+    if overlap:
+        raise ConfigurationError(
+            "the overlapped remap pipeline was removed; only the "
+            "synchronous schedule runs"
+        )
     base = comm
     if injector is not None:
         from repro.faults.transport import ReliableComm
@@ -62,10 +68,7 @@ def sort_shards_job(
             outs.append(spmd_sample_sort(comm, shard))
         else:
             outs.append(
-                spmd_bitonic_sort(
-                    comm, shard, fused=fused, grouped=grouped,
-                    overlap=overlap, chunks=chunks,
-                )
+                spmd_bitonic_sort(comm, shard, fused=fused, grouped=grouped)
             )
         base.tracer = None
         tracers.append(tracer)

@@ -8,7 +8,7 @@ so the serving layer can take traffic from other processes and hosts.
     offset  size  field
     0       4     magic  b"RBSF"
     4       1     version (2; receivers accept any version in
-                  [1, PROTO_VERSION] — minor revisions only add meta keys)
+                  [MIN_PROTO_VERSION, PROTO_VERSION])
     5       1     frame type
     6       2     flags
     8       4     sequence number (per connection, per direction)
@@ -99,12 +99,11 @@ __all__ = [
 
 MAGIC = b"RBSF"
 #: Current protocol version.  v2 added the optional ``algorithm`` meta
-#: key on SORT/RESULT frames; the frame layout is unchanged, so
-#: receivers accept any version in [MIN_PROTO_VERSION, PROTO_VERSION]
-#: and treat absent meta keys as their v1 defaults (``algorithm`` →
-#: ``"smart"``).
+#: key on SORT/RESULT frames (absent reads as ``"smart"``).  Receivers
+#: accept any version in [MIN_PROTO_VERSION, PROTO_VERSION]; v1 frames
+#: are rejected as corrupt with ``detail="version"``.
 PROTO_VERSION = 2
-MIN_PROTO_VERSION = 1
+MIN_PROTO_VERSION = 2
 _HEADER = struct.Struct("!4sBBHIII")
 HEADER_SIZE = _HEADER.size + 4  # + trailing CRC-32
 assert HEADER_SIZE == 24
@@ -650,8 +649,8 @@ class SortServer:
                         elapsed_s=float(meta["budget_s"]) - budget,
                         stage="admission",
                     )
-            # Absent on v1 frames: old clients asked for (and only knew)
-            # the smart bitonic sort; "auto" opts into planner routing.
+            # Absent when the client left it unset: the smart bitonic
+            # sort; "auto" opts into planner routing.
             algorithm = meta.get("algorithm", "smart")
             ticket = self.service.submit(
                 keys,

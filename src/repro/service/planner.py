@@ -11,9 +11,9 @@ engineered distributed sorters pick algorithms from machine parameters
 instead of hardcoding one.
 
 Every choice has a **forced-override escape hatch**: pass
-``algorithm=``, ``backend=``, ``P=``, ``fused=``, ``grouped=``,
-``overlap=`` or ``chunks=`` to :meth:`Planner.plan` and the planner
-optimizes only the remaining free dimensions.
+``algorithm=``, ``backend=``, ``P=``, ``fused=`` or ``grouped=`` to
+:meth:`Planner.plan` and the planner optimizes only the remaining free
+dimensions.
 
 One choice is a *safety clamp*, not an optimization: a request with an
 armed fault plan runs on the threads backend (the injector needs one
@@ -30,7 +30,7 @@ from __future__ import annotations
 import glob
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -79,12 +79,6 @@ class PlanDecision:
     fused: bool
     grouped: bool
     est_seconds: float
-    #: Run the remaps as the chunked nonblocking pipeline.  Chosen only
-    #: when the profile/history says hiding transfer wait beats the
-    #: pipeline's per-chunk overhead (or when forced); fault clamps force
-    #: it off — the fault transport is not overlap-capable.
-    overlap: bool = False
-    chunks: int = 4
     clamped: bool = False
     source: str = "model"
     candidates: Dict[str, float] = field(default_factory=dict)
@@ -95,19 +89,19 @@ class PlanDecision:
     #: and this column shows what the frozen model believed, side by side
     #: in :meth:`explain`.
     static_candidates: Dict[str, float] = field(default_factory=dict)
+    # Constants, not fields: perfbench/ladder.py still reads these names.
+    overlap = False
+    chunks = 1
 
     def explain(self) -> str:
         ranked = sorted(self.candidates.items(), key=lambda kv: kv[1])
         chosen = (
             ("" if self.algorithm == "smart" else f"{self.algorithm}:")
             + f"{self.backend}x{self.P}"
-            + ("+ov" if self.overlap else "")
         )
         lines = [
             f"plan: {self.algorithm} on {self.backend} x {self.P}, "
-            f"fused={self.fused} grouped={self.grouped} "
-            f"overlap={self.overlap}"
-            + (f" chunks={self.chunks}" if self.overlap else "")
+            f"fused={self.fused} grouped={self.grouped}"
             + f" (~{self.est_seconds * 1e3:.1f} ms, source={self.source}"
             + (
                 ", budget-clamped"
@@ -196,32 +190,6 @@ class BenchHistory:
         )
         return best, int(r["keys"])
 
-    def overlap_efficiency(self, backend: str) -> Optional[float]:
-        """Measured overlap payoff for ``backend``, as the fraction of
-        end-to-end time the overlapped variant shaved off its synchronous
-        counterpart at the same size — ``max(1 - overlap/sync)`` over the
-        sizes benched both ways, clamped to [0, 1].  Because transfer is
-        at most the whole run, this end-to-end fraction is a conservative
-        stand-in for the hidden-transfer fraction
-        :attr:`~repro.service.profile.HostProfile.overlap_efficiency`
-        prices with.  ``None`` when no size was benched both ways (the
-        planner then never chooses overlap on its own)."""
-        by_size: Dict[int, Dict[bool, float]] = {}
-        for r in self._records:
-            if r["backend"] != backend:
-                continue
-            ov = bool(r.get("overlap", False))
-            d = by_size.setdefault(int(r["keys"]), {})
-            d[ov] = min(d.get(ov, float("inf")), float(r["best_s"]))
-        gains = [
-            1.0 - pair[True] / pair[False]
-            for pair in by_size.values()
-            if True in pair and False in pair and pair[False] > 0
-        ]
-        if not gains:
-            return None
-        return min(max(max(gains), 0.0), 1.0)
-
 
 class Planner:
     """Choose (backend, P, flags) per request from the host profile.
@@ -232,10 +200,9 @@ class Planner:
     (estimate × measured/modeled at the nearest benched size).
     ``adapter`` closes the online feedback loop: when a
     :class:`~repro.service.adapt.RequestAdapter` is attached, ``plan()``
-    reprices every candidate with its live correction factors and
-    measured overlap efficiency (unless the caller passes
-    ``adapt=False`` or the fault clamp engages — those paths stay
-    byte-identical to the static planner).
+    reprices every candidate with its live correction factors (unless
+    the caller passes ``adapt=False`` or the fault clamp engages — those
+    paths stay byte-identical to the static planner).
     """
 
     def __init__(
@@ -273,8 +240,6 @@ class Planner:
         P: Optional[int] = None,
         fused: Optional[bool] = None,
         grouped: Optional[bool] = None,
-        overlap: Optional[bool] = None,
-        chunks: Optional[int] = None,
         warm: bool = True,
         adapt: bool = True,
         memory_budget: Optional[int] = None,
@@ -284,8 +249,7 @@ class Planner:
         Keyword arguments other than ``faults``/``warm``/``adapt`` are
         forced overrides: ``None`` means "planner chooses".
         ``faults=True`` applies the safety clamp described in the module
-        docstring — it wins even over forced
-        ``fused``/``grouped``/``overlap``.
+        docstring — it wins even over forced ``fused``/``grouped``.
 
         ``adapt`` engages the attached
         :class:`~repro.service.adapt.RequestAdapter` (a no-op without
@@ -305,16 +269,7 @@ class Planner:
         each other, each at its own bench-history bias, and the winner's
         name lands on :attr:`PlanDecision.algorithm` (the ``sample:``-
         prefixed rows of :meth:`PlanDecision.explain`'s candidate
-        table).  Forcing ``overlap=True`` pins the bitonic chunked
-        pipeline: sample sort's single exchange has nothing to overlap,
-        so the overlapped request is a bitonic request.
-
-        With ``overlap=None`` the planner prices each ``(backend, P)``
-        twice — synchronous and overlapped (the ``+ov`` candidates) —
-        and picks overlap only when the estimate says hiding transfer
-        wait beats the pipeline's per-chunk overhead; with the default
-        profile (``overlap_efficiency=0``) and no bench history that is
-        never, so overlap stays opt-in until measured.
+        table).
 
         ``memory_budget`` (bytes) engages the third regime: when the
         request's estimated in-memory working set
@@ -367,13 +322,11 @@ class Planner:
                     algorithm not in (None, "external")
                     or backend not in (None, EXTERNAL_BACKEND)
                     or (P is not None and P != 1)
-                    or overlap is True
                 ):
                     clamped = True
                 algorithm = "external"
                 backend = None
                 P = None
-                overlap = False
         if algorithm == "external":
             if faults:
                 raise ConfigurationError(
@@ -391,34 +344,25 @@ class Planner:
                     f"the external sort is single-host: P must be 1, "
                     f"got {P}"
                 )
-            if overlap is True:
-                raise ConfigurationError(
-                    "the external sort has no remap pipeline to overlap"
-                )
             backend = None
             P = None
         if faults:
             # Safety clamp: the fault transport needs one address space
-            # and cannot fuse, group or overlap (ReliableComm wraps every
-            # payload in checksummed frames and is not overlap-capable;
-            # the transparent ABC fallback would engage on every remap).
-            # Never *plan* into a fallback.
+            # and cannot fuse or group (ReliableComm wraps every payload
+            # in checksummed frames; the transparent ABC fallback would
+            # engage on every remap).  Never *plan* into a fallback.
             if backend is not None and backend != "threads":
                 raise ConfigurationError(
                     f"fault injection needs the threads backend, "
                     f"not {backend!r}"
                 )
             backend = "threads"
-            if fused is not False or grouped is not False or overlap is True:
+            if fused is not False or grouped is not False:
                 clamped = True
             fused = False
             grouped = False
-            overlap = False
         use_fused = True if fused is None else fused
         use_grouped = True if grouped is None else grouped
-        use_chunks = 4 if chunks is None else int(chunks)
-        if use_chunks < 1:
-            raise ConfigurationError(f"chunks must be >= 1, got {chunks}")
 
         backends = (backend,) if backend is not None else self.backends
         for b in backends:
@@ -446,29 +390,23 @@ class Planner:
                 if p == 1 or (N % p == 0 and N // p >= 2)
             ) or (1,)
 
-        # Which algorithms compete: one when forced; forcing the
-        # overlapped pipeline pins bitonic (sample's single exchange has
-        # nothing to overlap); otherwise every runnable algorithm — the
-        # out-of-core regime only once the profile carries measured disk
-        # bandwidth (conservative defaults must never win an auto race).
+        # Which algorithms compete: one when forced; otherwise every
+        # runnable algorithm — the out-of-core regime only once the
+        # profile carries measured disk bandwidth (conservative defaults
+        # must never win an auto race).
         if algorithm is not None:
             algos: Tuple[str, ...] = (algorithm,)
-        elif overlap is True:
-            algos = ("smart",)
         elif self.profile.has_disk_evidence:
             algos = PLANNABLE_ALGORITHMS
         else:
             algos = _INMEM_ALGORITHMS
-        # Which overlap polarities compete: both when the planner is free
-        # to choose, exactly one when forced (or fault-clamped).
-        ov_options = (False, True) if overlap is None else (bool(overlap),)
         # Live corrections engage only when an adapter is attached, the
         # caller kept ``adapt``, and no fault clamp is armed — every
         # other path runs exactly the static computation below.
         adapter = self.adapter if (adapt and not faults) else None
         candidates: Dict[str, float] = {}
         static_candidates: Dict[str, float] = {}
-        best: Optional[Tuple[float, str, str, int, bool]] = None
+        best: Optional[Tuple[float, str, str, int]] = None
         for algo in algos:
             if algo == "external":
                 # The out-of-core regime is a single candidate: it runs
@@ -492,72 +430,37 @@ class Planner:
                 else:
                     candidates[name] = est
                 if best is None or est < best[0]:
-                    best = (est, "external", EXTERNAL_BACKEND, 1, False)
+                    best = (est, "external", EXTERNAL_BACKEND, 1)
                 continue
-            # Sample sort never runs the chunked pipeline; its only
-            # overlap polarity is what was forced (ignored at runtime).
-            algo_ov = (
-                ov_options if algo == "smart"
-                else (bool(overlap),) if overlap is not None
-                else (False,)
-            )
             prefix = "" if algo == "smart" else f"{algo}:"
             for b in backends:
                 scale = self._history_scale(b, N, dtype_size, algo)
-                # Measured overlap payoff beats the profile's static number.
-                profile = self.profile
-                eff = self.history.overlap_efficiency(b)
-                if eff is not None and True in algo_ov:
-                    profile = replace(profile, overlap_efficiency=eff)
-                adapted_profile = profile
-                if adapter is not None and True in algo_ov:
-                    # Live wait-split evidence beats committed history for
-                    # the overlapped candidates — copy-on-write, the
-                    # planner's own profile object is never mutated.
-                    live_eff = adapter.overlap_efficiency(b)
-                    if live_eff is not None:
-                        adapted_profile = replace(
-                            profile, overlap_efficiency=live_eff
-                        )
                 for p in candidates_P:
-                    corr = (
-                        adapter.correction(b, p, algo)
-                        if adapter is not None else None
+                    model = self.profile.estimate(
+                        N, p, b,
+                        algorithm=algo,
+                        fused=use_fused, grouped=use_grouped,
+                        warm=warm, dtype_size=dtype_size,
                     )
-                    for ov in algo_ov:
-                        est = profile.estimate(
-                            N, p, b,
-                            algorithm=algo,
-                            fused=use_fused, grouped=use_grouped,
-                            overlap=ov, chunks=use_chunks,
-                            warm=warm, dtype_size=dtype_size,
-                        ) * scale
-                        name = f"{prefix}{b}x{p}" + ("+ov" if ov else "")
-                        if adapter is not None:
-                            # Adapted price: the live measured/modeled
-                            # factor replaces the bench-history scale for
-                            # observed keys (live beats committed); an
-                            # unobserved key keeps the static price, so
-                            # adaptation never diverges without evidence.
-                            if corr is None and adapted_profile is profile:
-                                adapted = est
-                            else:
-                                adapted = adapted_profile.estimate(
-                                    N, p, b,
-                                    algorithm=algo,
-                                    fused=use_fused, grouped=use_grouped,
-                                    overlap=ov, chunks=use_chunks,
-                                    warm=warm, dtype_size=dtype_size,
-                                ) * (corr if corr is not None else scale)
-                            static_candidates[name] = est
-                            candidates[name] = adapted
-                            est = adapted
-                        else:
-                            candidates[name] = est
-                        if best is None or est < best[0]:
-                            best = (est, algo, b, p, ov)
+                    est = model * scale
+                    name = f"{prefix}{b}x{p}"
+                    if adapter is not None:
+                        # Adapted price: the live measured/modeled factor
+                        # replaces the bench-history scale for observed
+                        # keys (live beats committed); an unobserved key
+                        # keeps the static price, so adaptation never
+                        # diverges without evidence.
+                        corr = adapter.correction(b, p, algo)
+                        adapted = est if corr is None else model * corr
+                        static_candidates[name] = est
+                        candidates[name] = adapted
+                        est = adapted
+                    else:
+                        candidates[name] = est
+                    if best is None or est < best[0]:
+                        best = (est, algo, b, p)
         assert best is not None
-        est, chosen_algo, chosen_backend, chosen_P, chosen_ov = best
+        est, chosen_algo, chosen_backend, chosen_P = best
         forced = backend is not None and P is not None
         source = (
             "budget" if budget_forced
@@ -572,8 +475,6 @@ class Planner:
             algorithm=chosen_algo,
             fused=use_fused,
             grouped=use_grouped,
-            overlap=chosen_ov,
-            chunks=use_chunks,
             est_seconds=est,
             clamped=clamped,
             source=source,
@@ -642,7 +543,7 @@ class Planner:
         adapted = self.adapter is not None
         header = (
             f"{'keys':>10}  {'algorithm':<9} {'backend':<8} {'P':>2}  "
-            f"{'fused':<5} {'grouped':<7} {'overlap':<7}"
+            f"{'fused':<5} {'grouped':<7}"
         )
         if adapted:
             header += f" {'static':>10} {'adapted':>10}"
@@ -653,13 +554,12 @@ class Planner:
             d = self.plan(N, memory_budget=memory_budget)
             row = (
                 f"{N:>10,}  {d.algorithm:<9} {d.backend:<8} {d.P:>2}  "
-                f"{str(d.fused):<5} {str(d.grouped):<7} {str(d.overlap):<7}"
+                f"{str(d.fused):<5} {str(d.grouped):<7}"
             )
             if adapted:
                 chosen = (
                     ("" if d.algorithm == "smart" else f"{d.algorithm}:")
                     + f"{d.backend}x{d.P}"
-                    + ("+ov" if d.overlap else "")
                 )
                 static = d.static_candidates.get(chosen)
                 static_txt = (

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import os
-import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Dict, Optional, Tuple
 
@@ -43,17 +42,8 @@ __all__ = ["BackendCosts", "HostProfile", "PROFILE_SCHEMA"]
 #: state snapshot) so a restarted service resumes its online corrections
 #: warm; /3 adds measured sequential disk read/write bandwidth and fsync
 #: latency, which price the out-of-core external-sort regime.  Older
-#: files still load — with a warning and conservative disk defaults, so
-#: the planner never auto-chooses the external path without measured
-#: evidence (the overlap-efficiency precedent).
+#: files are rejected: re-run the calibration.
 PROFILE_SCHEMA = "repro-bitonic-profile/3"
-
-#: Prior schemas, accepted read-only (warn; missing fields default) so
-#: one calibration file survives the bumps.
-_LEGACY_PROFILE_SCHEMAS = (
-    "repro-bitonic-profile/1",
-    "repro-bitonic-profile/2",
-)
 
 
 def _usable_cpus() -> int:
@@ -102,12 +92,6 @@ class HostProfile:
     fused_pack_us: float
     address_us: float
     backends: Dict[str, BackendCosts] = field(default_factory=dict)
-    #: Fraction of per-remap transfer time the overlapped communication
-    #: schedule hides behind unpack/merge work on this host, in [0, 1].
-    #: 0 (the default) means "never plan into overlap" — the value comes
-    #: from measured bench history (:meth:`BenchHistory.overlap_efficiency`)
-    #: or calibration, not from optimism.
-    overlap_efficiency: float = 0.0
     #: Calibrated busy-spin budget for the procs backend's counter
     #: handshakes (``None`` = let the backend default from the core
     #: count); plumbed into :class:`~repro.runtime.driver.BackendOptions`.
@@ -198,8 +182,6 @@ class HostProfile:
         algorithm: str = "smart",
         fused: bool = True,
         grouped: bool = True,
-        overlap: bool = False,
-        chunks: int = 4,
         warm: bool = True,
         dtype_size: int = KEY_BYTES,
     ) -> float:
@@ -211,16 +193,8 @@ class HostProfile:
         oversubscription scales it by ``P / min(P, cpus)`` because ranks
         beyond the core count serialize.  Ungrouped runs pay the full
         world-barrier fan-in per remap instead of the Lemma-4 group
-        fan-in.  ``overlap`` credits :attr:`overlap_efficiency` of the
-        predicted transfer time (the share the chunked pipeline hides
-        behind unpack/merge) and charges one extra per-chunk posting
-        overhead ``o`` per remap — with the default efficiency of 0 the
-        overlapped estimate is strictly *worse*, so the planner only
-        selects overlap once measurements justify it.  Sample sort has
-        no chunked pipeline, so its estimate ignores the overlap flag
-        (equal estimates let the planner keep the synchronous spelling).
-        On top ride the serving fixed costs: spawn (cold only), job
-        dispatch, and shard shipping through the job pipe.
+        fan-in.  On top ride the serving fixed costs: spawn (cold only),
+        job dispatch, and shard shipping through the job pipe.
         """
         from repro.theory.counts import counts_for
         from repro.theory.predict import predict
@@ -242,11 +216,6 @@ class HostProfile:
         else:
             pt = predict(algorithm, N, P, spec=spec)
         busy_us = pt.total
-        if algorithm == "smart" and overlap and P > 1:
-            eff = min(max(self.overlap_efficiency, 0.0), 1.0)
-            busy_us -= eff * pt.times.get("transfer", 0.0)
-            remaps = counts_for("smart", N, P).remaps
-            busy_us += (max(int(chunks), 1) - 1) * remaps * costs.o
         if P > 1:
             if algorithm == "smart":
                 counts = counts_for("smart", N, P)
@@ -342,15 +311,7 @@ class HostProfile:
     @classmethod
     def _parse(cls, path: str, doc: Dict[str, Any]) -> "HostProfile":
         schema = doc.get("schema")
-        if schema in _LEGACY_PROFILE_SCHEMAS:
-            warnings.warn(
-                f"{path}: stale profile schema {schema!r} "
-                f"(current: {PROFILE_SCHEMA!r}); loading calibration "
-                "with conservative defaults for the missing fields — "
-                "re-run scripts/calibrate_loggp.py to refresh",
-                stacklevel=3,
-            )
-        elif schema != PROFILE_SCHEMA:
+        if schema != PROFILE_SCHEMA:
             raise ConfigurationError(
                 f"{path}: profile schema {schema!r} != "
                 f"{PROFILE_SCHEMA!r} — re-run scripts/calibrate_loggp.py"
@@ -374,7 +335,7 @@ class HostProfile:
         cls, path: str
     ) -> Tuple["HostProfile", Optional[Dict[str, Any]]]:
         """The profile plus its persisted adapt blob (``None`` when the
-        file predates schema /2 or was saved without one)."""
+        file was saved without one)."""
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         profile = cls._parse(path, doc)

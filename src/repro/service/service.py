@@ -158,8 +158,8 @@ class ServiceReport:
     batches: int = 0
     world_retries: int = 0
     pool: Dict[str, Any] = field(default_factory=dict)
-    #: Online-adaptation snapshot (update count, live correction factors,
-    #: measured overlap efficiency) when the planner carries an adapter.
+    #: Online-adaptation snapshot (update count, live correction factors)
+    #: when the planner carries an adapter.
     adapt: Dict[str, Any] = field(default_factory=dict)
     #: Per-tenant admission counters (queued/admitted/rejections) when a
     #: TenantAdmission controller is attached.
@@ -336,8 +336,6 @@ class SortService:
         P: Optional[int] = None,
         fused: Optional[bool] = None,
         grouped: Optional[bool] = None,
-        overlap: Optional[bool] = None,
-        chunks: Optional[int] = None,
         faults: Optional[Any] = None,
         deadline_s: Optional[float] = None,
         trace: Optional[bool] = None,
@@ -346,10 +344,9 @@ class SortService:
     ) -> Ticket:
         """Enqueue one sort request; returns its :class:`Ticket`.
 
-        ``algorithm``/``backend``/``P``/``fused``/``grouped``/
-        ``overlap``/``chunks`` are forced overrides for
-        the planner (``None`` = planner chooses, including the
-        smart-bitonic-vs-sample algorithm routing).  Raises
+        ``algorithm``/``backend``/``P``/``fused``/``grouped`` are forced
+        overrides for the planner (``None`` = planner chooses, including
+        the smart-bitonic-vs-sample algorithm routing).  Raises
         :class:`~repro.errors.AdmissionError` when the queue is full, the
         deadline estimate says the request cannot finish in time, or the
         tenant is over its rate/fair-share entitlement — admission
@@ -411,8 +408,6 @@ class SortService:
             P=P,
             fused=fused,
             grouped=grouped,
-            overlap=overlap,
-            chunks=chunks,
             memory_budget=budget,
         )
         if decision.source == "budget":
@@ -501,7 +496,7 @@ class SortService:
         d = p.decision
         return (
             p.keys.size, p.keys.dtype.str, d.backend, d.P, d.algorithm,
-            d.fused, d.grouped, d.overlap, d.chunks,
+            d.fused, d.grouped,
         )
 
     def _take_batch(self) -> Optional[List[_Pending]]:
@@ -599,9 +594,10 @@ class SortService:
                 out.append(p.keys[rank * n : (rank + 1) * n])
             return out
 
+        # False, 1: sort_shards_job's unused overlap/chunks slots.
         rank_args = [
             (shards_for(r), d.fused, d.grouped, trace, injector,
-             d.overlap, d.chunks, d.algorithm)
+             False, 1, d.algorithm)
             for r in range(P)
         ]
         # Deadline propagation into the world dispatch: when every batch
@@ -679,8 +675,6 @@ class SortService:
                     dtype_size=p.keys.dtype.itemsize,
                     fused=d.fused,
                     grouped=d.grouped,
-                    overlap=d.overlap,
-                    chunks=d.chunks,
                     tracers=rank_tracers,
                 )
             outcome = SortOutcome(
@@ -708,8 +702,6 @@ class SortService:
                         "P": P,
                         "fused": d.fused,
                         "grouped": d.grouped,
-                        "overlap": d.overlap,
-                        "chunks": d.chunks,
                         "est_s": d.est_seconds,
                         "queue_wait_s": outcome.queue_wait_s,
                         "run_s": run_s,
@@ -768,8 +760,6 @@ class SortService:
                     dtype_size=p.keys.dtype.itemsize,
                     fused=d.fused,
                     grouped=d.grouped,
-                    overlap=d.overlap,
-                    chunks=d.chunks,
                     tracers=[tracer] if tracer is not None else None,
                 )
             outcome = SortOutcome(
@@ -794,8 +784,6 @@ class SortService:
                         "P": 1,
                         "fused": d.fused,
                         "grouped": d.grouped,
-                        "overlap": d.overlap,
-                        "chunks": d.chunks,
                         "est_s": d.est_seconds,
                         "queue_wait_s": outcome.queue_wait_s,
                         "run_s": run_s,

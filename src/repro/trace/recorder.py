@@ -53,8 +53,6 @@ COUNTERS = (
     "coll.group_size",  # summed member count of those groups
     "coll.fused",       # fused pack/transfer/unpack collectives
     "coll.fused_direct",  # ... of which took a backend zero-copy path
-    "coll.overlapped",  # nonblocking (post/complete) collectives posted
-    "coll.chunks",      # summed chunk count of overlapped remap pipelines
     "coll.slots",       # per-destination descriptor slots written/scanned
     "remaps",           # data remaps performed by the sort
     "retries",          # retransmission rounds (reliable transport)
@@ -141,39 +139,6 @@ class Tracer:
                 pcat = spans[parent][0]
                 sums[pcat] = sums.get(pcat, 0.0) - dur
         return sums
-
-    #: ``wait`` span names that measure *transfer* wait — time blocked on
-    #: data movement finishing (pending-op completion, pairwise receives,
-    #: group descriptor posts).  Every other wait name (barriers, pending
-    #: posts, arena reuse, service queueing) is *queue* wait: time blocked
-    #: on peers or the scheduler reaching a rendezvous.  The overlapped
-    #: communication schedule shrinks only the transfer share, which is
-    #: why :class:`repro.trace.report.PhaseReport` reports them apart.
-    _TRANSFER_WAIT_NAMES = frozenset({"complete", "sendrecv-recv", "group-post"})
-
-    def wait_split(self) -> Dict[str, float]:
-        """Exclusive ``wait`` seconds split by what was being waited for:
-        ``{"transfer_wait": s, "queue_wait": s}`` (see
-        :attr:`_TRANSFER_WAIT_NAMES` for the classification)."""
-        transfer = 0.0
-        queue = 0.0
-        spans = self.spans
-        for category, name, start, end, parent in spans:
-            if category != "wait" or end < start:
-                continue
-            dur = end - start
-            if str(name) in self._TRANSFER_WAIT_NAMES:
-                transfer += dur
-            else:
-                queue += dur
-            if parent >= 0 and spans[parent][0] == "wait":
-                # Exclusive within the category: a nested wait span's time
-                # leaves its parent's bucket (mirrors ``totals()``).
-                if str(spans[parent][1]) in self._TRANSFER_WAIT_NAMES:
-                    transfer -= dur
-                else:
-                    queue -= dur
-        return {"transfer_wait": transfer, "queue_wait": queue}
 
     def wall(self) -> float:
         """Seconds covered by top-level spans (the traced wall time)."""

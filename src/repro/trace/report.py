@@ -67,15 +67,6 @@ class PhaseReport:
     counters: Dict[str, int] = field(default_factory=dict)
     #: Mean traced wall seconds per rank of the measured run.
     measured_wall_s: Optional[float] = None
-    #: Measured ``wait`` time split by cause, mean µs per rank:
-    #: *transfer* wait is time blocked on data movement finishing
-    #: (pending-op completion, pairwise receives), *queue* wait is time
-    #: blocked on peers/schedulers reaching a rendezvous (barriers,
-    #: posts, arena reuse).  The overlapped communication schedule
-    #: shrinks only the transfer share — this split is how a run shows
-    #: it did.  ``None`` when the run was untraced.
-    measured_transfer_wait_us: Optional[float] = None
-    measured_queue_wait_us: Optional[float] = None
 
     #: Category order of every table this report renders.
     categories: Sequence[str] = CATEGORIES
@@ -179,12 +170,6 @@ class PhaseReport:
             lines.append(
                 f"measured wall (mean per rank): {self.measured_wall_s:.4f} s"
             )
-        if self.measured_transfer_wait_us is not None:
-            lines.append(
-                f"measured wait split (mean per rank): "
-                f"transfer {self.measured_transfer_wait_us:.1f} µs, "
-                f"queue {self.measured_queue_wait_us:.1f} µs"
-            )
         if self.counters:
             pretty = ", ".join(
                 f"{k}={v:,}" for k, v in sorted(self.counters.items())
@@ -208,14 +193,6 @@ class PhaseReport:
             },
             "counters": dict(self.counters),
             "measured_wall_s": self.measured_wall_s,
-            "measured_wait_split": (
-                None
-                if self.measured_transfer_wait_us is None
-                else {
-                    "transfer_wait_us": self.measured_transfer_wait_us,
-                    "queue_wait_us": self.measured_queue_wait_us,
-                }
-            ),
         }
 
 
@@ -234,7 +211,6 @@ def build_phase_report(
     whatever the given sources agree on.
     """
     measured = counters = wall = None
-    transfer_wait = queue_wait = None
     if tracers:
         per_rank = [tr.totals() for tr in tracers]
         measured = {
@@ -244,9 +220,6 @@ def build_phase_report(
         }
         counters = merged_counters(tracers)
         wall = sum(tr.wall() for tr in tracers) / len(tracers)
-        splits = [tr.wait_split() for tr in tracers]
-        transfer_wait = 1e6 * sum(s["transfer_wait"] for s in splits) / len(splits)
-        queue_wait = 1e6 * sum(s["queue_wait"] for s in splits) / len(splits)
         P = P if P is not None else len(tracers)
     simulated = None
     if stats is not None:
@@ -268,6 +241,4 @@ def build_phase_report(
         predicted_us=pred_col,
         counters=counters or {},
         measured_wall_s=wall,
-        measured_transfer_wait_us=transfer_wait,
-        measured_queue_wait_us=queue_wait,
     )

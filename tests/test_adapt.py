@@ -12,10 +12,9 @@ queue-driven :class:`~repro.service.pool.WorldPool` autoscaler:
 * an unobserved key's adapted price equals its static price (adaptation
   moves decisions on evidence only), while sustained slow observations
   flip the decision away from the mispriced candidate;
-* overlap efficiency is learned from traced sync/overlap wait-split
-  pairs, and the whole adapter state round-trips through the
-  ``repro-bitonic-profile/2`` schema (with /1 files warning-and-loading
-  without adapted state);
+* the whole adapter state round-trips through the persisted profile
+  schema (older /1 and /2 files are rejected, while a /3 file written
+  before the overlap pipeline's removal still loads);
 * the pool prespawns on sustained backlog, shrinks on sustained quiet
   (one hysteresis violation in either direction must not thrash), and
   reaps TTL-expired idle worlds on acquire — not only on release.
@@ -24,6 +23,7 @@ queue-driven :class:`~repro.service.pool.WorldPool` autoscaler:
 import json
 import math
 import warnings
+from pathlib import Path
 from dataclasses import replace
 
 import numpy as np
@@ -137,13 +137,10 @@ class TestByteIdentity:
     @given(
         n_log2=st.integers(min_value=8, max_value=18),
         warm=st.booleans(),
-        overlap=st.sampled_from([None, True, False]),
     )
-    def test_adapt_false_matches_plain_planner(self, n_log2, warm, overlap):
-        plain = Planner().plan(1 << n_log2, warm=warm, overlap=overlap)
-        frozen = self._trained().plan(
-            1 << n_log2, warm=warm, overlap=overlap, adapt=False
-        )
+    def test_adapt_false_matches_plain_planner(self, n_log2, warm):
+        plain = Planner().plan(1 << n_log2, warm=warm)
+        frozen = self._trained().plan(1 << n_log2, warm=warm, adapt=False)
         assert frozen == plain
 
     @settings(max_examples=30, deadline=None)
@@ -180,7 +177,6 @@ class TestAdaptedPlanning:
         prefix = "" if before.algorithm == "smart" else f"{before.algorithm}:"
         static = before.static_candidates[
             f"{prefix}{before.backend}x{before.P}"
-            + ("+ov" if before.overlap else "")
         ]
         # The chosen candidate keeps measuring 4x its static price.
         for _ in range(8):
@@ -227,49 +223,6 @@ class TestAdaptedPlanning:
             RequestAdapter(alpha=1.5)
 
 
-# -- overlap efficiency from live wait splits ---------------------------
-
-
-class TestOverlapLearning:
-    def _observe_traced(self, adapter, *, overlap, wall_s=0.01):
-        """One traced smart P=2 observation through the real service
-        pipeline is heavyweight; feed the adapter a synthetic tracer
-        shaped the way the service's rank tracers are.  Spans are
-        ``[category, name, start_s, end_s, parent]``; ``wait`` spans
-        named ``complete`` are transfer wait.  Both polarities total
-        10 ms, but overlap cuts the wait 2 ms -> 0.5 ms."""
-        wait_s = 0.0005 if overlap else 0.002
-        tracer = Tracer(rank=0)
-        tracer.spans.append(["local_sort", None, 0.0, 0.01 - wait_s, -1])
-        tracer.spans.append(
-            ["wait", "complete", 0.01 - wait_s, 0.01, -1]
-        )
-        adapter.observe(
-            N=1 << 13, backend="threads", P=2, algorithm="smart",
-            measured_s=wall_s, overlap=overlap, tracers=[tracer],
-        )
-
-    def test_needs_both_polarities(self):
-        adapter = make_adapter()
-        assert adapter.overlap_efficiency("threads") is None
-        self._observe_traced(adapter, overlap=False)
-        assert adapter.overlap_efficiency("threads") is None
-        self._observe_traced(adapter, overlap=True)
-        eff = adapter.overlap_efficiency("threads")
-        assert eff is not None and 0.0 <= eff <= 1.0
-
-    def test_efficiency_reflects_wait_reduction(self):
-        adapter = make_adapter()
-        for _ in range(4):
-            self._observe_traced(adapter, overlap=False)
-            self._observe_traced(adapter, overlap=True)
-        # Overlap cut the measured wait 2000us -> 500us: ~75% removed.
-        assert adapter.overlap_efficiency("threads") == pytest.approx(
-            0.75, abs=0.05
-        )
-        assert adapter.stats()["overlap_efficiency"]["threads"] is not None
-
-
 # -- persistence: profile schema /2 -------------------------------------
 
 
@@ -306,18 +259,35 @@ class TestPersistence:
         assert doc["schema"] == PROFILE_SCHEMA
         assert "adapt" in doc
 
-    def test_legacy_schema_1_warns_and_loads(self, tmp_path):
+    @pytest.mark.parametrize("schema", ["repro-bitonic-profile/1",
+                                        "repro-bitonic-profile/2"])
+    def test_legacy_schema_is_rejected(self, tmp_path, schema):
         path = str(tmp_path / "profile.json")
         HostProfile.default().save(path)
         doc = json.loads(open(path).read())
-        doc["schema"] = "repro-bitonic-profile/1"
+        doc["schema"] = schema
         doc.pop("adapt", None)
         with open(path, "w") as fh:
             json.dump(doc, fh)
-        with pytest.warns(UserWarning, match="repro-bitonic-profile/1"):
-            profile, blob = HostProfile.load_with_state(path)
-        assert blob is None
-        assert profile.cpus == HostProfile.default().cpus
+        with pytest.raises(ConfigurationError, match="re-run"):
+            HostProfile.load_with_state(path)
+
+    def test_parent_schema_3_file_still_loads(self):
+        """A /3 file carrying the removed ``overlap_efficiency`` field
+        and adapt ``waits`` entries loads: unknown keys are skipped."""
+        path = str(Path(__file__).parent / "data" / "profile_v3_parent.json")
+        profile, blob = HostProfile.load_with_state(path)
+        assert profile.source == "calibrated"
+        assert profile.spin_budget == 64
+        assert profile.has_disk_evidence
+        assert not hasattr(profile, "overlap_efficiency")
+        assert blob["waits"]
+        adapter = RequestAdapter.restore(blob, profile, clock=FakeClock())
+        assert adapter.updates == 3
+        assert adapter.correction("threads", 2, "smart") == pytest.approx(
+            1.0 + 1.53 * math.exp(-30.0 / 600.0)
+        )
+        assert "overlap_efficiency" not in adapter.stats()
 
     def test_unknown_schema_raises(self, tmp_path):
         path = str(tmp_path / "profile.json")

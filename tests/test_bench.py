@@ -111,9 +111,7 @@ class TestBenchCli:
         speedups = data["end_to_end_speedup"]
         assert "procs_over_threads" not in speedups
         assert set(speedups) == {
-            "threads_fused_over_unfused", "threads_overlap_over_sync",
-            "threads_sample_over_bitonic",
+            "threads_fused_over_unfused", "threads_sample_over_bitonic",
         }
         assert set(speedups["threads_fused_over_unfused"]) == {"1024"}
-        assert set(speedups["threads_overlap_over_sync"]) == {"1024"}
         assert set(speedups["threads_sample_over_bitonic"]) == {"1024"}

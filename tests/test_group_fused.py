@@ -117,7 +117,7 @@ class TestByteEquality:
             BackendOptions(grouped=False),
             BackendOptions(fused=False, grouped=False),
         ):
-            rep = sort(keys, P=4, backend=backend, backend_options=opts)
+            rep = sort(keys, P=4, backend=backend, options=opts)
             assert rep.sorted_keys.tobytes() == expect
 
 

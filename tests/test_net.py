@@ -77,19 +77,19 @@ class TestFrameCodec:
             decode_frame(bytes(frame))
         assert exc.value.detail == "version"
 
-    def test_v1_header_still_decodes(self):
-        """Version tolerance: a frame stamped with the oldest supported
-        protocol version decodes cleanly (the header sits outside the
-        CRC-covered region, so patching the byte needs no recompute)."""
+    def test_v1_header_is_rejected(self):
+        """The v1 window is closed: a frame stamped with version 1 is a
+        typed version error (the header sits outside the CRC-covered
+        region, so patching the byte needs no recompute)."""
         frame = bytearray(
             encode_frame(FrameType.SORT, {"id": "v1"}, b"\x01\x02")
         )
         assert frame[4] == PROTO_VERSION
-        frame[4] = MIN_PROTO_VERSION
-        ftype, meta, body = decode_frame(bytes(frame))
-        assert ftype == FrameType.SORT
-        assert meta == {"id": "v1"}
-        assert body == b"\x01\x02"
+        assert MIN_PROTO_VERSION == 2
+        frame[4] = 1
+        with pytest.raises(FrameCorruptError) as exc:
+            decode_frame(bytes(frame))
+        assert exc.value.detail == "version"
 
     def test_truncated_header(self):
         with pytest.raises(FrameCorruptError) as exc:
@@ -263,10 +263,10 @@ class TestSortOverTheWire:
         )
         assert server.service.report().served == served_before + 1
 
-    def test_v1_sort_frame_defaults_to_smart(self, server):
-        """Mixed-version round trip: a v1-era SORT frame — old version
-        byte, no ``algorithm`` meta key — still sorts, and the server
-        reads the absent key as its v1 meaning, ``"smart"``."""
+    def test_v1_sort_frame_is_rejected(self, server):
+        """A v1-era SORT frame reaching a live server is answered with a
+        typed version error and never sorted."""
+        served_before = server.service.report().served
         keys = make_keys(1024, seed=21)
         meta = {
             "id": "c" * 32,
@@ -275,15 +275,15 @@ class TestSortOverTheWire:
             "P": 2,
         }
         frame = bytearray(encode_frame(FrameType.SORT, meta, keys.tobytes()))
-        frame[4] = MIN_PROTO_VERSION
+        frame[4] = 1
         with socket.create_connection(server.address, timeout=30.0) as s:
             s.sendall(bytes(frame))
-            ftype, rmeta, body = _raw_recv_frame(s)
-        assert ftype == FrameType.RESULT
-        assert rmeta["algorithm"] == "smart"
-        assert np.array_equal(
-            np.frombuffer(body, dtype=keys.dtype), np.sort(keys)
-        )
+            ftype, emeta, _body = _raw_recv_frame(s)
+        assert ftype == FrameType.ERROR
+        err = error_from_meta(emeta)
+        assert type(err) is FrameCorruptError
+        assert err.detail == "version"
+        assert server.service.report().served == served_before
 
     def test_algorithm_meta_round_trips(self, client):
         keys = make_keys(1 << 11, seed=22)

@@ -24,6 +24,7 @@ from repro.errors import (
     ServiceError,
 )
 from repro.faults import FaultPlan
+from repro.runtime.driver import spawn_world
 from repro.service import (
     BenchHistory,
     HostProfile,
@@ -35,6 +36,7 @@ from repro.service import (
     TenantPolicy,
     WorldPool,
 )
+from repro.service.jobs import sort_shards_job
 from repro.utils.rng import make_keys
 
 
@@ -102,6 +104,17 @@ class TestWorldPool:
         pool.close()
         with pytest.raises(ConfigurationError, match="closed"):
             pool.acquire("threads", 2)
+
+    def test_profile_spin_budget_reaches_the_pool(self):
+        """A calibrated spin budget in the planner's host profile is
+        passed to the worlds the service spawns."""
+        from dataclasses import replace
+
+        profile = replace(HostProfile.default(), spin_budget=123)
+        with SortService(planner=Planner(profile=profile)) as svc:
+            assert svc.pool._options.spin_budget == 123
+        with SortService() as svc:  # default profile: no override
+            assert svc.pool._options is None
 
 
 class TestPlanner:
@@ -181,12 +194,25 @@ class TestPlanner:
         with pytest.raises(ConfigurationError, match="cannot schedule"):
             Planner().plan(1 << 12, algorithm="radix")
 
-    def test_overlap_pins_smart(self):
-        # Sample sort has a single redistribution — there is no pipeline
-        # of remaps to overlap, so forcing overlap scopes the race to
-        # the bitonic algorithm.
-        d = Planner().plan(1 << 14, overlap=True)
-        assert d.algorithm == "smart"
+    @pytest.mark.parametrize("N", [1 << 12, 1 << 14, 1 << 16])
+    def test_one_candidate_per_algorithm_backend_and_P(self, N):
+        """Every (algorithm, backend, P) is priced once: there is no
+        second, overlapped twin per configuration."""
+        planner = Planner()
+        cands = planner.plan(N).candidates
+        assert not [name for name in cands if name.endswith("+ov")]
+        keys = set()
+        for name in cands:
+            algo, _, shape = name.rpartition(":")
+            backend, P = shape.split("x")
+            keys.add((algo or "smart", backend, int(P)))
+        assert len(keys) == len(cands)
+        assert keys == {
+            (algo, backend, P)
+            for algo in ("smart", "sample")
+            for backend in planner.backends
+            for P in planner.candidate_P
+        }
 
 
 class TestBenchHistory:
@@ -338,6 +364,54 @@ class TestAdmissionControl:
         assert issubclass(ServiceClosedError, ServiceError)
 
 
+class TestLadderSeam:
+    """``perfbench/ladder.py`` calls ``sort_shards_job`` positionally,
+    ``overlap``/``chunks`` included, and reads them off the plan."""
+
+    def test_positional_call_sorts(self):
+        keys = make_keys(1 << 12, seed=31)
+        d = Planner().plan(keys.size)
+        assert (d.overlap, d.chunks) == (False, 1)
+        n = keys.size // 2
+        rank_args = [
+            ([keys[r * n:(r + 1) * n]], d.fused, d.grouped, False, None,
+             d.overlap, d.chunks, "smart")
+            for r in range(2)
+        ]
+        with spawn_world(2, "threads") as world:
+            parts = world.run(sort_shards_job, rank_args=rank_args)
+        out = np.concatenate([outs[0] for outs, _tracers in parts])
+        assert out.tobytes() == np.sort(keys).tobytes()
+
+    def test_overlap_true_raises(self):
+        keys = make_keys(1 << 12, seed=32)
+        n = keys.size // 2
+        rank_args = [
+            ([keys[r * n:(r + 1) * n]], True, True, False, None, True, 4,
+             "smart")
+            for r in range(2)
+        ]
+        with spawn_world(2, "threads") as world:
+            with pytest.raises(ConfigurationError, match="overlap"):
+                world.run(sort_shards_job, rank_args=rank_args)
+
+
+class _GatedPool(WorldPool):
+    """Holds the first dispatch in ``acquire`` until ``gate`` is set,
+    with ``entered`` set once the dispatcher is parked there."""
+
+    def __init__(self):
+        super().__init__()
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+
+    def acquire(self, backend, P):
+        if not self.entered.is_set():
+            self.entered.set()
+            assert self.gate.wait(60)
+        return super().acquire(backend, P)
+
+
 class TestDeadlinePropagation:
     def test_pending_ticket_times_out_typed(self):
         with SortService() as svc:
@@ -351,17 +425,24 @@ class TestDeadlinePropagation:
     def test_overdue_request_expires_in_queue_not_on_a_world(self):
         """A request whose deadline dies while queued is failed typed at
         dispatch — it never runs after the caller gave up."""
-        with SortService(queue_depth=8, batch_max=1) as svc:
-            # Park a slow request so the next one ages in the queue.
-            slow = svc.submit(make_keys(1 << 20, seed=2),
+        pool = _GatedPool()
+        with SortService(pool=pool, queue_depth=8, batch_max=1) as svc:
+            # Park a request on the dispatcher so the next one ages in
+            # the queue: it holds the dispatcher until released.
+            slow = svc.submit(make_keys(1 << 10, seed=2),
                               backend="threads", P=2)
-            time.sleep(0.3)  # let the dispatcher take it (queue empties)
+            assert pool.entered.wait(60)  # dispatched: the queue is empty
             # The deadline clears the admission estimate (a tiny sort)
-            # but dies long before the slow request frees the
+            # and has passed before the parked request frees the
             # dispatcher.
+            deadline_s = 0.03
             doomed = svc.submit(make_keys(1 << 10, seed=3),
                                 backend="threads", P=4,
-                                deadline_s=0.03)
+                                deadline_s=deadline_s)
+            submitted = time.perf_counter()
+            while time.perf_counter() - submitted <= deadline_s:
+                time.sleep(deadline_s / 4)
+            pool.gate.set()
             with pytest.raises(RequestTimeoutError) as exc:
                 doomed.result(60)
             assert exc.value.stage == "dispatch"
