@@ -524,7 +524,9 @@ def _sort_spmd(
     from repro.sorts.base import verify_sorted
     from repro.trace.recorder import Tracer
     from repro.trace.report import build_phase_report
+    from repro.utils.validation import require_integer_keys
 
+    require_integer_keys(keys)
     if keys.size % P:
         raise ConfigurationError(
             f"{keys.size} keys do not divide over {P} ranks"

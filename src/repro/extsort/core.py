@@ -5,10 +5,8 @@ Sanders & Singler (*Scalable Distributed-Memory External Sorting*,
 arXiv:0910.2582), collapsed onto one box:
 
 1. **Run formation** — the input streams through fixed-budget chunks;
-   each chunk is sorted by the fast local kernels
-   (:func:`repro.localsort.radix_sort` for unsigned keys, ``np.sort``
-   otherwise) and written to the request's :class:`~repro.extsort.spill.
-   SpillDir` as one sorted run.
+   each chunk is sorted by ``np.sort`` and written to the request's
+   :class:`~repro.extsort.spill.SpillDir` as one sorted run.
 2. **Bucket partitioning** — splitters are chosen by oversampling the
    runs (the same regular-sampling algebra as
    :mod:`repro.runtime.sample_spmd`, per arXiv:2204.04599), sized so
@@ -16,7 +14,7 @@ arXiv:0910.2582), collapsed onto one box:
    bounds come from ``np.searchsorted`` over read-only memmaps, which
    touches O(log n) pages per run, never the whole file.
 3. **k-way bucket merge** — each bucket's slices are read back and
-   merged with :func:`repro.localsort.p_way_merge`, streaming the
+   merged by one ``np.sort`` of their concatenation, streaming the
    result straight into the output (or into the next pass's run file
    when more than ``fan_in`` runs exist).  The output is byte-identical
    to ``np.sort`` of the input.
@@ -43,8 +41,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError, MemoryBudgetError
 from repro.extsort.spill import SpillDir
-from repro.localsort.merges import p_way_merge
-from repro.localsort.radix import radix_sort
 from repro.trace.recorder import Tracer, trace_span
 
 __all__ = [
@@ -141,14 +137,6 @@ class _ArraySink:
         self._pos += int(arr.size)
 
 
-def _sort_chunk(chunk: np.ndarray) -> np.ndarray:
-    if np.issubdtype(chunk.dtype, np.unsignedinteger) and (
-        chunk.dtype.itemsize <= 4
-    ):
-        return radix_sort(chunk)
-    return np.sort(chunk)
-
-
 def external_sort(
     keys: np.ndarray,
     memory_budget: int,
@@ -201,7 +189,7 @@ def external_sort(
             chunk = keys[lo:lo + chunk_elems]
             ledger.alloc(2 * chunk.nbytes)  # sorted copy + sort scratch
             with trace_span(tracer, "local_sort", "run-form"):
-                run = _sort_chunk(chunk)
+                run = np.sort(chunk)
             ledger.free(chunk.nbytes)  # scratch gone, sorted copy lives
             with trace_span(tracer, "spill", "write"):
                 spill.write_run(run)
@@ -362,11 +350,10 @@ def _merge_leaf(
         sink.write(merged)
         ledger.free(read_bytes)
         return 1
-    # The pairwise merge tree holds at most one extra generation of
-    # intermediates alongside the inputs.
+    # The concatenation and its sorted copy live alongside the inputs.
     total_bytes = sum(s.nbytes for s in slices)
     ledger.alloc(2 * total_bytes)
-    merged = p_way_merge(slices)
+    merged = np.sort(np.concatenate(slices))
     ledger.free(2 * total_bytes)
     ledger.alloc(merged.nbytes)
     del slices

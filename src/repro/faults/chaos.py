@@ -30,6 +30,7 @@ from repro.faults.transport import ReliableComm
 from repro.runtime.bitonic_spmd import spmd_bitonic_sort
 from repro.runtime.driver import run_spmd
 from repro.sorts.base import verify_sorted
+from repro.utils.validation import require_integer_keys
 
 __all__ = ["ChaosReport", "run_chaos_sort"]
 
@@ -79,7 +80,6 @@ def run_chaos_sort(
     timeout: float = 60.0,
     checkpoint: bool = True,
     max_retries: int = 16,
-    key_bits: int = 32,
     backend: str = "threads",
 ) -> ChaosReport:
     """Sort ``keys`` on ``P`` concurrent ranks while ``plan``'s faults fire.
@@ -104,6 +104,7 @@ def run_chaos_sort(
             "transport's passthrough on another backend"
         )
     keys = np.asarray(keys)
+    require_integer_keys(keys)
     n = keys.size // P
     injector = FaultInjector(plan)
     store = CheckpointStore() if checkpoint else None
@@ -114,7 +115,7 @@ def run_chaos_sort(
     def prog(comm):
         rc = ReliableComm(comm, injector, max_retries=max_retries)
         local = keys[comm.rank * n : (comm.rank + 1) * n]
-        return spmd_bitonic_sort(rc, local, key_bits=key_bits, checkpoint=store)
+        return spmd_bitonic_sort(rc, local, checkpoint=store)
 
     while True:
         try:

@@ -11,10 +11,8 @@ one):
   unfused world-wide baseline, and the splitter-driven sample sort),
   cross-checking that every backend × variant produces byte-identical
   output;
-* **kernel hot paths** — the local radix sort and the batched bitonic
-  merge, each timed against its *legacy* implementation (kept here,
-  verbatim, for honest A/B comparison), plus cold-vs-cached remap-plan
-  construction;
+* **remap-plan construction** — a fresh build per phase and rank
+  against a warm :class:`~repro.remap.cache.RemapPlanCache`;
 * **per-phase breakdown** — one extra *traced* (untimed) run per backend
   and size attaches exclusive per-category µs and the world-summed trace
   counters to each end-to-end record, so a perf PR can claim it moved a
@@ -45,8 +43,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.layouts.schedule import smart_schedule
-from repro.localsort.bitonic_merge_sort import batched_bitonic_merge
-from repro.localsort.radix import num_passes, radix_sort
 from repro.remap.cache import RemapPlanCache
 from repro.remap.plan import build_remap_plan
 from repro.runtime import run_spmd, spmd_bitonic_sort, spmd_sample_sort
@@ -80,8 +76,11 @@ __all__ = ["run_bench", "write_bench", "BENCH_SCHEMA"]
 #: positivity — where spilling starts to pay is the data, not a floor;
 #: /9 dropped the overlapped variant with its record flags, per-record
 #: wait splits and ``overlap_over_sync`` tables (the overlapped remap
-#: pipeline was removed).
-BENCH_SCHEMA = "repro-bitonic-bench/9"
+#: pipeline was removed);
+#: /10 dropped the ``kernels.radix`` / ``kernels.merge`` A/B records (the
+#: SPMD sorts run ``np.sort``; the legacy kernels they compared against
+#: were removed), leaving ``kernels.plan``.
+BENCH_SCHEMA = "repro-bitonic-bench/10"
 
 #: World sizes the service section sweeps when measuring warm latency
 #: (and the planner's candidate set for the match tally).
@@ -97,44 +96,6 @@ BENCH_VARIANTS = (
     ("unfused+world", "smart", False, False),
     ("sample", "sample", True, True),
 )
-
-
-# -- legacy kernels, kept verbatim for A/B ---------------------------------
-
-
-def _legacy_radix_sort(keys, *, ascending=True, key_bits=32, radix_bits=8):
-    """The pre-optimization radix sort: stable ``argsort`` per digit."""
-    out = keys.copy()
-    digit_mask = (1 << radix_bits) - 1
-    for p in range(num_passes(key_bits, radix_bits)):
-        shift = p * radix_bits
-        digit = (out >> shift) & out.dtype.type(digit_mask)
-        out = out[np.argsort(digit, kind="stable")]
-    if not ascending:
-        out = out[::-1].copy()
-    return out
-
-
-def _legacy_batched_merge(m, ascending, axis=1):
-    """The pre-optimization batched merge: transposes (full copies) around
-    the butterfly for ``axis=0``."""
-    work = m.T.copy() if axis == 0 else m.copy()
-    lanes, length = work.shape
-    asc = np.broadcast_to(np.asarray(ascending, dtype=bool), (lanes,))
-    asc_col = asc[:, None]
-    size = length
-    while size > 1:
-        half = size // 2
-        blocks = work.reshape(lanes, length // size, size)
-        lo = blocks[:, :, :half]
-        hi = blocks[:, :, half:]
-        small = np.minimum(lo, hi)
-        big = np.maximum(lo, hi)
-        asc_blk = asc_col[:, :, None]
-        lo[...] = np.where(asc_blk, small, big)
-        hi[...] = np.where(asc_blk, big, small)
-        size = half
-    return work.T.copy() if axis == 0 else work
 
 
 # -- timing ----------------------------------------------------------------
@@ -239,42 +200,8 @@ def _bench_end_to_end(
 
 
 def _bench_kernels(sizes: Sequence[int], reps: int) -> Dict[str, Any]:
-    out: Dict[str, Any] = {"radix": [], "merge": [], "plan": []}
+    out: Dict[str, Any] = {"plan": []}
     for N in sizes:
-        keys = make_keys(N, seed=N % 104729)
-        legacy = _time(lambda: _legacy_radix_sort(keys), reps)
-        current = _time(lambda: radix_sort(keys), reps)
-        np.testing.assert_array_equal(radix_sort(keys), _legacy_radix_sort(keys))
-        out["radix"].append(
-            {
-                "keys": N,
-                "legacy_argsort": legacy,
-                "counting_scatter": current,
-                "speedup": legacy["best_s"] / current["best_s"],
-            }
-        )
-        # Column-lane merge on a square-ish power-of-two matrix: the shape
-        # the crossing remap's second computation phase produces.
-        length = 1 << (max(N, 4).bit_length() // 2)
-        lanes = max(N // length, 1)
-        mat = np.sort(
-            make_keys(lanes * length, seed=N % 7919).reshape(length, lanes), axis=0
-        )[::-1]  # descending columns are (trivially) bitonic
-        np.testing.assert_array_equal(
-            batched_bitonic_merge(mat, True, axis=0),
-            _legacy_batched_merge(mat, True, axis=0),
-        )
-        legacy = _time(lambda: _legacy_batched_merge(mat, True, axis=0), reps)
-        current = _time(lambda: batched_bitonic_merge(mat, True, axis=0), reps)
-        out["merge"].append(
-            {
-                "shape": [length, lanes],
-                "axis": 0,
-                "legacy_two_copies": legacy,
-                "single_copy": current,
-                "speedup": legacy["best_s"] / current["best_s"],
-            }
-        )
         # Plan construction: a fresh build per phase/rank vs a warm cache.
         P = min(32, max(2, N >> 12))
         schedule = smart_schedule(N, P)

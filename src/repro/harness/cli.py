@@ -305,10 +305,9 @@ def _cmd_bench(args) -> int:
     for name, by_size in payload["end_to_end_speedup"].items():
         pretty = ", ".join(f"{int(k):,}: {v:.2f}x" for k, v in by_size.items())
         print(f"  speedup {name}: {pretty}")
-    for kind in ("radix", "merge", "plan"):
-        for rec in payload["kernels"][kind]:
-            print(f"  kernel {kind:>5} {rec.get('keys', rec.get('shape'))}: "
-                  f"{rec['speedup']:.2f}x vs legacy")
+    for rec in payload["kernels"]["plan"]:
+        print(f"  kernel plan {rec['keys']}: {rec['speedup']:.2f}x "
+              "cached vs rebuilt")
     service = payload.get("service", {})
     for backend, by_size in service.get("warm_over_cold", {}).items():
         pretty = ", ".join(f"{int(k):,}: {v:.2f}x" for k, v in by_size.items())

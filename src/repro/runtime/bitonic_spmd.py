@@ -9,10 +9,15 @@ pack indices.
 
 It deliberately shares *no execution machinery* with the simulator version
 (:class:`~repro.sorts.smart.SmartBitonicSort`): no ``Machine``, no
-``perform_remap`` — only the layout algebra, the local kernels, and a
-:class:`~repro.runtime.api.Comm`.  The tests cross-check the two
-implementations element for element, and run this one concurrently on the
-threads backend where real races would surface.
+``perform_remap`` — only the layout algebra and a
+:class:`~repro.runtime.api.Comm`.  Every local phase runs ``np.sort``, the
+fastest local sort this host has (the paper's Chapter 4 argument; its
+1996 answer was radix sort, which the simulator still charges): each
+phase's output shape is known (Lemma 6, Theorems 2/3), so sorting the
+right slices in the right direction lands exactly the keys the bitonic
+merges would.  The tests cross-check the two implementations element for
+element, and run this one concurrently on the threads backend where real
+races would surface.
 """
 
 from __future__ import annotations
@@ -25,15 +30,14 @@ from repro.errors import CommunicationError
 
 if TYPE_CHECKING:  # pragma: no cover — avoid a runtime->faults import cycle
     from repro.faults.checkpoint import CheckpointStore
+from repro.layouts.base import BitFieldLayout
 from repro.layouts.schedule import smart_schedule
-from repro.layouts.smart import smart_params
-from repro.localsort.radix import radix_sort
+from repro.layouts.smart import SmartParams, smart_params
 from repro.remap.cache import cached_remap_plan
 from repro.remap.groups import remap_group
 from repro.runtime.api import Comm
-from repro.sorts.smart import SmartBitonicSort
 from repro.trace.recorder import trace_span
-from repro.utils.bits import ilog2
+from repro.utils.bits import bit_of, ilog2
 
 __all__ = ["spmd_bitonic_sort"]
 
@@ -41,8 +45,6 @@ __all__ = ["spmd_bitonic_sort"]
 def spmd_bitonic_sort(
     comm: Comm,
     local_keys: np.ndarray,
-    key_bits: int = 32,
-    radix_bits: int = 8,
     checkpoint: Optional["CheckpointStore"] = None,
     fused: bool = True,
     grouped: bool = True,
@@ -51,7 +53,7 @@ def spmd_bitonic_sort(
     ``local_keys``, returning this rank's partition of the globally sorted
     (blocked) result.
 
-    Every rank must hold the same power-of-two number of keys.
+    Every rank must hold the same power-of-two number of integer keys.
 
     With a :class:`~repro.faults.checkpoint.CheckpointStore` the rank
     snapshots its shard after the initial local sort (stage 0) and after
@@ -82,7 +84,7 @@ def spmd_bitonic_sort(
     spans nest inside.  With no tracer the instrumentation is a
     zero-allocation no-op.
     """
-    data = np.asarray(local_keys).copy()
+    data = np.asarray(local_keys)  # every path below sorts into a copy
     P, r = comm.size, comm.rank
     n = data.size
     set_phase = getattr(comm, "set_phase", None)
@@ -99,7 +101,7 @@ def spmd_bitonic_sort(
         )
     if P == 1:
         with trace_span(tracer, "local_sort"):
-            return radix_sort(data, key_bits=key_bits, radix_bits=radix_bits)
+            return np.sort(data)
     N = n * P
     schedule = smart_schedule(N, P)  # same on every rank: pure algebra
     lgn = ilog2(n)
@@ -123,8 +125,9 @@ def spmd_bitonic_sort(
     else:
         # First lg n stages: one local sort, alternating direction (Lemma 6).
         with trace_span(tracer, "local_sort"):
-            data = radix_sort(data, ascending=(r % 2 == 0),
-                              key_bits=key_bits, radix_bits=radix_bits)
+            data = np.sort(data)
+            if r % 2:
+                data = data[::-1].copy()
         if checkpoint is not None:
             checkpoint.save(r, 0, data)
 
@@ -191,10 +194,48 @@ def spmd_bitonic_sort(
                     fresh[plan.recv_concat] = np.concatenate(payloads)
         data = fresh
         layout = phase.layout
-        # Local computation (Theorems 2/3) — the shared merge kernel.
+        # Local computation (Theorems 2/3).
         with trace_span(tracer, "merge", stage):
             params = smart_params(N, P, *phase.columns[0])
-            data = SmartBitonicSort._merge_local(data, layout, params, lgn, r)
+            data = _merge_phase(data, layout, params, lgn, r)
         if checkpoint is not None:
             checkpoint.save(r, stage, data)
     return data
+
+
+def _merge_phase(
+    data: np.ndarray,
+    layout: BitFieldLayout,
+    params: SmartParams,
+    lgn: int,
+    rank: int,
+) -> np.ndarray:
+    """One rank's merge-based phase (Theorems 2/3), on ``np.sort``.
+
+    The simulator's :meth:`~repro.sorts.smart.SmartBitonicSort._merge_local`
+    runs the same phase as bitonic merges; each merge sorts a bitonic
+    sequence, so a sort of the same slice in the same direction yields the
+    same keys.
+    """
+    if params.is_last:
+        # Final blocked phase: the partition ends ascending.
+        return np.sort(data)
+    stage = lgn + params.k
+    base_abs = int(layout.to_absolute(rank, 0))
+    if not params.is_crossing:
+        # Inside phase: one bitonic sequence, fully sorted in the stage's
+        # direction, which is fixed across the processor (Theorem 2).
+        out = np.sort(data)
+        return out[::-1].copy() if bit_of(base_abs, stage) else out
+    # Crossing phase (Theorem 3): rows finish stage lg n + k, columns open
+    # stage lg n + k + 1.  A row's direction is the stage's direction bit,
+    # the top bit of the row index, so the upper half of the rows descends.
+    m = np.sort(data.reshape(1 << params.b, 1 << params.a), axis=1)
+    half = 1 << (params.b - 1)
+    m[half:] = m[half:, ::-1]
+    # The column direction is bit lg n + k + 1 of the absolute address,
+    # fixed across the processor (it lives in the A field).
+    m = np.sort(m, axis=0)
+    if bit_of(base_abs, stage + 1):
+        m = m[::-1]
+    return m.reshape(-1)

@@ -2,17 +2,19 @@
 
 This is the real-backend twin of the simulated comparator
 (:class:`~repro.sorts.sample_parallel.ParallelSampleSort`), which serves
-as its executable spec: local radix sort, gathered splitter selection
+as its executable spec: local sort, gathered splitter selection
 (oversampling — the evenly spaced per-rank sample of the arXiv
 2204.04599 single-round scheme), histogram partition at the splitters,
-one all-to-all bucket exchange, and a local p-way merge.  One data
+one all-to-all bucket exchange, and a local merge of the received runs.
+Both local steps run ``np.sort``, the merge one over the concatenated
+runs (the simulator charges a radix sort and a p-way merge).  One data
 redistribution total, against the bitonic sort's ``lg P``-ish remaps —
 which is exactly the crossover the paper's Figures 5.7/5.8 measure and
 the service planner now prices.
 
 Like :func:`~repro.runtime.bitonic_spmd.spmd_bitonic_sort` it shares no
-execution machinery with the simulator version: only the local kernels
-and a :class:`~repro.runtime.api.Comm`.  It speaks nothing but
+execution machinery with the simulator version: only ``np.sort`` and a
+:class:`~repro.runtime.api.Comm`.  It speaks nothing but
 ``allgather`` and ``alltoallv``, both of which every communicator —
 including the fault-injection :class:`~repro.faults.transport.ReliableComm`
 wrapper — implements, so chaos tests compose without a fallback switch.
@@ -34,8 +36,6 @@ from typing import List, Optional
 import numpy as np
 
 from repro.errors import CommunicationError
-from repro.localsort.merges import p_way_merge
-from repro.localsort.radix import radix_sort
 from repro.runtime.api import Comm
 from repro.trace.recorder import trace_span
 
@@ -45,17 +45,15 @@ __all__ = ["spmd_sample_sort"]
 def spmd_sample_sort(
     comm: Comm,
     local_keys: np.ndarray,
-    key_bits: int = 32,
-    radix_bits: int = 8,
     oversample: int = 32,
 ) -> np.ndarray:
     """Sort the distributed array whose rank-``r`` partition is
     ``local_keys``, returning this rank's partition of the globally
     sorted (blocked) result.
 
-    Every rank must hold the same number of input keys; the *returned*
-    partitions are generally unequal (bucket sizes follow the key
-    distribution).  The concatenation across ranks equals
+    Every rank must hold the same number of integer input keys; the
+    *returned* partitions are generally unequal (bucket sizes follow the
+    key distribution).  The concatenation across ranks equals
     ``np.sort`` of the whole input, element for element.
 
     When ``comm.tracer`` carries a :class:`~repro.trace.recorder.Tracer`
@@ -66,7 +64,7 @@ def spmd_sample_sort(
     sample sort.  With no tracer the instrumentation is a
     zero-allocation no-op.
     """
-    data = np.asarray(local_keys).copy()
+    data = np.asarray(local_keys)  # every path below sorts into a copy
     P, r = comm.size, comm.rank
     n = data.size
     set_phase = getattr(comm, "set_phase", None)
@@ -84,9 +82,9 @@ def spmd_sample_sort(
 
     if set_phase is not None:
         set_phase("local-sort", 0)
-    # 1. Local sort (radix, as §4.4 argues for the bitonic stages too).
+    # 1. Local sort.
     with trace_span(tracer, "local_sort"):
-        data = radix_sort(data, key_bits=key_bits, radix_bits=radix_bits)
+        data = np.sort(data)
     if P == 1:
         return data
 
@@ -125,13 +123,13 @@ def spmd_sample_sort(
     with trace_span(tracer, "transfer", 2):
         received = comm.alltoallv(buckets)
 
-    # 4. p-way merge of the received sorted runs.
+    # 4. Merge the received sorted runs: one sort of their concatenation.
     if set_phase is not None:
         set_phase("merge", 3)
     runs = [p for p in received if p is not None and p.size]
     with trace_span(tracer, "merge", 3):
         if runs:
-            merged = p_way_merge(runs)
+            merged = np.sort(np.concatenate(runs))
         else:
             merged = np.empty(0, dtype=data.dtype)
     comm.barrier()

@@ -62,6 +62,7 @@ from repro.service.jobs import sort_shards_job
 from repro.service.planner import EXTERNAL_BACKEND, PlanDecision, Planner
 from repro.service.pool import WorldPool
 from repro.trace.recorder import Tracer
+from repro.utils.validation import require_integer_keys
 
 __all__ = ["SortService", "SortOutcome", "ServiceReport", "Ticket"]
 
@@ -364,6 +365,11 @@ class SortService:
         path's estimated spill footprint exceeds the service's disk
         budget the request is rejected with
         :class:`~repro.errors.MemoryBudgetError`.
+
+        Non-integer keys planned onto a world are rejected with
+        :class:`~repro.errors.ConfigurationError`
+        (:func:`~repro.utils.validation.require_integer_keys`); the
+        out-of-core path sorts them as before.
         """
         keys = np.asarray(keys)
         if keys.ndim != 1 or keys.size < 1:
@@ -410,6 +416,8 @@ class SortService:
             grouped=grouped,
             memory_budget=budget,
         )
+        if decision.backend != EXTERNAL_BACKEND:
+            require_integer_keys(keys)
         if decision.source == "budget":
             with self._report_lock:
                 self._report.degraded_external += 1

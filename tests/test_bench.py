@@ -2,19 +2,10 @@
 
 import json
 
-import numpy as np
 import pytest
 
-from repro.harness.bench import (
-    BENCH_SCHEMA,
-    _legacy_batched_merge,
-    _legacy_radix_sort,
-    run_bench,
-    write_bench,
-)
+from repro.harness.bench import BENCH_SCHEMA, run_bench, write_bench
 from repro.harness.cli import main
-from repro.localsort import batched_bitonic_merge, radix_sort
-from repro.utils.rng import make_keys
 
 #: Tiny but structurally complete bench configuration for tests.
 TINY = dict(quick=True, sizes=[1 << 10], procs=2, reps=1, timeout=60.0)
@@ -31,7 +22,7 @@ class TestRunBench:
         assert payload["outputs_match"] is True
         assert payload["host"]["cpu_count"] >= 1
         assert payload["config"]["sizes"] == [1 << 10]
-        assert set(payload["kernels"]) == {"radix", "merge", "plan"}
+        assert set(payload["kernels"]) == {"plan"}
 
     def test_end_to_end_covers_backends_and_sizes(self, payload):
         seen = {(r["backend"], r["keys"]) for r in payload["end_to_end"]}
@@ -46,13 +37,8 @@ class TestRunBench:
         assert by_size[str(1 << 10)] > 0
 
     def test_kernel_records_have_both_sides(self, payload):
-        rec = payload["kernels"]["radix"][0]
-        assert rec["legacy_argsort"]["best_s"] > 0
-        assert rec["counting_scatter"]["best_s"] > 0
-        rec = payload["kernels"]["merge"][0]
-        assert rec["legacy_two_copies"]["best_s"] > 0
-        assert rec["single_copy"]["best_s"] > 0
         rec = payload["kernels"]["plan"][0]
+        assert rec["rebuild_every_phase"]["best_s"] > 0
         assert rec["plan_cache_warm"]["best_s"] > 0
         assert rec["speedup"] > 1  # a warm cache must beat rebuilding
 
@@ -60,29 +46,6 @@ class TestRunBench:
         out = tmp_path / "bench.json"
         write_bench(payload, str(out))
         assert json.loads(out.read_text())["schema"] == BENCH_SCHEMA
-
-
-class TestLegacyKernelsStayHonest:
-    """The A/B baselines must remain observationally identical to the
-    optimized kernels, or the recorded speedups are fiction."""
-
-    def test_radix_agrees(self):
-        keys = make_keys(4096, seed=11)
-        np.testing.assert_array_equal(radix_sort(keys), _legacy_radix_sort(keys))
-        np.testing.assert_array_equal(
-            radix_sort(keys, ascending=False),
-            _legacy_radix_sort(keys, ascending=False),
-        )
-
-    def test_merge_agrees_both_axes(self):
-        keys = make_keys(4096, seed=12)
-        m = np.sort(keys.reshape(64, 64), axis=1)
-        m[::2] = m[::2, ::-1]  # alternating rows: bitonic either way
-        for axis, mat in ((1, m), (0, m.T)):
-            np.testing.assert_array_equal(
-                batched_bitonic_merge(mat, True, axis=axis),
-                _legacy_batched_merge(mat, True, axis=axis),
-            )
 
 
 class TestBenchCli:
