@@ -1,12 +1,10 @@
-"""Benchmarks of the SPMD runtime backends (wall-clock, pytest-benchmark).
+"""Benchmarks of the SPMD runtime's threads backend (wall-clock,
+pytest-benchmark).
 
-The threads and procs backends run the identical
-:func:`~repro.runtime.spmd_bitonic_sort` program; these benches time them
-against each other and against the collectives they are built on.  On a
-single-core host the procs backend chiefly measures its launch and
-shared-memory overhead; its speedup claims apply to >= 4 usable cores
-(see docs/PERFORMANCE.md).  ``repro-bitonic bench`` is the reporting
-counterpart that persists a trajectory JSON.
+The backend runs :func:`~repro.runtime.spmd_bitonic_sort`; these benches
+time it against the collective it is built on and the fixed cost of
+launching a world.  ``repro-bitonic bench`` is the reporting counterpart
+that persists a trajectory JSON.
 """
 
 import numpy as np
@@ -24,25 +22,23 @@ def keys():
     return make_keys(N_SORT, seed=7)
 
 
-def _sort_world(keys, backend):
+def _sort_world(keys):
     n = keys.size // P
 
     def prog(c):
         return spmd_bitonic_sort(c, keys[c.rank * n : (c.rank + 1) * n])
 
-    return np.concatenate(run_spmd(P, prog, backend=backend))
+    return np.concatenate(run_spmd(P, prog))
 
 
-@pytest.mark.parametrize("backend", ["threads", "procs"])
-def test_spmd_sort_backend(benchmark, keys, backend):
+def test_spmd_sort_backend(benchmark, keys):
     out = benchmark.pedantic(
-        _sort_world, args=(keys, backend), rounds=3, iterations=1, warmup_rounds=1
+        _sort_world, args=(keys,), rounds=3, iterations=1, warmup_rounds=1
     )
     np.testing.assert_array_equal(out, np.sort(keys))
 
 
-@pytest.mark.parametrize("backend", ["threads", "procs"])
-def test_alltoallv_collective(benchmark, backend):
+def test_alltoallv_collective(benchmark):
     """The raw collective: every rank scatters 64K keys to every peer."""
     bucket = np.arange(1 << 16, dtype=np.uint32)
 
@@ -51,19 +47,17 @@ def test_alltoallv_collective(benchmark, backend):
             got = c.alltoallv([bucket for _ in range(c.size)])
             return sum(int(x[0]) for x in got)
 
-        return run_spmd(P, prog, backend=backend)
+        return run_spmd(P, prog)
 
     out = benchmark.pedantic(world, rounds=3, iterations=1, warmup_rounds=1)
     assert out == [0] * P
 
 
-@pytest.mark.parametrize("backend", ["threads", "procs"])
-def test_world_launch_overhead(benchmark, backend):
+def test_world_launch_overhead(benchmark):
     """Spin up a world that does nothing: the backend's fixed cost."""
     out = benchmark.pedantic(
         run_spmd,
         args=(P, lambda c: c.rank),
-        kwargs={"backend": backend},
         rounds=3,
         iterations=1,
         warmup_rounds=1,

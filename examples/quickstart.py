@@ -23,7 +23,7 @@ def main() -> None:
           f"({n:,} keys each)\n")
 
     # One call: algorithm + substrate in, one SortReport out.  The same
-    # front door runs the real SPMD backends (backend="threads"/"procs").
+    # front door runs the real SPMD runtime (backend="threads").
     st = sort(keys, P).stats
 
     print("Smart bitonic sort (Algorithm 1):")

@@ -45,9 +45,6 @@ def main() -> None:
     print()
     print(report.phases.describe())
 
-    # The same call with backend="procs" runs one OS process per rank
-    # (shared-memory collectives, no GIL anywhere) — byte-identical output.
-
     print(f"\nSPMD FFT: {P} ranks x {n // 1024}K complex points")
     rng = np.random.default_rng(3)
     x = rng.normal(size=P * n) + 1j * rng.normal(size=P * n)

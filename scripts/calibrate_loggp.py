@@ -11,15 +11,14 @@ Measures, on the machine actually running the sorts:
 * **per-element compute rates** — the NumPy kernels the SPMD sort spends
   its time in (radix pass, two-way merge, pack/unpack gathers, the fused
   permutation-composed pack, address computation);
-* **per-backend LogGP parameters** — a 2-rank pingpong per backend fits
-  the per-message overhead ``o`` (y-intercept) and per-byte gap ``G``
+* **threads-backend LogGP parameters** — a 2-rank pingpong fits the
+  per-message overhead ``o`` (y-intercept) and per-byte gap ``G``
   (slope); ``L`` and ``g`` are set to ``o`` (on shared memory the wire
   latency and the gap are not separable from the overhead at this
   granularity, and the closed forms price long messages by ``o`` + ``G``
   anyway);
-* **serving fixed costs** — world spawn per rank, warm job
-  dispatch/collect overhead, and shard-shipping bandwidth through the
-  procs job pipe;
+* **serving fixed costs** — world spawn per rank and warm job
+  dispatch/collect overhead;
 * **disk lane** — sequential write and read bandwidth plus fsync
   latency, measured through the same temp-file path the out-of-core
   external sort spills through.  These fields are the planner's
@@ -42,7 +41,7 @@ import numpy as np
 from repro.localsort.merges import merge_sorted
 from repro.localsort.radix import num_passes, radix_sort
 from repro.runtime.driver import spawn_world
-from repro.service.jobs import echo_nbytes_job, noop_job, pingpong_job
+from repro.service.jobs import noop_job, pingpong_job
 from repro.service.profile import BackendCosts, HostProfile, _usable_cpus
 
 
@@ -133,11 +132,11 @@ def calibrate_disk(nbytes, reps):
     }
 
 
-def calibrate_backend(backend, rounds, reps):
-    """LogGP o/G plus the serving fixed costs for one SPMD backend."""
+def calibrate_threads(rounds, reps):
+    """LogGP o/G plus the serving fixed costs of the threads backend."""
     # Spawn cost: a fresh 2-rank world, timed end to end (per rank).
     t0 = time.perf_counter()
-    world = spawn_world(2, backend=backend)
+    world = spawn_world(2)
     world.run(noop_job)  # the first job completes the warm-up
     spawn_s = (time.perf_counter() - t0) / 2
 
@@ -146,23 +145,13 @@ def calibrate_backend(backend, rounds, reps):
 
     # Pingpong: seconds per round at two payload sizes; the slope is G
     # (per byte), the intercept 2o (one send + one recv overhead each
-    # way).  Runs inside the world so both backends use their real
-    # sendrecv path.  The world has exactly 2 ranks — required, the
-    # procs sendrecv is a matched world-wide step.
+    # way).  Runs inside the world so the backend's real sendrecv path
+    # is timed.
     small, large = 1 << 10, 1 << 18
     t_small = min(world.run(pingpong_job, rank_args=[(small, rounds)] * 2))
     t_large = min(world.run(pingpong_job, rank_args=[(large, rounds)] * 2))
     G_us = max((t_large - t_small) / (large - small) * 1e6, 1e-7)
     o_us = max((t_small * 1e6 - small * G_us) / 2.0, 1.0)
-
-    # Shard shipping: payload bytes/second through the job pipe (procs
-    # pickles the shards across; threads passes references, so the
-    # measured time is pure dispatch and the bandwidth is effectively
-    # infinite — keep it finite to stay JSON-serializable).
-    payload = np.zeros(1 << 20, dtype=np.uint32)
-    ship_s = max(_best_of(lambda: world.run(
-        echo_nbytes_job, rank_args=[(payload,)] * 2), reps) - job_s, 1e-9)
-    ship_bps = payload.nbytes * 2 / ship_s  # both ranks receive a copy
     world.close()
 
     return BackendCosts(
@@ -172,7 +161,6 @@ def calibrate_backend(backend, rounds, reps):
         G=round(G_us, 7),
         spawn_per_rank_s=round(spawn_s, 6),
         job_overhead_s=round(job_s, 6),
-        ship_bytes_per_s=round(min(ship_bps, 1e12), 0),
     )
 
 
@@ -207,19 +195,15 @@ def main(argv=None):
           f"read={disk['disk_read_bytes_per_s'] / 1e6:.0f} MB/s  "
           f"fsync={disk['fsync_s'] * 1e3:.2f} ms")
 
-    backends = {}
-    for backend in ("threads", "procs"):
-        print(f"calibrating {backend} backend ...")
-        costs = calibrate_backend(backend, args.rounds, args.reps)
-        backends[backend] = costs
-        print(f"  o={costs.o} us  G={costs.G} us/B  "
-              f"spawn={costs.spawn_per_rank_s * 1e3:.2f} ms/rank  "
-              f"job={costs.job_overhead_s * 1e3:.2f} ms  "
-              f"ship={costs.ship_bytes_per_s / 1e9:.2f} GB/s")
+    print("calibrating threads backend ...")
+    costs = calibrate_threads(args.rounds, args.reps)
+    print(f"  o={costs.o} us  G={costs.G} us/B  "
+          f"spawn={costs.spawn_per_rank_s * 1e3:.2f} ms/rank  "
+          f"job={costs.job_overhead_s * 1e3:.2f} ms")
 
     profile = HostProfile(
         cpus=_usable_cpus(),
-        backends=backends,
+        backends={"threads": costs},
         source="calibrated",
         **compute,
         **disk,

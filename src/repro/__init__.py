@@ -75,6 +75,10 @@ from repro.theory import best_algorithm, counts_for, predict
 from repro.trace import PhaseReport, Tracer, build_phase_report, write_chrome_trace
 from repro.utils.rng import make_keys
 
+# Imported for its side effect: the exit-time sweep of spill directories
+# whose owning process died.
+from repro.extsort import spill as _spill  # noqa: F401
+
 __version__ = "1.0.0"
 
 __all__ = [

@@ -1,7 +1,7 @@
 """The one front door: ``sort()`` over every substrate, one report back.
 
 The package grew three ways to run the paper's sort — the LogGP-simulated
-machine (:mod:`repro.sorts`), the real SPMD runtimes
+machine (:mod:`repro.sorts`), the real SPMD runtime
 (:mod:`repro.runtime`), and the chaos/fault stack (:mod:`repro.faults`) —
 each with its own entry point and its own result shape.  :func:`sort`
 unifies them behind a single call::
@@ -32,8 +32,6 @@ simulated    smart, cyclic-blocked,      yes    yes
              blocked-merge, radix,
              sample, external*
 threads      smart, sample, external*    yes    yes
-procs        smart, sample, external*    yes    no (injector needs one
-                                                address space)
 ===========  ==========================  =====  ======
 
 ``external*`` is the out-of-core spill-to-disk sort
@@ -69,7 +67,7 @@ __all__ = [
 ]
 
 #: Substrates :func:`sort` can run on.
-SORT_BACKENDS = ("simulated", "threads", "procs")
+SORT_BACKENDS = ("simulated", "threads")
 
 #: Algorithm names accepted by :func:`sort` (each runs on the backends
 #: :data:`BACKEND_ALGORITHMS` lists for it).  ``"auto"`` — planner
@@ -81,14 +79,13 @@ SORT_ALGORITHMS = (
 
 #: The capability table: which algorithms each backend executes.  The
 #: simulated machine runs every comparator of the paper's Ch. 5; the
-#: SPMD runtimes implement the smart bitonic sort and the sample sort
+#: SPMD runtime implements the smart bitonic sort and the sample sort
 #: (the two the service planner prices against each other).  The
 #: out-of-core ``external`` sort is backend-independent — it runs
 #: in-process whatever backend the call named — so every row carries it.
 BACKEND_ALGORITHMS = {
     "simulated": SORT_ALGORITHMS,
     "threads": ("smart", "sample", "external"),
-    "procs": ("smart", "sample", "external"),
 }
 
 #: Algorithms with a closed-form predictor (fills the ``predicted`` column
@@ -224,8 +221,9 @@ def sort(
         with a service, ``"smart"`` without.
     backend:
         ``"simulated"`` runs on the LogGP-costed machine;
-        ``"threads"`` / ``"procs"`` run the real message-passing sort via
-        :func:`repro.runtime.driver.run_spmd`.
+        ``"threads"`` runs the real message-passing sort via
+        :func:`repro.runtime.driver.run_spmd`; any other name raises
+        :class:`~repro.errors.ConfigurationError`.
     trace:
         Record per-phase time and attach a
         :class:`~repro.trace.report.PhaseReport` aligning measured (SPMD
@@ -241,8 +239,8 @@ def sort(
         Check the output element-exactly against ``np.sort`` (on by
         default — the front door favours safety over benchmark purity).
     options:
-        :class:`~repro.runtime.driver.BackendOptions` tuning for the SPMD
-        backends.  Its ``fused`` / ``grouped`` fields (both on by
+        :class:`~repro.runtime.driver.BackendOptions` flags for the SPMD
+        sort.  Its ``fused`` / ``grouped`` fields (both on by
         default) toggle the fused zero-copy remap collective and the
         Lemma-4 group-scoped exchanges of the SPMD bitonic sort.
         (Sample sort's single exchange ignores both flags.)
@@ -295,7 +293,7 @@ def sort(
     if backend == "simulated":
         if options is not None:
             raise ConfigurationError(
-                "backend options tune the SPMD backends; the simulated "
+                "backend options tune the SPMD sorts; the simulated "
                 "machine takes none"
             )
         return _sort_simulated(keys, P, algorithm, trace, faults, verify)
@@ -361,7 +359,7 @@ def _sort_external(
             )
         if options is not None:
             raise ConfigurationError(
-                "backend options tune the SPMD backends; the external "
+                "backend options tune the SPMD sorts; the external "
                 "sort takes none"
             )
     budget = memory_budget if memory_budget is not None else 64 << 20
@@ -413,7 +411,7 @@ def _sort_service(
     Explicit arguments become forced planner overrides; defaults mean
     "planner chooses" (``backend="simulated"`` is the front door's own
     default, so it reads as unconstrained here — the service runs only
-    SPMD backends; likewise ``algorithm`` defaults to ``"auto"``, the
+    the SPMD backend; likewise ``algorithm`` defaults to ``"auto"``, the
     planner's cross-algorithm routing).
     """
     from repro.sorts.base import verify_sorted
@@ -534,12 +532,6 @@ def _sort_spmd(
     n = keys.size // P
     injector = None
     if faults is not None and not faults.is_null:
-        if backend != "threads":
-            raise ConfigurationError(
-                f"fault injection needs the shared address space of the "
-                f"threads backend, not {backend!r} — use backend='threads' "
-                "or drop the fault plan"
-            )
         injector = FaultInjector(faults)
 
     # Algorithm toggles ride in BackendOptions; None means "on".
@@ -561,9 +553,7 @@ def _sort_spmd(
         return out, comm.tracer
 
     start = time.perf_counter()
-    parts = run_spmd(
-        P, prog, timeout=timeout, backend=backend, options=options
-    )
+    parts = run_spmd(P, prog, timeout=timeout, backend=backend)
     wall = time.perf_counter() - start
     out = np.concatenate([p for p, _ in parts])
     if verify:

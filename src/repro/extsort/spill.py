@@ -3,8 +3,7 @@
 A :class:`SpillDir` is one request's scratch space on disk: sorted runs
 land in it as raw little-endian ndarray files next to a JSON manifest
 describing them (dtype, per-run lengths), and the whole directory is
-deleted when the request completes.  The discipline mirrors the process
-worlds' ``/dev/shm`` hygiene (:mod:`repro.runtime.procs`):
+deleted when the request completes.  The discipline:
 
 * **naming is pid-guarded** — every directory is
   ``rxspill_<pid>_<token>`` under the spill root, so ownership is
@@ -13,11 +12,12 @@ worlds' ``/dev/shm`` hygiene (:mod:`repro.runtime.procs`):
   and has not yet cleaned are removed at interpreter exit, so a crashed
   or careless run cannot strand gigabytes of spilled runs (a forked
   child inheriting the registry never removes its parent's directories:
-  the creating pid rides along, exactly like the worlds' ``_LIVE``);
+  the creating pid rides along);
 * **orphan sweeping** — :func:`sweep_orphaned_spill_dirs` removes any
   ``rxspill_*`` directory whose creating pid is dead, which is how a
   request SIGKILLed mid-spill (no atexit hooks run) leaks nothing: the
-  sweep runs at service start and from the worlds' own atexit sweep.
+  sweep runs at service start and from this module's atexit hook, which
+  importing :mod:`repro` registers.
 
 The manifest is written atomically (temp file + ``rename``) and fsynced,
 so a directory either describes its runs completely or is recognizably
@@ -32,6 +32,7 @@ import json
 import os
 import shutil
 import tempfile
+from contextlib import suppress
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -71,6 +72,11 @@ def _sweep_leaked_spill_dirs() -> None:
             continue
         shutil.rmtree(path, ignore_errors=True)
         _LIVE.pop(path, None)
+    # Directories whose owning process is gone are dead weight on the
+    # same host; reclaim them too.  The sweep must never be the thing
+    # that fails interpreter exit.
+    with suppress(Exception):
+        sweep_orphaned_spill_dirs()
 
 
 atexit.register(_sweep_leaked_spill_dirs)

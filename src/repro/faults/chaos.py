@@ -1,9 +1,9 @@
 """Chaos harness: run the SPMD bitonic sort under an adversarial network.
 
 :func:`run_chaos_sort` executes the real message-passing sort
-(:func:`~repro.runtime.bitonic_spmd.spmd_bitonic_sort`) — by default on
-the threads backend, the only one whose shared address space supports
-fault *injection* — with every rank's communicator wrapped in a
+(:func:`~repro.runtime.bitonic_spmd.spmd_bitonic_sort`) on the threads
+backend, whose shared address space lets every rank draw from one
+injector — with every rank's communicator wrapped in a
 :class:`~repro.faults.transport.ReliableComm` driven by one shared
 :class:`~repro.faults.plan.FaultInjector`.  Message drop / duplication /
 corruption / delay are absorbed by the transport's retransmission
@@ -23,7 +23,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.errors import ConfigurationError, PeerFailedError
+from repro.errors import PeerFailedError
 from repro.faults.checkpoint import CheckpointStore
 from repro.faults.plan import FaultInjector, FaultPlan, InjectedCrash
 from repro.faults.transport import ReliableComm
@@ -80,7 +80,6 @@ def run_chaos_sort(
     timeout: float = 60.0,
     checkpoint: bool = True,
     max_retries: int = 16,
-    backend: str = "threads",
 ) -> ChaosReport:
     """Sort ``keys`` on ``P`` concurrent ranks while ``plan``'s faults fire.
 
@@ -90,19 +89,7 @@ def run_chaos_sort(
     ``checkpoint`` is on.  Raises the transport's typed error
     (:class:`~repro.errors.PeerFailedError` et al.) when the budget is
     exhausted; on success the output has been verified element-exactly.
-
-    ``backend`` selects the runtime substrate; fault *injection* needs the
-    shared address space of the threads backend, so any other backend
-    requires a null plan (and then simply exercises the transport's
-    passthrough path there).
     """
-    if backend != "threads" and not plan.is_null:
-        raise ConfigurationError(
-            f"chaos faults cannot be injected on the {backend!r} backend: "
-            "the shared FaultInjector needs one address space — use "
-            "backend='threads', or a null fault plan to run the reliable "
-            "transport's passthrough on another backend"
-        )
     keys = np.asarray(keys)
     require_integer_keys(keys)
     n = keys.size // P
@@ -119,7 +106,7 @@ def run_chaos_sort(
 
     while True:
         try:
-            parts = run_spmd(P, prog, timeout=timeout, backend=backend)
+            parts = run_spmd(P, prog, timeout=timeout)
             break
         except (InjectedCrash, PeerFailedError) as exc:
             if restarts >= max_restarts:

@@ -41,7 +41,6 @@ import numpy as np
 
 from repro.errors import (
     CommunicationError,
-    ConfigurationError,
     CorruptPayloadError,
     PeerFailedError,
     SpmdTimeoutError,
@@ -89,20 +88,6 @@ class ReliableComm(Comm):
         backoff_cap: float = 0.02,
         jitter: float = 0.5,
     ):
-        if (
-            injector is not None
-            and not injector.plan.is_null
-            and not getattr(inner, "in_process", True)
-        ):
-            # The injector's mutable state and RNG live in one address
-            # space; a cross-process backend would fork per-rank copies
-            # that draw independent fault streams and report nothing back.
-            raise ConfigurationError(
-                "fault injection requires an in-process backend (threads): "
-                f"{type(inner).__name__} runs ranks in separate processes, "
-                "where a shared FaultInjector cannot work — use "
-                "backend='threads' or a null fault plan"
-            )
         self._inner = inner
         self.rank = inner.rank
         self.size = inner.size

@@ -150,7 +150,6 @@ def _make_service(
     )
     planner = Planner(
         profile=profile,
-        backends=("threads",),
         candidate_P=_REPLAY_CANDIDATE_P,
         history=BenchHistory(()),  # no committed bias: drift vs feedback only
         adapter=adapter,

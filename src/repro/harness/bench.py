@@ -6,14 +6,14 @@ one):
 
 * **end-to-end** — the real SPMD sorts
   (:func:`~repro.runtime.spmd_bitonic_sort` and
-  :func:`~repro.runtime.spmd_sample_sort`) across runtime backends,
-  problem sizes, and variants (fused + group-scoped collectives, the
-  unfused world-wide baseline, and the splitter-driven sample sort),
-  cross-checking that every backend × variant produces byte-identical
-  output;
+  :func:`~repro.runtime.spmd_sample_sort`) on the runtime's backend,
+  across problem sizes and variants (fused + group-scoped collectives,
+  the unfused world-wide baseline, and the splitter-driven sample sort),
+  cross-checking that every variant's output is byte-identical to
+  ``np.sort``;
 * **remap-plan construction** — a fresh build per phase and rank
   against a warm :class:`~repro.remap.cache.RemapPlanCache`;
-* **per-phase breakdown** — one extra *traced* (untimed) run per backend
+* **per-phase breakdown** — one extra *traced* (untimed) run per variant
   and size attaches exclusive per-category µs and the world-summed trace
   counters to each end-to-end record, so a perf PR can claim it moved a
   *specific* phase, not just the total.  The timed repetitions themselves
@@ -22,7 +22,7 @@ one):
   :class:`~repro.service.SortService` (warm world pool, candidate-P
   sweep) against the cold spawn-per-call front door, with a planner
   audit: does the LogGP planner's chosen ``P`` match the best measured
-  one per ``(backend, N)`` point?
+  one per ``N``?
 
 The result is a machine-readable JSON document (``BENCH_pr<k>.json`` at
 the repo root by convention) with enough host metadata (CPU count,
@@ -45,7 +45,12 @@ from repro.errors import ConfigurationError
 from repro.layouts.schedule import smart_schedule
 from repro.remap.cache import RemapPlanCache
 from repro.remap.plan import build_remap_plan
-from repro.runtime import run_spmd, spmd_bitonic_sort, spmd_sample_sort
+from repro.runtime import (
+    BACKENDS,
+    run_spmd,
+    spmd_bitonic_sort,
+    spmd_sample_sort,
+)
 from repro.trace import Tracer, build_phase_report
 from repro.utils.rng import make_keys
 
@@ -79,14 +84,16 @@ __all__ = ["run_bench", "write_bench", "BENCH_SCHEMA"]
 #: pipeline was removed);
 #: /10 dropped the ``kernels.radix`` / ``kernels.merge`` A/B records (the
 #: SPMD sorts run ``np.sort``; the legacy kernels they compared against
-#: were removed), leaving ``kernels.plan``.
+#: were removed), leaving ``kernels.plan``.  Since the procs backend's
+#: removal a /10 document carries threads records only, and no
+#: ``*_over_threads`` table.
 BENCH_SCHEMA = "repro-bitonic-bench/10"
 
 #: World sizes the service section sweeps when measuring warm latency
 #: (and the planner's candidate set for the match tally).
 SERVICE_CANDIDATE_P = (1, 2, 4)
 
-#: The variants every backend is benchmarked under
+#: The variants the backend is benchmarked under
 #: (``name, algorithm, fused, grouped``): the default fused +
 #: group-scoped bitonic path, the unfused world-wide baseline it
 #: replaced, and the splitter-driven sample sort (one redistribution;
@@ -474,14 +481,13 @@ def run_bench(
     quick: bool = False,
     sizes: Optional[Sequence[int]] = None,
     procs: int = 8,
-    backends: Sequence[str] = ("threads", "procs"),
     reps: Optional[int] = None,
     timeout: float = 300.0,
 ) -> Dict[str, Any]:
     """Run the benchmark trajectory and return the JSON-ready payload.
 
-    ``quick`` shrinks the defaults to CI-smoke scale.  The cross-backend
-    byte-identity check always runs; a mismatch raises
+    ``quick`` shrinks the defaults to CI-smoke scale.  The byte-identity
+    check against ``np.sort`` always runs; a mismatch raises
     :class:`~repro.errors.ConfigurationError` rather than recording
     timings for a wrong sort.
     """
@@ -491,30 +497,16 @@ def run_bench(
         reps = 1 if quick else 3
     procs = max(1, procs if not quick else min(procs, 4))
     cpu_count = _usable_cpus()
-    end_to_end = _bench_end_to_end(sizes, procs, backends, reps, timeout)
+    end_to_end = _bench_end_to_end(sizes, procs, BACKENDS, reps, timeout)
     kernels = _bench_kernels(sizes, reps)
-    service = _bench_service(sizes, procs, backends, reps, timeout)
-    service["algorithms"] = _bench_algorithms(sizes, backends, reps, timeout)
+    service = _bench_service(sizes, procs, BACKENDS, reps, timeout)
+    service["algorithms"] = _bench_algorithms(sizes, BACKENDS, reps, timeout)
     external = _bench_external(sizes, reps)
     speedups: Dict[str, Dict[str, float]] = {}
     default_variant = BENCH_VARIANTS[0][0]
-    if "threads" in backends:
-        threads_best = {
-            r["keys"]: r["best_s"]
-            for r in end_to_end
-            if r["backend"] == "threads" and r["variant"] == default_variant
-        }
-        for backend in backends:
-            if backend == "threads":
-                continue
-            speedups[f"{backend}_over_threads"] = {
-                str(r["keys"]): threads_best[r["keys"]] / r["best_s"]
-                for r in end_to_end
-                if r["backend"] == backend and r["variant"] == default_variant
-            }
     # The fused A/B: fused+group against the unfused world-wide
     # baseline, per backend and size.
-    for backend in backends:
+    for backend in BACKENDS:
         unfused_best = {
             r["keys"]: r["best_s"]
             for r in end_to_end
@@ -530,7 +522,7 @@ def run_bench(
     # redistribution beats the bitonic remap sequence, < 1 where the
     # sampling overhead wins.  This is the measured twin of
     # repro.theory.crossover_keys_per_proc.
-    for backend in backends:
+    for backend in BACKENDS:
         bitonic_best = {
             r["keys"]: r["best_s"]
             for r in end_to_end
@@ -548,16 +540,12 @@ def run_bench(
             "platform": platform.platform(),
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "note": (
-                "speedup targets for the procs backend assume >= 4 usable "
-                "cores; on fewer cores its numbers chiefly measure overhead"
-            ),
         },
         "config": {
             "quick": quick,
             "sizes": list(sizes),
             "procs": procs,
-            "backends": list(backends),
+            "backends": list(BACKENDS),
             "reps": reps,
         },
         "end_to_end": end_to_end,

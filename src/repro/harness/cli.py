@@ -21,21 +21,21 @@ Python:
     crash) and report the recovery cost; the ``chaos-sweep`` experiment
     is the simulator-side counterpart.
 ``repro-bitonic bench [--quick] [--out BENCH.json]``
-    Time the real SPMD sort end-to-end across runtime backends (threads
-    vs processes) and the kernel hot paths against their legacy
-    implementations, verify cross-backend byte-identity, and write the
-    machine-readable benchmark trajectory JSON (now with per-phase
-    breakdowns from a traced companion run per backend).
+    Time the real SPMD sorts end-to-end on the threads backend (fused,
+    unfused and sample-sort variants, each checked byte-identical to
+    ``np.sort``) and remap-plan construction, and write the
+    machine-readable benchmark trajectory JSON (with per-phase
+    breakdowns from a traced companion run per variant).
 ``repro-bitonic serve --requests 200 --worlds 2``
     Soak the persistent sort service: push a mixed-shape request stream
     through a warm world pool, verify every output, export sampled
     per-request Chrome traces, gate p50/p99 latency against a committed
     baseline (``--baseline SOAK_BASELINE.json``), and fail on any leaked
-    child process or shared-memory segment (the CI ``service-soak`` job).
+    child process or spill directory (the CI ``service-soak`` job).
 ``repro-bitonic serve --listen 127.0.0.1:7070``
     Run the networked sort service in the foreground: an asyncio frame
     server (``repro.service.net``) over a warm world pool, until ^C.
-``repro-bitonic submit --keys 65536 [--backend procs --procs 4]``
+``repro-bitonic submit --keys 65536 [--procs 4]``
     Run one request through the sort service and print the planner's
     decision table alongside the measured latency.  With
     ``--connect HOST:PORT`` the request travels the wire to a running
@@ -49,7 +49,7 @@ Python:
     correctly — possibly after failover — or failed with a typed
     error), zero silent losses, zero leaked processes or shm segments,
     and p50/p99 within the committed baseline.
-``repro-bitonic trace --keys 262144 --procs 4 --backend threads``
+``repro-bitonic trace --keys 262144 --procs 4``
     Run the real SPMD sort with the phase tracer armed, print the
     measured / simulated / predicted per-phase table
     (:class:`~repro.trace.report.PhaseReport`), and write a Chrome-trace
@@ -222,7 +222,6 @@ def _cmd_chaos(args) -> int:
         max_restarts=args.max_restarts,
         timeout=args.timeout,
         checkpoint=not args.no_checkpoint,
-        backend=args.backend,
     )
     print(report.describe())
     return 0
@@ -248,7 +247,7 @@ def _cmd_trace(args) -> int:
             keys,
             args.procs,
             algorithm=args.algorithm,
-            backend=args.backend,
+            backend="threads",
             trace=True,
             timeout=args.timeout,
             options=options,
@@ -267,7 +266,6 @@ def _cmd_bench(args) -> int:
     from repro.errors import ConfigurationError
     from repro.harness.bench import run_bench, write_bench
 
-    backends = [b.strip() for b in args.backends.split(",") if b.strip()]
     sizes = (
         [int(s) for s in args.sizes.split(",") if s.strip()]
         if args.sizes
@@ -278,7 +276,6 @@ def _cmd_bench(args) -> int:
             quick=args.quick,
             sizes=sizes,
             procs=args.procs,
-            backends=backends,
             reps=args.reps,
             timeout=args.timeout,
         )
@@ -388,21 +385,9 @@ def _service_planner(profile_path):
     return Planner(profile=profile, history=BenchHistory.load())
 
 
-def _shm_segments() -> set:
-    """Names of live SPMD shared-memory segments (procs arenas)."""
-    import glob as _glob
-    import os as _os
-
-    if not _os.path.isdir("/dev/shm"):  # pragma: no cover — non-Linux
-        return set()
-    return {
-        _os.path.basename(p) for p in _glob.glob("/dev/shm/rspmd*")
-    }
-
-
 def _spill_dirs() -> set:
-    """Names of live external-sort spill directories (the disk twin of
-    :func:`_shm_segments` for the soak leak gate)."""
+    """Names of live external-sort spill directories (the soak's leak
+    gate)."""
     import os as _os
 
     from repro.extsort import live_spill_dirs
@@ -484,7 +469,7 @@ def _cmd_serve(args) -> int:
     """The service soak driver (the CI ``service-soak`` job runs this):
     push a mixed-shape request stream through a small warm pool, verify
     every output, export sampled per-request traces, and fail loudly on
-    any leaked process or shared-memory segment."""
+    any leaked process or spill directory."""
     import multiprocessing
     import os
 
@@ -499,19 +484,12 @@ def _cmd_serve(args) -> int:
     except ReproError as exc:
         print(f"serve failed: {exc}", file=sys.stderr)
         return 1
-    shm_before = _shm_segments()
     spill_before = _spill_dirs()
-    # The mixed request shapes: every (size, backend, P) combination the
-    # soak cycles through.  P >= 2 shapes exercise real communication;
-    # the P chosen freely by the planner exercises the planner.
+    # The mixed request shapes: every (size, P) combination the soak
+    # cycles through.  P >= 2 shapes exercise real communication; the P
+    # chosen freely by the planner exercises the planner.
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    backends = [b.strip() for b in args.backends.split(",") if b.strip()]
-    shapes = []
-    for size in sizes:
-        for backend in backends:
-            shapes.append((size, backend, 2))
-            shapes.append((size, backend, 4))
-            shapes.append((size, backend, None))  # planner's choice of P
+    shapes = [(size, P) for size in sizes for P in (2, 4, None)]
     failures = 0
     traced = 0
     rng_seed = 0
@@ -530,7 +508,7 @@ def _cmd_serve(args) -> int:
     inflight = []  # sliding window of (ticket, keys, trace_path)
     try:
         for i in range(args.requests):
-            size, backend, P = shapes[i % len(shapes)]
+            size, P = shapes[i % len(shapes)]
             keys = make_keys(size, seed=rng_seed)
             rng_seed += 1
             trace_path = None
@@ -545,10 +523,7 @@ def _cmd_serve(args) -> int:
                 )
             while True:
                 try:
-                    t = svc.submit(
-                        keys, backend=backend, P=P,
-                        trace=trace_path is not None,
-                    )
+                    t = svc.submit(keys, P=P, trace=trace_path is not None)
                     break
                 except AdmissionError:
                     # Queue full: drain the oldest inflight request and
@@ -572,17 +547,13 @@ def _cmd_serve(args) -> int:
     print(report.describe())
     if traced:
         print(f"  {traced} per-request traces in {args.traces_dir}/")
-    # Leak gates: every world closed means every child reaped and every
-    # arena unlinked.
+    # Leak gates: no child process outlives the service, and every spill
+    # directory is cleaned.
     children = multiprocessing.active_children()
-    shm_leaked = _shm_segments() - shm_before
     spill_leaked = _spill_dirs() - spill_before
     if children:
         print(f"LEAK: {len(children)} child processes still alive: "
               f"{[p.name for p in children]}", file=sys.stderr)
-    if shm_leaked:
-        print(f"LEAK: {len(shm_leaked)} shared-memory segments left in "
-              f"/dev/shm: {sorted(shm_leaked)[:8]}", file=sys.stderr)
     if spill_leaked:
         print(f"LEAK: {len(spill_leaked)} spill directories left on "
               f"disk: {sorted(spill_leaked)[:8]}", file=sys.stderr)
@@ -592,13 +563,11 @@ def _cmd_serve(args) -> int:
     slow = _gate_percentiles(
         p50, p99, _load_baseline(args.baseline, "service_soak"), "soak"
     )
-    if (failures or children or shm_leaked or spill_leaked
-            or report.failed or slow):
+    if failures or children or spill_leaked or report.failed or slow:
         print(f"soak FAILED: {failures} bad outputs, {report.failed} "
               f"failed requests, {len(children)} leaked processes, "
-              f"{len(shm_leaked)} leaked segments, {len(spill_leaked)} "
-              f"leaked spill dirs, {slow} latency-gate breaches",
-              file=sys.stderr)
+              f"{len(spill_leaked)} leaked spill dirs, {slow} "
+              f"latency-gate breaches", file=sys.stderr)
         return 1
     print(f"soak ok: {report.served} requests served, zero leaks")
     return 0
@@ -649,7 +618,6 @@ def _cmd_submit(args) -> int:
                     None if args.algorithm in (None, "auto")
                     else args.algorithm
                 ),
-                backend=args.backend,
                 P=args.procs,
                 trace=args.trace is not None,
                 memory_budget=args.memory_budget,
@@ -688,7 +656,6 @@ def _submit_remote(args, keys) -> int:
                 deadline_s=args.deadline,
                 tenant=args.tenant,
                 algorithm=args.algorithm,
-                backend=args.backend,
                 P=args.procs,
                 trace=args.trace is not None,
             )
@@ -743,7 +710,7 @@ def _cmd_chaos_serve(args) -> int:
     except ReproError as exc:
         print(f"chaos-serve failed: {exc}", file=sys.stderr)
         return 1
-    shm_before = _shm_segments() | _net_shm()
+    shm_before = _net_shm()
     plan = FaultPlan(seed=args.seed, drop=args.drop, corrupt=args.corrupt,
                      delay=args.delay)
     injector = NetFaultInjector(plan)
@@ -862,7 +829,7 @@ def _cmd_chaos_serve(args) -> int:
     print(f"  fault verdicts: {injector.stats.as_dict()}")
     print(f"  latency p50 {p50 * 1e3:.1f} ms   p99 {p99 * 1e3:.1f} ms")
     children = multiprocessing.active_children()
-    shm_leaked = (_shm_segments() | _net_shm()) - shm_before
+    shm_leaked = _net_shm() - shm_before
     slow = _gate_percentiles(
         p50, p99, _load_baseline(args.baseline, "chaos_serve"),
         "chaos-serve",
@@ -954,13 +921,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="disable phase-level checkpoint/restart")
     p_chaos.add_argument("--distribution", default="uniform")
     p_chaos.add_argument("--seed", type=int, default=0)
-    p_chaos.add_argument("--backend", default="threads",
-                         help="SPMD runtime backend (fault injection needs "
-                              "'threads'; others require a null fault plan)")
     p_chaos.set_defaults(fn=_cmd_chaos)
 
     p_bench = sub.add_parser(
-        "bench", help="benchmark backends and kernels, write trajectory JSON"
+        "bench", help="benchmark the SPMD sorts, write trajectory JSON"
     )
     p_bench.add_argument("--quick", action="store_true",
                          help="CI-smoke sizes and repetitions")
@@ -969,8 +933,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--sizes", default=None,
                          help="comma-separated key counts (default by mode)")
     p_bench.add_argument("--procs", type=int, default=8)
-    p_bench.add_argument("--backends", default="threads,procs",
-                         help="comma-separated runtime backends to compare")
     p_bench.add_argument("--reps", type=int, default=None,
                          help="timed repetitions per measurement")
     p_bench.add_argument("--timeout", type=float, default=300.0,
@@ -1016,9 +978,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          choices=("smart", "sample"),
                          help="SPMD sort to trace (sample ignores the "
                               "fused/group flags)")
-    p_trace.add_argument("--backend", default="threads",
-                         choices=("threads", "procs"),
-                         help="SPMD runtime backend to trace")
     p_trace.add_argument("--out", default="trace.json",
                          help="Chrome-trace JSON output path")
     p_trace.add_argument("--distribution", default="uniform")
@@ -1043,8 +1002,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="idle worlds retained per (backend, P) shape")
     p_serve.add_argument("--sizes", default="4096,16384",
                          help="comma-separated request key counts")
-    p_serve.add_argument("--backends", default="threads,procs",
-                         help="comma-separated SPMD backends to cycle")
     p_serve.add_argument("--queue-depth", type=int, default=16)
     p_serve.add_argument("--batch-max", type=int, default=8)
     p_serve.add_argument("--timeout", type=float, default=120.0)
@@ -1130,9 +1087,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                "the out-of-core spill-to-disk path")
     p_submit.add_argument("--procs", type=int, default=None,
                           help="force the world size (default: planner)")
-    p_submit.add_argument("--backend", default=None,
-                          choices=("threads", "procs"),
-                          help="force the backend (default: planner)")
     p_submit.add_argument("--trace", default=None,
                           help="write the per-request Chrome trace here")
     p_submit.add_argument("--profile", default=None,

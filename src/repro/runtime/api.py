@@ -53,11 +53,6 @@ class Comm(ABC):
     rank: int
     #: Number of ranks.
     size: int
-    #: Whether every rank of this world shares the caller's address space.
-    #: Cross-process backends (:class:`~repro.runtime.procs.ProcComm`)
-    #: override this to ``False``; layers that rely on shared in-process
-    #: state (e.g. the fault-injection transport) must check it.
-    in_process: bool = True
     #: Optional per-rank :class:`~repro.trace.recorder.Tracer`.  When set,
     #: backends record ``wait`` spans at their barriers and message/byte
     #: counters per collective, and the SPMD algorithms record their phase
@@ -103,8 +98,8 @@ class Comm(ABC):
         return ``None``, matching the fallback's behaviour.
 
         This default implementation pays a full ``size``-wide
-        :meth:`alltoallv` for what is a 2-peer exchange; both bundled
-        backends override it with a genuinely pairwise path (the trace
+        :meth:`alltoallv` for what is a 2-peer exchange; the threads
+        backend overrides it with a genuinely pairwise path (the trace
         counters ``coll.slots`` / ``coll.alltoallv`` make the difference
         observable).
         """
@@ -169,7 +164,7 @@ class Comm(ABC):
         group at the same point of the program; distinct groups of the
         same partition proceed independently (no world-wide barrier).
         This default implementation validates the group but still pays a
-        world-wide :meth:`alltoallv`; the bundled backends override it
+        world-wide :meth:`alltoallv`; the threads backend overrides it
         with genuinely group-scoped synchronization and descriptor work
         (observable via the ``coll.group_size`` / ``coll.slots`` trace
         counters).
@@ -193,9 +188,10 @@ class Comm(ABC):
         (``out[plan.keep_dst] = data[plan.keep_src]``) itself — that is
         the fused surcharge that remains of the pack phase.
 
-        Backends override this with a zero-copy path (elements written
-        once, straight into send windows, and merged straight out of
-        receive windows); this default composes the same semantics from
+        The threads backend overrides this with a zero-copy path (the
+        sender deposits its array with the plan's index vector and the
+        receiver gathers and scatters in one indexed assignment); this
+        default composes the same semantics from
         :meth:`group_alltoallv` / :meth:`alltoallv`, so any communicator —
         including wrappers like the fault-injection transport — supports
         the fused call, just without the copy savings.

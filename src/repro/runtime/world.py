@@ -1,15 +1,15 @@
 """Persistent SPMD worlds: construction split from job execution.
 
 Historically each :func:`repro.runtime.run_spmd` call built a world (rank
-threads or processes, barriers, shared-memory arenas), ran exactly one
-``fn(comm)`` and tore everything down.  A serving workload pays that
+threads and barriers), ran exactly one ``fn(comm)`` and tore everything
+down.  A serving workload pays that
 construction cost per request, so the lifecycle is now split:
 
 * :func:`repro.runtime.driver.spawn_world` builds a world once;
 * :meth:`World.run` dispatches a job to the resident ranks and collects
-  the per-rank results — arenas, rank processes and barriers are reused
-  across jobs;
-* :meth:`World.close` releases the ranks and their segments.
+  the per-rank results — rank threads and barriers are reused across
+  jobs;
+* :meth:`World.close` releases the ranks.
 
 ``run_spmd`` is now a thin spawn/run/close composition, so the one-shot
 contract (first failure re-raised, one wall-clock deadline per job,
@@ -36,10 +36,8 @@ class World(ABC):
     Jobs are callables ``fn(comm, *args)`` executed SPMD-style on every
     rank.  ``rank_args`` (optional, one tuple per rank) carries per-rank
     arguments — the serving layer uses it to ship each rank only its own
-    shard instead of closing over the full input.  On the ``procs``
-    backend both ``fn`` and the arguments must be picklable (they travel
-    over a pipe to the resident rank processes); the ``threads`` backend
-    passes references.
+    shard instead of closing over the full input.  The ``threads``
+    backend passes references.
     """
 
     #: Backend name, matching :data:`repro.runtime.driver.BACKENDS`.
@@ -68,7 +66,7 @@ class World(ABC):
 
     @abstractmethod
     def close(self) -> None:
-        """Release ranks and any shared segments.  Idempotent."""
+        """Release the ranks.  Idempotent."""
 
     def __enter__(self) -> "World":
         return self

@@ -2,8 +2,8 @@
 
 Given a request's ``(N, dtype, faults)`` the planner chooses the cheapest
 execution: **algorithm** (smart bitonic vs sample sort — the Figure
-5.7/5.8 crossover, priced live), backend (threads vs procs), world size
-``P``, and the fused/grouped communication flags — using the paper's
+5.7/5.8 crossover, priced live), world size ``P``, and the
+fused/grouped communication flags — using the paper's
 closed forms priced with the host's calibrated
 :class:`~repro.service.profile.HostProfile`, optionally biased by
 measured bench history (``BENCH_pr*.json``).  This mirrors how
@@ -16,8 +16,7 @@ Every choice has a **forced-override escape hatch**: pass
 dimensions.
 
 One choice is a *safety clamp*, not an optimization: a request with an
-armed fault plan runs on the threads backend (the injector needs one
-address space) with ``fused=False`` / ``grouped=False`` — the
+armed fault plan runs with ``fused=False`` / ``grouped=False`` — the
 :class:`~repro.faults.transport.ReliableComm` wrapper cannot fuse, and
 while the :class:`~repro.runtime.api.Comm` ABC would fall back
 transparently, the planner must never *select* a configuration it knows
@@ -34,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.runtime.driver import BACKENDS
 from repro.service.adapt import RequestAdapter
 from repro.service.profile import HostProfile
 
@@ -192,11 +192,10 @@ class BenchHistory:
 
 
 class Planner:
-    """Choose (backend, P, flags) per request from the host profile.
+    """Choose (algorithm, P, flags) per request from the host profile.
 
-    ``backends`` restricts which SPMD backends may be chosen;
-    ``candidate_P`` the world sizes considered.  ``history`` supplies
-    measured latencies used to scale the model's per-backend estimates
+    ``candidate_P`` restricts the world sizes considered.  ``history``
+    supplies measured latencies used to scale the model's estimates
     (estimate × measured/modeled at the nearest benched size).
     ``adapter`` closes the online feedback loop: when a
     :class:`~repro.service.adapt.RequestAdapter` is attached, ``plan()``
@@ -208,21 +207,17 @@ class Planner:
     def __init__(
         self,
         profile: Optional[HostProfile] = None,
-        backends: Sequence[str] = ("threads", "procs"),
         candidate_P: Sequence[int] = _DEFAULT_CANDIDATE_P,
         history: Optional[BenchHistory] = None,
         adapter: Optional[RequestAdapter] = None,
     ):
         self.profile = profile or HostProfile.default()
-        unknown = [b for b in backends if b not in self.profile.backends]
-        if unknown:
+        missing = [b for b in BACKENDS if b not in self.profile.backends]
+        if missing:
             raise ConfigurationError(
-                f"planner backends {unknown} missing from the profile "
+                f"the host profile has no costs for backend(s) {missing} "
                 f"(knows {sorted(self.profile.backends)})"
             )
-        if not backends:
-            raise ConfigurationError("planner needs at least one backend")
-        self.backends = tuple(backends)
         self.candidate_P = tuple(sorted(set(candidate_P)))
         self.history = history if history is not None else BenchHistory()
         self.adapter = adapter
@@ -288,6 +283,10 @@ class Planner:
         """
         if N < 1:
             raise ConfigurationError(f"cannot plan a sort of {N} keys")
+        if backend not in (None, EXTERNAL_BACKEND) + BACKENDS:
+            raise ConfigurationError(
+                f"unknown backend {backend!r}; choose from {list(BACKENDS)}"
+            )
         if algorithm == "auto":
             algorithm = None
         if algorithm is not None and algorithm not in PLANNABLE_ALGORITHMS:
@@ -346,17 +345,16 @@ class Planner:
                 )
             backend = None
             P = None
+        if backend == EXTERNAL_BACKEND:
+            raise ConfigurationError(
+                f"the {EXTERNAL_BACKEND!r} pseudo-backend runs only "
+                f"algorithm='external'"
+            )
         if faults:
-            # Safety clamp: the fault transport needs one address space
-            # and cannot fuse or group (ReliableComm wraps every payload
-            # in checksummed frames; the transparent ABC fallback would
-            # engage on every remap).  Never *plan* into a fallback.
-            if backend is not None and backend != "threads":
-                raise ConfigurationError(
-                    f"fault injection needs the threads backend, "
-                    f"not {backend!r}"
-                )
-            backend = "threads"
+            # Safety clamp: the fault transport cannot fuse or group
+            # (ReliableComm wraps every payload in checksummed frames;
+            # the transparent ABC fallback would engage on every remap).
+            # Never *plan* into a fallback.
             if fused is not False or grouped is not False:
                 clamped = True
             fused = False
@@ -364,13 +362,6 @@ class Planner:
         use_fused = True if fused is None else fused
         use_grouped = True if grouped is None else grouped
 
-        backends = (backend,) if backend is not None else self.backends
-        for b in backends:
-            if b not in self.profile.backends:
-                raise ConfigurationError(
-                    f"unknown backend {b!r}; profile knows "
-                    f"{sorted(self.profile.backends)}"
-                )
         if P is not None:
             if P < 1 or N % P:
                 raise ConfigurationError(
@@ -433,7 +424,7 @@ class Planner:
                     best = (est, "external", EXTERNAL_BACKEND, 1)
                 continue
             prefix = "" if algo == "smart" else f"{algo}:"
-            for b in backends:
+            for b in BACKENDS:
                 scale = self._history_scale(b, N, dtype_size, algo)
                 for p in candidates_P:
                     model = self.profile.estimate(

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Deque, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.runtime.driver import BackendOptions, spawn_world
+from repro.runtime.driver import spawn_world
 from repro.runtime.world import World
 
 __all__ = ["WorldPool"]
@@ -62,8 +62,6 @@ class WorldPool:
     idle_ttl_s:
         Idle worlds older than this are reaped on the next acquire,
         release, or background tick.
-    options:
-        Launch tuning (``arena_bytes``) for spawned procs worlds.
     autoscale:
         Enable queue-driven scaling from the background tick.  Off by
         default — a pool used directly (no service feeding
@@ -85,7 +83,6 @@ class WorldPool:
         self,
         max_idle_per_key: int = 2,
         idle_ttl_s: float = 120.0,
-        options: Optional[BackendOptions] = None,
         autoscale: bool = False,
         tick_interval_s: float = 1.0,
         scale_up_after: int = 2,
@@ -107,7 +104,6 @@ class WorldPool:
             )
         self._max_idle = max_idle_per_key
         self._ttl = idle_ttl_s
-        self._options = options
         self._lock = threading.Lock()
         #: (backend, P) -> idle worlds with their release timestamps.
         self._idle: Dict[Tuple[str, int], Deque[Tuple[World, float]]] = {}
@@ -155,7 +151,7 @@ class WorldPool:
                     self.spawned += 1
                     self._live[key] = self._live.get(key, 0) + 1
                 try:
-                    return spawn_world(P, backend=backend, options=self._options)
+                    return spawn_world(P, backend=backend)
                 except BaseException:
                     with self._lock:
                         self._live[key] = max(0, self._live.get(key, 0) - 1)
@@ -197,7 +193,7 @@ class WorldPool:
     def prewarm(self, backend: str, P: int, count: int = 1) -> None:
         """Spawn ``count`` idle worlds of a shape ahead of traffic."""
         for _ in range(count):
-            world = spawn_world(P, backend=backend, options=self._options)
+            world = spawn_world(P, backend=backend)
             with self._lock:
                 self.spawned += 1
                 key = (backend, P)

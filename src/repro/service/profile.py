@@ -10,8 +10,7 @@ formulas need *host* numbers.  A :class:`HostProfile` carries them:
   addressing) measured on the host's NumPy kernels;
 * per-backend :class:`BackendCosts` — LogGP parameters fitted to the
   backend's collectives plus the serving-specific fixed costs the closed
-  forms do not cover: world spawn, warm job dispatch, and shipping a
-  request's shards through the job pipe;
+  forms do not cover: world spawn and warm job dispatch;
 * the usable core count, which turns per-processor busy time into wall
   time on an oversubscribed host.
 
@@ -33,6 +32,7 @@ from repro.errors import ConfigurationError
 from repro.model.cache import CacheModel
 from repro.model.logp import LogGPParams
 from repro.model.machines import KEY_BYTES, ComputeCosts, MachineSpec
+from repro.runtime.driver import BACKENDS
 
 __all__ = ["BackendCosts", "HostProfile", "PROFILE_SCHEMA"]
 
@@ -42,8 +42,16 @@ __all__ = ["BackendCosts", "HostProfile", "PROFILE_SCHEMA"]
 #: state snapshot) so a restarted service resumes its online corrections
 #: warm; /3 adds measured sequential disk read/write bandwidth and fsync
 #: latency, which price the out-of-core external-sort regime.  Older
-#: files are rejected: re-run the calibration.
+#: files are rejected: re-run the calibration.  A /3 file written before
+#: the procs backend's removal still loads: its ``procs`` lane and the
+#: fields only that backend used are ignored.
 PROFILE_SCHEMA = "repro-bitonic-profile/3"
+
+
+def _known_fields(cls: type, raw: Dict[str, Any]) -> Dict[str, Any]:
+    """The entries of ``raw`` that name a field of dataclass ``cls``."""
+    known = {f.name for f in fields(cls)}
+    return {k: v for k, v in raw.items() if k in known}
 
 
 def _usable_cpus() -> int:
@@ -59,21 +67,17 @@ class BackendCosts:
 
     ``L``/``o``/``g``/``G`` are LogGP parameters (µs, µs/byte) fitted to
     the backend's collectives; the remaining fields are the serving fixed
-    costs outside the closed forms' scope (all in seconds, except
-    ``ship_bytes_per_s``).
+    costs outside the closed forms' scope, in seconds.
     """
 
     L: float
     o: float
     g: float
     G: float
-    #: Seconds to spawn one rank of a fresh world (fork/thread + arenas).
+    #: Seconds to spawn one rank of a fresh world.
     spawn_per_rank_s: float
     #: Seconds of per-job dispatch/collect overhead on a warm world.
     job_overhead_s: float
-    #: Bytes/second through the job pipe (shard shipping on a warm procs
-    #: world); ``inf`` for the threads backend, which passes references.
-    ship_bytes_per_s: float
 
     def network(self, P: int) -> LogGPParams:
         return LogGPParams(L=self.L, o=self.o, g=self.g, G=self.G, P=max(P, 1))
@@ -92,10 +96,6 @@ class HostProfile:
     fused_pack_us: float
     address_us: float
     backends: Dict[str, BackendCosts] = field(default_factory=dict)
-    #: Calibrated busy-spin budget for the procs backend's counter
-    #: handshakes (``None`` = let the backend default from the core
-    #: count); plumbed into :class:`~repro.runtime.driver.BackendOptions`.
-    spin_budget: Optional[int] = None
     #: Measured sequential disk bandwidths (bytes/s) and fsync latency
     #: (s) from ``scripts/calibrate_loggp.py``; ``None`` = unmeasured —
     #: :meth:`estimate_external` then prices with conservative defaults
@@ -113,10 +113,9 @@ class HostProfile:
         """A conservative built-in profile (NumPy-on-one-core scale).
 
         The absolute numbers matter less than the *ordering* they induce
-        (compute dwarfs shared-memory communication per element; procs
-        worlds cost more to spawn and dispatch than threads worlds),
-        which is what the planner's decisions ride on.  Calibrate for
-        real estimates.
+        (compute dwarfs shared-memory communication per element), which
+        is what the planner's decisions ride on.  Calibrate for real
+        estimates.
         """
         return cls(
             cpus=_usable_cpus(),
@@ -131,13 +130,6 @@ class HostProfile:
                     L=10.0, o=30.0, g=30.0, G=0.0005,
                     spawn_per_rank_s=0.0015,
                     job_overhead_s=0.0010,
-                    ship_bytes_per_s=float("inf"),
-                ),
-                "procs": BackendCosts(
-                    L=20.0, o=60.0, g=60.0, G=0.0010,
-                    spawn_per_rank_s=0.0080,
-                    job_overhead_s=0.0020,
-                    ship_bytes_per_s=1.5e9,
                 ),
             },
         )
@@ -193,8 +185,8 @@ class HostProfile:
         oversubscription scales it by ``P / min(P, cpus)`` because ranks
         beyond the core count serialize.  Ungrouped runs pay the full
         world-barrier fan-in per remap instead of the Lemma-4 group
-        fan-in.  On top ride the serving fixed costs: spawn (cold only),
-        job dispatch, and shard shipping through the job pipe.
+        fan-in.  On top ride the serving fixed costs: spawn (cold only)
+        and job dispatch.
         """
         from repro.theory.counts import counts_for
         from repro.theory.predict import predict
@@ -238,8 +230,6 @@ class HostProfile:
         wall += costs.job_overhead_s
         if not warm:
             wall += costs.spawn_per_rank_s * P
-        elif backend == "procs":
-            wall += (N * dtype_size) / costs.ship_bytes_per_s
         return wall
 
     @property
@@ -316,12 +306,13 @@ class HostProfile:
                 f"{path}: profile schema {schema!r} != "
                 f"{PROFILE_SCHEMA!r} — re-run scripts/calibrate_loggp.py"
             )
-        raw = dict(doc["profile"])
-        known = {f.name for f in fields(cls)}
-        raw = {k: v for k, v in raw.items() if k in known}
+        # Fields and backend lanes this code no longer has (an older /3
+        # file's procs lane, for one) are skipped, not rejected.
+        raw = _known_fields(cls, doc["profile"])
         raw["backends"] = {
-            name: BackendCosts(**costs)
+            name: BackendCosts(**_known_fields(BackendCosts, costs))
             for name, costs in raw.get("backends", {}).items()
+            if name in BACKENDS
         }
         return cls(**raw)
 

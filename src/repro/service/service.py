@@ -56,7 +56,6 @@ from repro.extsort import (
     inmem_working_set_bytes,
     sweep_orphaned_spill_dirs,
 )
-from repro.runtime.driver import BackendOptions
 from repro.service.admission import DEFAULT_TENANT, TenantAdmission
 from repro.service.jobs import sort_shards_job
 from repro.service.planner import EXTERNAL_BACKEND, PlanDecision, Planner
@@ -288,18 +287,7 @@ class SortService:
         if batch_max < 1:
             raise ConfigurationError(f"batch_max must be >= 1, got {batch_max}")
         self.planner = planner or Planner()
-        if pool is None:
-            # A calibrated spin budget in the planner's host profile
-            # reaches the worlds this service spawns (procs ranks
-            # spin-then-yield on that budget; irrelevant knobs are
-            # ignored by the threads backend).
-            budget = self.planner.profile.spin_budget
-            pool = WorldPool(
-                options=BackendOptions(spin_budget=budget)
-                if budget is not None else None,
-                autoscale=autoscale,
-            )
-        self.pool = pool
+        self.pool = pool or WorldPool(autoscale=autoscale)
         self._queue_depth = queue_depth
         self._deadline_s = deadline_s
         self._batch_max = batch_max
@@ -310,8 +298,8 @@ class SortService:
         self._memory_budget = memory_budget
         self._disk_budget = disk_budget
         self._spill_root = spill_root
-        # Crash hygiene mirrors the pool's shm sweep: spill dirs leaked
-        # by dead processes are reclaimed before this service spills.
+        # Crash hygiene: spill dirs leaked by dead processes are
+        # reclaimed before this service spills.
         sweep_orphaned_spill_dirs(spill_root)
         self._queue: deque = deque()
         self._cond = threading.Condition()

@@ -1,15 +1,15 @@
 """Unified tracing/metrics for the SPMD runtimes.
 
 The simulated machine always accounted for where time goes
-(:mod:`repro.machine.metrics`); the real ``threads`` and ``procs``
-backends ran blind.  This package closes that gap:
+(:mod:`repro.machine.metrics`); the real ``threads`` backend ran
+blind.  This package closes that gap:
 
 * :mod:`repro.trace.recorder` — :class:`Tracer`: a low-overhead per-rank
   span/counter recorder using the *same category map* as the simulator
   (``local_sort``, ``merge``, ``pack``, ``transfer``, ``unpack``,
   ``wait``, ``retransmit``, …), threaded through the
   :class:`~repro.runtime.api.Comm` protocol as an optional ``tracer`` so
-  both backends record collectives, the SPMD sort records phases, and
+  the backend records collectives, the SPMD sort records phases, and
   the reliable transport records retransmissions;
 * :mod:`repro.trace.report` — :class:`PhaseReport`: measured SPMD spans,
   simulated :class:`~repro.machine.metrics.RunStats`, and the LogGP

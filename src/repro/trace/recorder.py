@@ -21,10 +21,9 @@ go through :func:`trace_span` with ``tracer=None``, which returns one
 shared no-op context manager — **zero objects allocated** on the untraced
 hot path (``tests/test_trace.py`` pins this).
 
-Tracers are plain data (lists, dicts, ints): the procs backend's ranks
-pickle them through the existing result channel, and on Linux
-``perf_counter`` is ``CLOCK_MONOTONIC``, so cross-process timestamps share
-one timebase.
+Tracers are plain data (lists, dicts, ints), so they serialize cheaply,
+and on Linux ``perf_counter`` is ``CLOCK_MONOTONIC``, so timestamps taken
+in different processes on one host share one timebase.
 """
 
 from __future__ import annotations

@@ -171,7 +171,7 @@ class TestByteIdentity:
 class TestAdaptedPlanning:
     def test_slow_observations_flip_the_decision(self):
         adapter = make_adapter()
-        planner = Planner(backends=("threads",), adapter=adapter)
+        planner = Planner(adapter=adapter)
         before = planner.plan(1 << 14)
         key = (before.backend, before.P, before.algorithm)
         prefix = "" if before.algorithm == "smart" else f"{before.algorithm}:"
@@ -273,14 +273,19 @@ class TestPersistence:
             HostProfile.load_with_state(path)
 
     def test_parent_schema_3_file_still_loads(self):
-        """A /3 file carrying the removed ``overlap_efficiency`` field
-        and adapt ``waits`` entries loads: unknown keys are skipped."""
+        """A /3 file carrying the removed ``overlap_efficiency`` field,
+        adapt ``waits`` entries, and the removed procs backend's lane,
+        ``spin_budget`` and ``ship_bytes_per_s`` loads: unknown keys and
+        backends are skipped."""
         path = str(Path(__file__).parent / "data" / "profile_v3_parent.json")
         profile, blob = HostProfile.load_with_state(path)
         assert profile.source == "calibrated"
-        assert profile.spin_budget == 64
         assert profile.has_disk_evidence
         assert not hasattr(profile, "overlap_efficiency")
+        assert not hasattr(profile, "spin_budget")
+        assert set(profile.backends) == {"threads"}
+        assert not hasattr(profile.backends["threads"], "ship_bytes_per_s")
+        assert profile.backends["threads"].job_overhead_s == 0.001
         assert blob["waits"]
         adapter = RequestAdapter.restore(blob, profile, clock=FakeClock())
         assert adapter.updates == 3
@@ -464,7 +469,7 @@ class TestServiceIntegration:
     def test_served_requests_feed_the_adapter(self):
         adapter = RequestAdapter(HostProfile.default())
         planner = Planner(
-            backends=("threads",), candidate_P=(1, 2),
+            candidate_P=(1, 2),
             history=BenchHistory(()), adapter=adapter,
         )
         service = SortService(
@@ -488,7 +493,7 @@ class TestServiceIntegration:
     def test_fault_requests_do_not_train_the_adapter(self):
         adapter = RequestAdapter(HostProfile.default())
         planner = Planner(
-            backends=("threads",), candidate_P=(1, 2),
+            candidate_P=(1, 2),
             history=BenchHistory(()), adapter=adapter,
         )
         service = SortService(
@@ -509,7 +514,7 @@ class TestServiceIntegration:
     def test_adapt_counter_reaches_trace(self):
         adapter = RequestAdapter(HostProfile.default())
         planner = Planner(
-            backends=("threads",), candidate_P=(1,),
+            candidate_P=(1,),
             history=BenchHistory(()), adapter=adapter,
         )
         service = SortService(

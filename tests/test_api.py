@@ -1,5 +1,5 @@
-"""The unified front door (`repro.api.sort`) and the typed backend
-options of `run_spmd`."""
+"""The unified front door (`repro.api.sort`) and its typed backend
+options."""
 
 import warnings
 
@@ -56,7 +56,7 @@ class TestSortSimulated:
 
 
 class TestSortSpmd:
-    @pytest.mark.parametrize("backend", ["threads", "procs"])
+    @pytest.mark.parametrize("backend", ["threads"])
     def test_sorts_and_verifies(self, backend):
         keys = make_keys(1 << 10, seed=7)
         report = sort(keys, 4, backend=backend)
@@ -65,7 +65,7 @@ class TestSortSpmd:
         assert report.wall_seconds > 0
         assert report.stats is None  # nothing simulated on a real run
 
-    @pytest.mark.parametrize("backend", ["threads", "procs"])
+    @pytest.mark.parametrize("backend", ["threads"])
     def test_trace_aligns_three_sources(self, backend):
         keys = make_keys(1 << 10, seed=8)
         report = sort(keys, 4, backend=backend, trace=True)
@@ -85,14 +85,6 @@ class TestSortSpmd:
         np.testing.assert_array_equal(report.sorted_keys, np.sort(keys))
         assert report.fault_stats["decisions"] > 0
 
-    def test_procs_accepts_backend_options(self):
-        keys = make_keys(1 << 9, seed=10)
-        report = sort(
-            keys, 2, backend="procs",
-            options=BackendOptions(arena_bytes=1 << 16),
-        )
-        np.testing.assert_array_equal(report.sorted_keys, np.sort(keys))
-
 
 class TestSortRejections:
     def test_unknown_backend(self):
@@ -111,11 +103,6 @@ class TestSortRejections:
     def test_auto_needs_a_service(self):
         with pytest.raises(ConfigurationError, match="planner routing"):
             sort(make_keys(64), 2, algorithm="auto", backend="threads")
-
-    def test_procs_rejects_faults(self):
-        with pytest.raises(ConfigurationError, match="threads backend"):
-            sort(make_keys(64), 2, backend="procs",
-                 faults=FaultPlan(seed=1, drop=0.5))
 
     def test_simulated_rejects_backend_options(self):
         with pytest.raises(ConfigurationError, match="backend options"):
@@ -139,39 +126,16 @@ class TestOptionsShim:
 
 
 class TestBackendOptions:
-    def test_typed_options_drive_procs(self):
-        out = run_spmd(
-            2, lambda c: c.rank, backend="procs",
-            options=BackendOptions(arena_bytes=1 << 16),
-        )
-        assert out == [0, 1]
-
-    def test_threads_rejects_any_set_field(self):
-        with pytest.raises(ConfigurationError, match="no extra options"):
-            run_spmd(2, lambda c: c.rank, backend="threads",
-                     options=BackendOptions(arena_bytes=1 << 16))
-
     def test_legacy_kwargs_keep_threads_rejection(self):
-        """Loose keyword options are no longer folded into
-        BackendOptions: they fail at the call, before any world starts."""
+        """Loose keyword options are not accepted: they fail at the
+        call, before any world starts."""
         with pytest.raises(TypeError, match="arena_bytes"):
             run_spmd(2, lambda c: c.rank, backend="threads",
                      arena_bytes=1 << 16)
 
     def test_unknown_legacy_kwarg_rejected(self):
         with pytest.raises(TypeError, match="bogus"):
-            run_spmd(2, lambda c: c.rank, backend="procs", bogus=1)
-
-    def test_both_spellings_rejected(self):
-        with pytest.raises(TypeError, match="arena_bytes"):
-            run_spmd(
-                2, lambda c: c.rank, backend="procs",
-                options=BackendOptions(), arena_bytes=1 << 16,
-            )
-
-    def test_set_fields(self):
-        assert BackendOptions().set_fields() == []
-        assert BackendOptions(arena_bytes=4096).set_fields() == ["arena_bytes"]
+            run_spmd(2, lambda c: c.rank, backend="threads", bogus=1)
 
 
 class TestTopLevelExports:

@@ -26,13 +26,13 @@ class TestRunBench:
 
     def test_end_to_end_covers_backends_and_sizes(self, payload):
         seen = {(r["backend"], r["keys"]) for r in payload["end_to_end"]}
-        assert seen == {("threads", 1 << 10), ("procs", 1 << 10)}
+        assert seen == {("threads", 1 << 10)}
         for rec in payload["end_to_end"]:
             assert rec["best_s"] > 0
             assert rec["mean_s"] >= rec["best_s"]
 
     def test_speedup_recorded(self, payload):
-        by_size = payload["end_to_end_speedup"]["procs_over_threads"]
+        by_size = payload["end_to_end_speedup"]["threads_fused_over_unfused"]
         assert set(by_size) == {str(1 << 10)}
         assert by_size[str(1 << 10)] > 0
 
@@ -64,13 +64,13 @@ class TestBenchCli:
         out = tmp_path / "b.json"
         rc = main([
             "bench", "--quick", "--sizes", "1024", "--procs", "2",
-            "--reps", "1", "--backends", "threads", "--out", str(out),
+            "--reps", "1", "--out", str(out),
         ])
         assert rc == 0
         data = json.loads(out.read_text())
         assert {r["backend"] for r in data["end_to_end"]} == {"threads"}
-        # No cross-backend ratio without procs; the fused-vs-unfused A/B
-        # is still measured on the one backend that ran.
+        # No cross-backend ratio with one backend; the fused-vs-unfused
+        # A/B and the algorithm crossover are still measured.
         speedups = data["end_to_end_speedup"]
         assert "procs_over_threads" not in speedups
         assert set(speedups) == {

@@ -92,11 +92,10 @@ class TestServiceCommands:
         out = capsys.readouterr().out
         assert "plan:" in out and "verified" in out
 
-    def test_submit_forced_backend_and_trace(self, tmp_path, capsys):
+    def test_submit_forced_P_and_trace(self, tmp_path, capsys):
         trace = tmp_path / "req.json"
         assert main([
-            "submit", "--keys", "2048", "--backend", "threads",
-            "--procs", "2", "--trace", str(trace),
+            "submit", "--keys", "2048", "--procs", "2", "--trace", str(trace),
         ]) == 0
         assert trace.exists()
         assert "threads x 2" in capsys.readouterr().out
@@ -105,7 +104,7 @@ class TestServiceCommands:
         monkeypatch.chdir(tmp_path)
         assert main([
             "serve", "--requests", "8", "--sizes", "1024",
-            "--backends", "threads", "--trace-every", "4",
+            "--trace-every", "4",
             "--traces-dir", str(tmp_path / "traces"),
         ]) == 0
         out = capsys.readouterr().out

@@ -218,6 +218,26 @@ class TestCrashSafety:
             assert os.path.isdir(spill.path)
         assert live_spill_dirs(str(tmp_path)) == []
 
+    def test_exit_sweep_reclaims_orphans(self, tmp_path):
+        """A process that imports ``repro`` reclaims the spill
+        directories of dead processes when it exits, without spilling
+        anything itself."""
+        dead = subprocess.run(
+            [sys.executable, "-c", "import os; print(os.getpid())"],
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        orphan = tmp_path / f"rxspill_{int(dead.stdout)}_deadbeef"
+        orphan.mkdir()
+        (orphan / "run_00000.bin").write_bytes(bytes(16))
+        subprocess.run(
+            [sys.executable, "-c", "import repro"],
+            env={**os.environ,
+                 "PYTHONPATH": os.pathsep.join(sys.path),
+                 "REPRO_SPILL_ROOT": str(tmp_path)},
+            check=True, timeout=60,
+        )
+        assert not orphan.exists()
+
 
 class TestServiceAdmission:
     def test_over_budget_degrades_to_external(self, tmp_path):

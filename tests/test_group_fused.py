@@ -1,11 +1,10 @@
 """Group-scoped collectives (Lemma 4) and the fused zero-copy remap path.
 
 Covers the Lemma-4 group derivation (pure bit algebra), the
-``group_alltoallv`` / ``alltoallv_fused`` collectives on both SPMD
-backends, byte-equality of every fused × grouped combination against the
-plain world-wide path, the trace-counter contracts, the
-procs-backend copy-out requirement, and the compatibility fallback under
-the fault-injection transport.
+``group_alltoallv`` / ``alltoallv_fused`` collectives on the threads
+backend, byte-equality of every fused × grouped combination against the
+plain world-wide path, the trace-counter contracts, and the
+compatibility fallback under the fault-injection transport.
 """
 
 import numpy as np
@@ -77,10 +76,10 @@ class TestGroupDerivation:
 
 
 class TestByteEquality:
-    """Every fused × grouped combination, on both backends, produces the
-    byte-identical globally sorted output."""
+    """Every fused × grouped combination produces the byte-identical
+    globally sorted output."""
 
-    @pytest.mark.parametrize("backend", ["threads", "procs"])
+    @pytest.mark.parametrize("backend", ["threads"])
     @pytest.mark.parametrize("fused", [True, False])
     @pytest.mark.parametrize("grouped", [True, False])
     def test_spmd_sort_all_modes(self, backend, fused, grouped):
@@ -107,7 +106,7 @@ class TestByteEquality:
         rep = sort(keys, P=4, algorithm=algorithm, backend="simulated")
         assert rep.sorted_keys.tobytes() == np.sort(keys).tobytes()
 
-    @pytest.mark.parametrize("backend", ["threads", "procs"])
+    @pytest.mark.parametrize("backend", ["threads"])
     def test_front_door_flags(self, backend):
         keys = make_keys(2048, seed=17)
         expect = np.sort(keys).tobytes()
@@ -135,7 +134,7 @@ class TestTraceContracts:
 
         return run_spmd(P, prog, backend=backend)
 
-    @pytest.mark.parametrize("backend", ["threads", "procs"])
+    @pytest.mark.parametrize("backend", ["threads"])
     def test_group_size_bounded_by_lemma4(self, backend):
         """Summed group membership never exceeds the Lemma-4 bound
         ``2**max(N_BitsChanged)`` per group collective, and grouping
@@ -156,9 +155,9 @@ class TestTraceContracts:
         world_slots = sum(t.counters["coll.slots"] for t in world_trs)
         assert grouped_slots < world_slots
 
-    @pytest.mark.parametrize("backend", ["threads", "procs"])
+    @pytest.mark.parametrize("backend", ["threads"])
     def test_fused_takes_the_direct_path_every_remap(self, backend):
-        """On the bundled backends the fused collective must never fall
+        """On the threads backend the fused collective must never fall
         back to the composed bucket path for plain integer keys — and the
         per-remap unpack copy pass disappears outright."""
         for tr in self._tracers(backend, fused=True, grouped=True):
@@ -168,7 +167,7 @@ class TestTraceContracts:
             assert tr.counters.get("coll.alltoallv", 0) == 0
             assert "unpack" not in tr.totals()
 
-    @pytest.mark.parametrize("backend", ["threads", "procs"])
+    @pytest.mark.parametrize("backend", ["threads"])
     def test_fused_moves_fewer_bytes_of_copies(self, backend):
         """Fused and unfused runs transfer identical payload bytes — the
         saving is the vanished unpack pass, not smaller messages."""
@@ -180,11 +179,10 @@ class TestTraceContracts:
 
 
 class TestGroupCollectiveProtocol:
-    @pytest.mark.parametrize("backend", ["threads", "procs"])
+    @pytest.mark.parametrize("backend", ["threads"])
     def test_group_and_world_collectives_interleave(self, backend):
         """Disjoint group exchanges, then a world collective, repeated —
-        exercises the procs arena-reuse guard (readers outside the group
-        must not be overtaken) and the threads per-group barriers."""
+        exercises the per-group barriers."""
         P = 4
 
         def prog(c):
@@ -201,7 +199,7 @@ class TestGroupCollectiveProtocol:
 
         assert run_spmd(P, prog, backend=backend) == [True] * P
 
-    @pytest.mark.parametrize("backend", ["threads", "procs"])
+    @pytest.mark.parametrize("backend", ["threads"])
     def test_group_rejects_outside_bucket(self, backend):
         P = 4
 
@@ -219,65 +217,6 @@ class TestGroupCollectiveProtocol:
         # Rank 0 must reject before communicating, so no peer ever blocks.
         out = run_spmd(P, prog, backend=backend)
         assert out[0] == "raised"
-
-
-class TestProcsCopyRequired:
-    """Satellite: the ``.copy()`` in the procs raw-ndarray receive path is
-    load-bearing.  ``alltoallv`` hands the caller an array it may hold
-    forever, while the sender recycles the backing arena two collectives
-    later — so the returned array must own its memory, and it must stay
-    intact after later collectives rewrite every arena."""
-
-    def test_received_arrays_own_their_memory_and_survive_reuse(self):
-        P = 2
-
-        def prog(c):
-            me = c.rank
-            peer = 1 - me
-            buckets = [None] * P
-            buckets[peer] = np.full(64, 7000 + me, dtype=np.int64)
-            held = c.alltoallv(buckets)[peer]
-            # Owns its memory: not a view into the shared arena.
-            assert held.base is None and held.flags.owndata
-            snapshot = held.copy()
-            # Four more collectives rewrite both parities of every arena
-            # with different payloads.
-            for round_ in range(4):
-                buckets = [None] * P
-                buckets[peer] = np.full(64, round_, dtype=np.int64)
-                c.alltoallv(buckets)
-            assert (held == snapshot).all()
-            return True
-
-        assert run_spmd(P, prog, backend="procs") == [True] * P
-
-    def test_fused_path_avoids_the_copy_without_the_hazard(self):
-        """The fused collective's receive windows never escape the
-        collective: the caller's ``out`` buffer is a plain owned array
-        filled in-place, so later collectives cannot disturb it."""
-        P, n = 2, 512
-        keys = make_keys(P * n, seed=29)
-
-        def prog(c):
-            out = spmd_bitonic_sort(
-                c, keys[c.rank * n : (c.rank + 1) * n], fused=True
-            )
-            # May be a view from the merge kernel's reshape, but the root
-            # of the base chain must be an owned ndarray — never a window
-            # into a shared-memory arena.
-            root = out
-            while isinstance(root, np.ndarray) and root.base is not None:
-                root = root.base
-            assert isinstance(root, np.ndarray) and root.flags.owndata
-            snapshot = out.copy()
-            # More traffic through the same arenas.
-            for _ in range(3):
-                c.allgather(int(out[0]))
-            assert (out == snapshot).all()
-            return out
-
-        got = np.concatenate(run_spmd(P, prog, backend="procs"))
-        assert got.tobytes() == np.sort(keys).tobytes()
 
 
 class TestFaultTransportFallback:

@@ -1,7 +1,7 @@
 """Key dtypes at every front door of the SPMD sorts.
 
 Signed integer keys (negatives included) come back byte-identical to
-``np.sort`` from ``sort()`` on both SPMD backends and both algorithms,
+``np.sort`` from ``sort()`` on the threads backend for both algorithms,
 from ``SortService`` and from ``SortClient``.  Non-integer keys get a
 typed :class:`ConfigurationError` before any world runs them; the
 out-of-core path still sorts them.
@@ -66,7 +66,7 @@ ALGORITHMS = ["smart", "sample"]
 class TestSignedKeys:
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    @pytest.mark.parametrize("backend", ["threads", "procs"])
+    @pytest.mark.parametrize("backend", ["threads"])
     def test_front_door(self, backend, algorithm, dtype):
         keys = signed_keys(dtype, seed=1)
         report = sort(keys, 4, backend=backend, algorithm=algorithm)

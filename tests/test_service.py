@@ -9,6 +9,7 @@ door bridge.
 
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from repro.errors import (
     ServiceError,
 )
 from repro.faults import FaultPlan
-from repro.runtime.driver import spawn_world
+from repro.runtime.driver import BACKENDS, spawn_world
 from repro.service import (
     BenchHistory,
     HostProfile,
@@ -72,11 +73,14 @@ class TestWorldPool:
         """Satellite (c): a dead pooled world is closed and replaced
         without the caller ever seeing it."""
         with WorldPool() as pool:
-            w = pool.acquire("procs", 2)
+            w = pool.acquire("threads", 2)
             pool.release(w)
-            w._procs[1].terminate()  # a rank dies while the world idles
-            w._procs[1].join(5.0)
-            fresh = pool.acquire("procs", 2)
+            # The world dies while it idles: a job run on it behind the
+            # pool's back fails.
+            with pytest.raises(ZeroDivisionError):
+                w.run(lambda c: 1 // 0)
+            assert not w.healthy()
+            fresh = pool.acquire("threads", 2)
             try:
                 assert fresh is not w
                 assert fresh.healthy()
@@ -105,29 +109,18 @@ class TestWorldPool:
         with pytest.raises(ConfigurationError, match="closed"):
             pool.acquire("threads", 2)
 
-    def test_profile_spin_budget_reaches_the_pool(self):
-        """A calibrated spin budget in the planner's host profile is
-        passed to the worlds the service spawns."""
-        from dataclasses import replace
-
-        profile = replace(HostProfile.default(), spin_budget=123)
-        with SortService(planner=Planner(profile=profile)) as svc:
-            assert svc.pool._options.spin_budget == 123
-        with SortService() as svc:  # default profile: no override
-            assert svc.pool._options is None
-
 
 class TestPlanner:
     def test_plans_are_runnable(self):
         d = Planner().plan(1 << 12)
-        assert d.backend in ("threads", "procs")
+        assert d.backend == "threads"
         assert d.P >= 1 and (1 << 12) % d.P == 0
         assert d.est_seconds > 0
         assert d.candidates  # the margins are visible
 
     def test_forced_overrides_respected(self):
-        d = Planner().plan(1 << 12, backend="procs", P=4)
-        assert (d.backend, d.P, d.source) == ("procs", 4, "forced")
+        d = Planner().plan(1 << 12, backend="threads", P=4)
+        assert (d.backend, d.P, d.source) == ("threads", 4, "forced")
 
     def test_indivisible_P_rejected(self):
         with pytest.raises(ConfigurationError, match="do not divide"):
@@ -138,10 +131,6 @@ class TestPlanner:
         assert d.backend == "threads"
         assert d.fused is False and d.grouped is False
         assert d.clamped is True
-
-    def test_fault_clamp_rejects_forced_procs(self):
-        with pytest.raises(ConfigurationError, match="threads backend"):
-            Planner().plan(1 << 12, faults=True, backend="procs")
 
     # Satellite (b): the safety property, pinned by hypothesis — over
     # any size and any attempted override, an armed fault plan never
@@ -210,21 +199,23 @@ class TestPlanner:
         assert keys == {
             (algo, backend, P)
             for algo in ("smart", "sample")
-            for backend in planner.backends
+            for backend in BACKENDS
             for P in planner.candidate_P
         }
 
 
 class TestBenchHistory:
-    def test_biases_toward_measured_backend(self):
-        # History saying procs is 100x the model's estimate must push the
-        # planner toward threads at the benched size.
-        history = BenchHistory(
-            [{"backend": "procs", "keys": 1 << 14, "best_s": 50.0}]
-        )
-        planner = Planner(history=history)
-        d = planner.plan(1 << 14)
-        assert d.backend == "threads"
+    def test_biases_toward_measured_algorithm(self):
+        # The model alone routes 16 Ki keys to the sample sort; history
+        # saying sample is far slower than modeled there must push the
+        # planner to the smart bitonic sort.
+        assert Planner().plan(1 << 14).algorithm == "sample"
+        history = BenchHistory([{
+            "backend": "threads", "algorithm": "sample",
+            "keys": 1 << 14, "best_s": 50.0,
+        }])
+        d = Planner(history=history).plan(1 << 14)
+        assert d.algorithm == "smart"
         assert d.source == "history"
 
     def test_missing_files_are_not_errors(self):
@@ -261,8 +252,8 @@ class TestHostProfile:
 
     def test_cold_costs_more_than_warm(self):
         p = HostProfile.default()
-        assert p.estimate(1 << 14, 4, "procs", warm=False) > p.estimate(
-            1 << 14, 4, "procs", warm=True
+        assert p.estimate(1 << 14, 4, "threads", warm=False) > p.estimate(
+            1 << 14, 4, "threads", warm=True
         )
 
     def test_unknown_backend_rejected(self):
@@ -271,13 +262,25 @@ class TestHostProfile:
 
 
 class TestSortServiceRequests:
-    @pytest.mark.parametrize("backend", ("threads", "procs"))
+    @pytest.mark.parametrize("backend", ("threads",))
     def test_submit_sorts_correctly(self, service, backend):
         keys = make_keys(1 << 11, seed=31)
         out = service.sort(keys, backend=backend, P=2)
         assert out.sorted_keys.tobytes() == np.sort(keys).tobytes()
         assert out.decision.backend == backend
         assert out.wall_s >= out.run_s > 0
+
+    def test_parent_profile_serves_threads_requests(self):
+        """A /3 profile written before the procs backend's removal (its
+        procs lane and procs-only fields included) plans and serves
+        threads requests."""
+        path = Path(__file__).parent / "data" / "profile_v3_parent.json"
+        planner = Planner(profile=HostProfile.load(str(path)))
+        keys = make_keys(1 << 12, seed=33)
+        with SortService(planner) as svc:
+            out = svc.sort(keys)
+        assert out.decision.backend == "threads"
+        assert out.sorted_keys.tobytes() == np.sort(keys).tobytes()
 
     def test_map_batches_same_shapes(self, service):
         arrays = [make_keys(1 << 10, seed=40 + i) for i in range(5)]
@@ -592,15 +595,15 @@ class TestSortFrontDoorBridge:
 
     def test_explicit_args_are_forced_overrides(self, service):
         keys = make_keys(1 << 11, seed=90)
-        report = sort(keys, 2, backend="procs", service=service)
-        assert (report.backend, report.P) == ("procs", 2)
+        report = sort(keys, 2, backend="threads", service=service)
+        assert (report.backend, report.P) == ("threads", 2)
         assert report.sorted_keys.tobytes() == np.sort(keys).tobytes()
         assert report.verified
 
     def test_defaults_mean_planner_chooses(self, service):
         keys = make_keys(1 << 11, seed=91)
         report = sort(keys, service=service)
-        assert report.backend in ("threads", "procs")
+        assert report.backend == "threads"
         assert keys.size % report.P == 0
 
     def test_traced_bridge_builds_phase_report(self, service):

@@ -173,7 +173,7 @@ class TestPhaseReport:
 
 
 class TestRuntimeInstrumentation:
-    @pytest.mark.parametrize("backend", ["threads", "procs"])
+    @pytest.mark.parametrize("backend", ["threads"])
     def test_spmd_sort_records_phases_and_counters(self, backend):
         """Unfused/world mode records the classic five-phase breakdown."""
         P, n = 4, 256
@@ -202,11 +202,11 @@ class TestRuntimeInstrumentation:
             assert tr.counters["coll.slots"] == P * tr.counters["coll.alltoallv"]
             assert tr.counters["bytes_sent"] > 0
 
-    @pytest.mark.parametrize("backend", ["threads", "procs"])
+    @pytest.mark.parametrize("backend", ["threads"])
     def test_fused_sort_has_no_unpack_spans(self, backend):
         """The fused default collapses pack/transfer/unpack into one
         collective: the unpack span disappears and every remap records a
-        fused collective (zero-copy on both bundled backends)."""
+        fused collective (zero-copy on the threads backend)."""
         P, n = 4, 256
         keys = make_keys(P * n, seed=5)
 
@@ -243,16 +243,6 @@ class TestRuntimeInstrumentation:
             # end-to-end window (plus scheduler noise headroom).
             assert tr.wall() <= report.wall_seconds + 0.05
 
-    def test_span_totals_bounded_by_wall_procs(self):
-        P = 2
-        keys = make_keys(P * 128, seed=9)
-        report = sort(keys, P, backend="procs", trace=True)
-        for tr in report.tracers:
-            assert sum(tr.totals().values()) == pytest.approx(
-                tr.wall(), rel=1e-6
-            )
-            assert tr.wall() <= report.wall_seconds + 0.1
-
 
 class TestZeroOverhead:
     def test_noop_span_is_shared_singleton(self):
@@ -281,7 +271,7 @@ class TestZeroOverhead:
 
 
 class TestSendrecvSpecialization:
-    @pytest.mark.parametrize("backend", ["threads", "procs"])
+    @pytest.mark.parametrize("backend", ["threads"])
     def test_pairwise_exchange_correct(self, backend):
         P = 4
 
@@ -297,7 +287,7 @@ class TestSendrecvSpecialization:
                 got, np.full(4, rank ^ 1, dtype=np.int64)
             )
 
-    @pytest.mark.parametrize("backend", ["threads", "procs"])
+    @pytest.mark.parametrize("backend", ["threads"])
     def test_none_send_matched_pattern(self, backend):
         """One side of a matched pair may have nothing to send."""
         P = 2
@@ -340,23 +330,9 @@ class TestSendrecvSpecialization:
             assert fc["coll.slots"] < sc["coll.slots"]
             assert fc["messages"] == sc["messages"] == 1
 
-    def test_procs_sendrecv_counters(self):
-        P = 2
-
-        def prog(c):
-            c.tracer = Tracer(c.rank)
-            c.sendrecv(np.arange(4), c.rank ^ 1, c.rank ^ 1)
-            return dict(c.tracer.counters)
-
-        for counters in run_spmd(P, prog, backend="procs"):
-            assert counters["coll.sendrecv"] == 1
-            assert counters["coll.slots"] == 1
-            assert counters["messages"] == 1
-            assert "coll.alltoallv" not in counters
-
     def test_sendrecv_then_collective_no_stale_reads(self):
         """A sendrecv followed by an alltoallv (and vice versa) must not
-        leak descriptors between the two protocols on the procs backend."""
+        leak payloads between the pairwise channels and the mailbox."""
         P = 4
 
         def prog(c):
@@ -368,7 +344,7 @@ class TestSendrecvSpecialization:
             return got, [r[0] for r in received], got2
 
         for rank, (got, recv, got2) in enumerate(
-            run_spmd(P, prog, backend="procs")
+            run_spmd(P, prog, backend="threads")
         ):
             prev = (rank - 1) % P
             np.testing.assert_array_equal(got, np.full(2, prev))

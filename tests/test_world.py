@@ -3,25 +3,15 @@
 PR 5 split world construction from job execution so the serving layer
 can keep worlds alive between requests.  These tests pin the lifecycle
 contract: warm reuse is byte-identical to cold one-shot runs, per-job
-state (tracers, counters) never bleeds between jobs, dead worlds refuse
-further work and are replaceable, and the procs backend leaks neither
-child processes nor shared-memory segments — even when a rank is killed
-mid-sort or the owning process exits without closing (the atexit sweep).
+state (tracers, counters) never bleeds between jobs, and dead worlds
+refuse further work and are replaceable.
 """
-
-import os
-import signal
-import subprocess
-import sys
-import textwrap
-import time
 
 import numpy as np
 import pytest
 
 from repro.errors import CommunicationError, ConfigurationError
 from repro.runtime import (
-    ProcWorld,
     ThreadWorld,
     World,
     run_spmd,
@@ -32,13 +22,7 @@ from repro.service.jobs import noop_job, sort_shards_job
 from repro.trace.recorder import Tracer
 from repro.utils.rng import make_keys
 
-BACKENDS = ("threads", "procs")
-
-
-def _shm_rspmd():
-    if not os.path.isdir("/dev/shm"):  # pragma: no cover — non-Linux
-        return []
-    return [f for f in os.listdir("/dev/shm") if f.startswith("rspmd")]
+BACKENDS = ("threads",)
 
 
 def _sort_job(comm, keys):
@@ -51,10 +35,6 @@ def _traced_sort_job(comm, keys):
     return dict(comm.tracer.counters)
 
 
-def _slow_job(comm):
-    time.sleep(30)
-
-
 def _probe_tracer_job(comm):
     return comm.tracer is None
 
@@ -63,12 +43,6 @@ def _boom_job(comm):
     if comm.rank == 1:
         raise ValueError("rank 1 exploded")
     comm.barrier()
-
-
-def _die_mid_sort_job(comm, shard):
-    if comm.rank == 1:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return spmd_bitonic_sort(comm, shard)
 
 
 class TestSpawnWorld:
@@ -88,21 +62,11 @@ class TestSpawnWorld:
         with pytest.raises(ConfigurationError, match="unknown SPMD backend"):
             spawn_world(2, backend="mpi")
 
-    def test_threads_rejects_procs_options(self):
-        from repro.runtime import BackendOptions
-
-        with pytest.raises(ConfigurationError, match="no extra options"):
-            spawn_world(
-                2, backend="threads",
-                options=BackendOptions(arena_bytes=1 << 20),
-            )
-
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_context_manager_closes(self, backend):
         with spawn_world(2, backend=backend) as world:
             assert world.run(noop_job) == [0, 1]
         assert not world.healthy()
-        assert not _shm_rspmd()
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_closed_world_refuses_jobs(self, backend):
@@ -194,80 +158,11 @@ class TestDeadWorlds:
         # The replacement world is unaffected by the corpse.
         with spawn_world(2, backend=backend) as fresh:
             assert fresh.run(noop_job) == [0, 1]
-        assert not _shm_rspmd()
-
-    def test_unpicklable_job_rejected_world_stays_healthy(self):
-        captured = object()
-        with spawn_world(2, backend="procs") as world:
-            with pytest.raises(ConfigurationError, match="picklable"):
-                world.run(lambda c: captured)
-            assert world.healthy()
-            assert world.run(noop_job) == [0, 1]
-
-
-class TestShmLeaks:
-    """Satellite (a): no leaked segments, even on violent exits."""
-
-    def test_killed_rank_mid_sort_leaves_no_segments(self):
-        world = spawn_world(2, backend="procs")
-        victim = world._procs[1].pid
-        try:
-            keys = make_keys(1 << 12, seed=3)
-            with pytest.raises(CommunicationError, match="died"):
-                world.run(
-                    _die_mid_sort_job,
-                    rank_args=[(keys[:2048],), (keys[2048:],)],
-                    timeout=30.0,
-                )
-            assert not world.healthy()
-        finally:
-            world.close()
-        assert not _shm_rspmd(), "killed world leaked /dev/shm segments"
-        # The surviving rank 0 process must be reaped too.
-        for p in world._procs:
-            assert not p.is_alive()
-        assert victim is not None
-
-    def test_atexit_sweep_reaps_unclosed_worlds(self, tmp_path):
-        """A process that spawns a world and exits without closing it
-        must still leave /dev/shm clean — the module atexit sweep."""
-        script = textwrap.dedent("""
-            from repro.runtime import spawn_world
-            from repro.service.jobs import noop_job
-
-            world = spawn_world(2, backend="procs")
-            assert world.run(noop_job) == [0, 1]
-            # Exit WITHOUT world.close(): the atexit sweep must clean up.
-        """)
-        env = dict(os.environ, PYTHONPATH="src")
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert not _shm_rspmd(), "atexit sweep missed segments"
-
-    def test_timeout_terminates_and_sweeps(self):
-        from repro.errors import SpmdTimeoutError
-
-        world = spawn_world(2, backend="procs")
-        try:
-            with pytest.raises(SpmdTimeoutError):
-                world.run(_slow_job, timeout=0.5)
-        finally:
-            world.close()
-        assert not _shm_rspmd()
-        for p in world._procs:
-            assert not p.is_alive()
 
 
 class TestOneShotCompatibility:
-    """The original one-shot drivers survive the refactor unchanged —
-    including closure support (procs ships the first job at fork)."""
+    """The original one-shot drivers survive the refactor unchanged,
+    closures included."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_closures_still_work(self, backend):
@@ -282,4 +177,3 @@ class TestOneShotCompatibility:
 
     def test_worlds_are_exported_types(self):
         assert issubclass(ThreadWorld, World)
-        assert issubclass(ProcWorld, World)
