@@ -8,9 +8,11 @@ Usage::
 
 Measures, on the machine actually running the sorts:
 
-* **per-element compute rates** — the NumPy kernels the SPMD sort spends
-  its time in (radix pass, two-way merge, pack/unpack gathers, the fused
-  permutation-composed pack, address computation);
+* **the ``np.sort`` rate** — ns per key, best-of at sizes from 4 Ki to
+  1 Mi keys, the median over the sizes kept: every local sort and merge
+  phase of the SPMD runtime runs ``np.sort``;
+* **per-element remap rates** — pack/unpack gathers, the fused
+  permutation-composed pack, address computation;
 * **threads-backend LogGP parameters** — a 2-rank pingpong fits the
   per-message overhead ``o`` (y-intercept) and per-byte gap ``G``
   (slope); ``L`` and ``g`` are set to ``o`` (on shared memory the wire
@@ -38,8 +40,6 @@ import time
 
 import numpy as np
 
-from repro.localsort.merges import merge_sorted
-from repro.localsort.radix import num_passes, radix_sort
 from repro.runtime.driver import spawn_world
 from repro.service.jobs import noop_job, pingpong_job
 from repro.service.profile import BackendCosts, HostProfile, _usable_cpus
@@ -56,18 +56,27 @@ def _best_of(fn, reps=5):
     return best
 
 
+#: Sizes the ``np.sort`` rate is measured at (4 Ki to 1 Mi keys).
+SORT_SIZES = tuple(1 << lg for lg in range(12, 21, 2))
+
+
+def calibrate_np_sort(sizes, reps):
+    """``np.sort`` ns per uint32 key, best-of ``reps`` at each size."""
+    rng = np.random.default_rng(0)
+    rates = {}
+    for n in sizes:
+        keys = rng.integers(0, 2**32, n, dtype=np.uint32)
+        rates[n] = _best_of(lambda: np.sort(keys), reps) / n * 1e9
+    return rates
+
+
 def calibrate_compute(n, reps):
-    """Per-element µs of the sort's NumPy kernels at working-set ``n``."""
+    """Per-element µs of the remap's NumPy kernels at working-set ``n``."""
     rng = np.random.default_rng(0)
     keys = rng.integers(0, 2**31, n, dtype=np.uint32)
-    half_a = np.sort(keys[: n // 2])
-    half_b = np.sort(keys[n // 2 :])
     perm = rng.permutation(n)
     idx32 = perm.astype(np.int32)
 
-    passes = num_passes(32, 8)
-    radix_s = _best_of(lambda: radix_sort(keys), reps)
-    merge_s = _best_of(lambda: merge_sorted(half_a, half_b), reps)
     pack_s = _best_of(lambda: keys[idx32], reps)  # gather into send order
     unpack_s = _best_of(lambda: keys.copy(), reps)  # contiguous placement
     # The fused path composes the sort permutation with the gather index
@@ -77,8 +86,6 @@ def calibrate_compute(n, reps):
     addr_s = _best_of(lambda: (perm >> 3) & 0x7, reps)
 
     return {
-        "radix_pass_us": radix_s / passes / n * 1e6,
-        "merge_us": merge_s / n * 1e6,
         "pack_us": pack_s / n * 1e6,
         "unpack_us": unpack_s / n * 1e6,
         "fused_pack_us": fused_s / n * 1e6,
@@ -172,7 +179,7 @@ def main(argv=None):
     parser.add_argument("--out", default="loggp_profile.json",
                         help="output profile JSON path")
     parser.add_argument("--keys", type=int, default=1 << 18,
-                        help="working-set size for the compute kernels")
+                        help="working-set size for the remap kernels")
     parser.add_argument("--rounds", type=int, default=64,
                         help="pingpong rounds per payload size")
     parser.add_argument("--reps", type=int, default=5,
@@ -183,7 +190,15 @@ def main(argv=None):
     if args.quick:
         args.keys, args.rounds, args.reps = 1 << 14, 8, 2
 
-    print(f"calibrating compute kernels at n={args.keys:,} ...")
+    sizes = SORT_SIZES[:2] if args.quick else SORT_SIZES
+    print(f"calibrating np.sort at {len(sizes)} sizes ...")
+    rates = calibrate_np_sort(sizes, args.reps)
+    for n, ns in rates.items():
+        print(f"  {n:>9,} keys  {ns:6.2f} ns/key")
+    np_sort_ns = round(float(np.median(list(rates.values()))), 3)
+    print(f"  np_sort_ns_per_key = {np_sort_ns} (median)")
+
+    print(f"calibrating remap kernels at n={args.keys:,} ...")
     compute = calibrate_compute(args.keys, args.reps)
     for name, us in compute.items():
         print(f"  {name:<16} {us:9.5f} us/element")
@@ -205,6 +220,7 @@ def main(argv=None):
         cpus=_usable_cpus(),
         backends={"threads": costs},
         source="calibrated",
+        np_sort_ns_per_key=np_sort_ns,
         **compute,
         **disk,
     )

@@ -110,18 +110,20 @@ def load_load_trace(path: str) -> Dict[str, Any]:
 
 
 def drift_profile(
-    profile: Optional[HostProfile] = None, comm_scale: float = 0.05
+    profile: Optional[HostProfile] = None, comm_scale: float = 0.001
 ) -> HostProfile:
     """Simulate calibration drift: the profile believes this host has
-    eight cores per actual core and thread synchronization at 5% of its
+    eight cores per actual core, and that thread synchronization — the
+    LogGP terms plus world dispatch and spawn — costs 0.1% of its
     calibrated cost.  Both distortions touch only the terms that grow
-    with ``P``, so the single-rank price stays honest while wide worlds
-    on small shards — overhead-bound on any real host — price *below*
-    the single rank: the persistent mispick the static replay keeps
-    dispatching into.  The mispricing is deliberately modest (the wide
-    world wins statically by ~1.1-1.4x), so the corrections the adapter
-    needs to reorder the candidates sit well inside its ``[0.25, 4.0]``
-    clamp."""
+    with ``P`` (a one-rank plan pays no dispatch), so the single-rank
+    price stays honest while wide worlds on small shards — overhead-bound
+    on any real host — price *below* the single rank: the persistent
+    mispick the static replay keeps dispatching into.  The mispricing is
+    deliberately modest (under the default profile the 8-rank sample
+    sort wins statically by ~1.2-1.4x at 4 Ki and 16 Ki keys), so the
+    corrections the adapter needs to reorder the candidates sit well
+    inside its ``[0.25, 4.0]`` clamp."""
     profile = profile or HostProfile.default()
     threads = profile.backends["threads"]
     return replace(
@@ -135,6 +137,8 @@ def drift_profile(
                 o=threads.o * comm_scale,
                 g=threads.g * comm_scale,
                 G=threads.G * comm_scale,
+                job_overhead_s=threads.job_overhead_s * comm_scale,
+                spawn_per_rank_s=threads.spawn_per_rank_s * comm_scale,
             ),
         },
         source=f"{profile.source}+drift",

@@ -157,7 +157,10 @@ class RequestAdapter:
         The sample is ``measured / static-model`` — always against the
         *static* profile estimate, never the adapted one, so corrections
         converge to the model's true error instead of compounding
-        through their own feedback.  ``tracers``, when given (a traced
+        through their own feedback.  The static estimate comes from the
+        profile's price memo, the table the planner priced the request
+        from, so folding a served request costs a lookup, not a closed
+        form.  ``tracers``, when given (a traced
         request's per-rank recorders), additionally fold the phase-share
         deviation ratios.
         """

@@ -8,7 +8,11 @@ closed forms priced with the host's calibrated
 :class:`~repro.service.profile.HostProfile`, optionally biased by
 measured bench history (``BENCH_pr*.json``).  This mirrors how
 engineered distributed sorters pick algorithms from machine parameters
-instead of hardcoding one.
+instead of hardcoding one.  The profile prices every local sort and
+merge phase at its measured ``np.sort`` rate and memoizes each
+candidate's static price, so planning a shape seen before costs a few
+table lookups; a one-rank plan is priced without world dispatch, since
+the service runs it in its dispatcher thread.
 
 Every choice has a **forced-override escape hatch**: pass
 ``algorithm=``, ``backend=``, ``P=``, ``fused=`` or ``grouped=`` to
@@ -102,7 +106,7 @@ class PlanDecision:
         lines = [
             f"plan: {self.algorithm} on {self.backend} x {self.P}, "
             f"fused={self.fused} grouped={self.grouped}"
-            + f" (~{self.est_seconds * 1e3:.1f} ms, source={self.source}"
+            + f" (~{self.est_seconds * 1e3:.3f} ms, source={self.source}"
             + (
                 ", budget-clamped"
                 if self.clamped and self.source == "budget"
@@ -118,16 +122,16 @@ class PlanDecision:
                 marker = "*" if name == chosen else " "
                 static = self.static_candidates.get(name)
                 static_txt = (
-                    "-" if static is None else f"{static * 1e3:8.2f} ms"
+                    "-" if static is None else f"{static * 1e3:8.3f} ms"
                 )
                 lines.append(
                     f"  {marker} {name:<18} {static_txt:>11}  "
-                    f"{est * 1e3:8.2f} ms"
+                    f"{est * 1e3:8.3f} ms"
                 )
         else:
             for name, est in ranked:
                 marker = "*" if name == chosen else " "
-                lines.append(f"  {marker} {name:<18} ~{est * 1e3:8.2f} ms")
+                lines.append(f"  {marker} {name:<18} ~{est * 1e3:8.3f} ms")
         return "\n".join(lines)
 
 
@@ -201,7 +205,9 @@ class Planner:
     :class:`~repro.service.adapt.RequestAdapter` is attached, ``plan()``
     reprices every candidate with its live correction factors (unless
     the caller passes ``adapt=False`` or the fault clamp engages — those
-    paths stay byte-identical to the static planner).
+    paths stay byte-identical to the static planner).  Without a
+    ``profile`` the planner prices with the adapter's, so both read one
+    price memo.
     """
 
     def __init__(
@@ -211,7 +217,10 @@ class Planner:
         history: Optional[BenchHistory] = None,
         adapter: Optional[RequestAdapter] = None,
     ):
-        self.profile = profile or HostProfile.default()
+        self.profile = profile or (
+            adapter.profile if adapter is not None
+            else HostProfile.default()
+        )
         missing = [b for b in BACKENDS if b not in self.profile.backends]
         if missing:
             raise ConfigurationError(
@@ -408,8 +417,9 @@ class Planner:
                 scale = self._history_scale(
                     EXTERNAL_BACKEND, N, dtype_size, "external"
                 )
-                est = self.profile.estimate_external(
-                    N, dtype_size=dtype_size, memory_budget=memory_budget,
+                est = self.profile.estimate(
+                    N, 1, EXTERNAL_BACKEND, algorithm="external",
+                    dtype_size=dtype_size, memory_budget=memory_budget,
                 ) * scale
                 name = f"external:{EXTERNAL_BACKEND}x1"
                 if adapter is not None:
@@ -499,15 +509,10 @@ class Planner:
         # recorded per-history here, so use the bench default of 4 (the
         # external sort is always P=1 and modeled by its own form).
         try:
-            if algorithm == "external":
-                modeled = self.profile.estimate_external(
-                    keys, dtype_size=dtype_size
-                )
-            else:
-                modeled = self.profile.estimate(
-                    keys, 4, backend, algorithm=algorithm,
-                    warm=False, dtype_size=dtype_size,
-                )
+            modeled = self.profile.estimate(
+                keys, 4, backend, algorithm=algorithm,
+                warm=False, dtype_size=dtype_size,
+            )
         except ConfigurationError:
             return 1.0
         if modeled <= 0 or measured <= 0:
@@ -554,12 +559,12 @@ class Planner:
                 )
                 static = d.static_candidates.get(chosen)
                 static_txt = (
-                    "-" if static is None else f"{static * 1e3:>8.2f}ms"
+                    "-" if static is None else f"{static * 1e3:>8.3f}ms"
                 )
                 row += (
-                    f" {static_txt:>10} {d.est_seconds * 1e3:>8.2f}ms"
+                    f" {static_txt:>10} {d.est_seconds * 1e3:>8.3f}ms"
                 )
             else:
-                row += f" {d.est_seconds * 1e3:>8.2f}ms"
+                row += f" {d.est_seconds * 1e3:>8.3f}ms"
             lines.append(row)
         return "\n".join(lines)

@@ -6,8 +6,9 @@ LogGP network numbers plus per-element compute costs.  The bundled
 machine; to plan requests on the machine actually serving them, the same
 formulas need *host* numbers.  A :class:`HostProfile` carries them:
 
-* per-element compute rates (radix pass, merge, pack/unpack/fused-pack,
-  addressing) measured on the host's NumPy kernels;
+* the measured ``np.sort`` rate, in ns per key — the kernel every local
+  sort and merge phase of the runtime runs — plus the per-element
+  pack/unpack/fused-pack and addressing rates;
 * per-backend :class:`BackendCosts` — LogGP parameters fitted to the
   backend's collectives plus the serving-specific fixed costs the closed
   forms do not cover: world spawn and warm job dispatch;
@@ -19,6 +20,12 @@ works out of the box; ``scripts/calibrate_loggp.py`` measures the real
 numbers and persists them as JSON (:meth:`HostProfile.save` /
 :meth:`HostProfile.load`), which is the calibration workflow
 ``docs/SERVING.md`` describes.
+
+A profile is frozen, so each one memoizes the static price of every
+request shape it has priced (:meth:`HostProfile.estimate`): the planner
+and the online adapter read one table, and a new profile — from
+:func:`dataclasses.replace`, :meth:`HostProfile.with_backend` or
+:meth:`HostProfile.load` — starts with an empty one.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.localsort.radix import num_passes
 from repro.model.cache import CacheModel
 from repro.model.logp import LogGPParams
 from repro.model.machines import KEY_BYTES, ComputeCosts, MachineSpec
@@ -46,6 +54,20 @@ __all__ = ["BackendCosts", "HostProfile", "PROFILE_SCHEMA"]
 #: the procs backend's removal still loads: its ``procs`` lane and the
 #: fields only that backend used are ignored.
 PROFILE_SCHEMA = "repro-bitonic-profile/3"
+
+#: ``np.sort`` ns per 4-byte key when a profile carries no measurement:
+#: best-of uint32 sorts on a 2-vCPU VM run 2.3-5.0 ns/key from 4 Ki to
+#: 1 Mi keys.  A /3 file written before the rate existed prices with it.
+DEFAULT_NP_SORT_NS_PER_KEY = 3.5
+
+#: The closed forms charge a local sort as this many radix passes
+#: (32-bit keys, 8-bit digits); :meth:`HostProfile.compute_costs` splits
+#: the ``np.sort`` rate across them so the sort costs one rate per key.
+_SORT_PASSES = num_passes(32, 8)
+
+#: Most request shapes one profile's price memo holds.  Clients choose
+#: ``N``, so the memo is cleared when full rather than left to grow.
+PRICE_MEMO_LIMIT = 4096
 
 
 def _known_fields(cls: type, raw: Dict[str, Any]) -> Dict[str, Any]:
@@ -88,13 +110,14 @@ class HostProfile:
     """Everything the planner knows about the serving host."""
 
     cpus: int
-    #: Per-element compute rates, µs (see :class:`ComputeCosts`).
-    radix_pass_us: float
-    merge_us: float
+    #: Per-element remap rates, µs (see :class:`ComputeCosts`).
     pack_us: float
     unpack_us: float
     fused_pack_us: float
     address_us: float
+    #: Measured ``np.sort`` ns per key: prices every local sort and merge
+    #: phase, which all run ``np.sort`` on the real backend.
+    np_sort_ns_per_key: float = DEFAULT_NP_SORT_NS_PER_KEY
     backends: Dict[str, BackendCosts] = field(default_factory=dict)
     #: Measured sequential disk bandwidths (bytes/s) and fsync latency
     #: (s) from ``scripts/calibrate_loggp.py``; ``None`` = unmeasured —
@@ -108,19 +131,22 @@ class HostProfile:
     #: ``scripts/calibrate_loggp.py`` measured this host.
     source: str = "default"
 
+    def __post_init__(self) -> None:
+        # The price memo: static estimates keyed on what the closed form
+        # reads.  Not a field, so it is neither saved nor compared.
+        object.__setattr__(self, "_prices", {})
+
     @classmethod
     def default(cls) -> "HostProfile":
-        """A conservative built-in profile (NumPy-on-one-core scale).
+        """The built-in profile: the ``np.sort`` rate and the serving
+        fixed costs as measured on a 2-vCPU VM (warm job dispatch
+        0.018 ms, world spawn 0.18 ms), with conservative LogGP numbers.
 
-        The absolute numbers matter less than the *ordering* they induce
-        (compute dwarfs shared-memory communication per element), which
-        is what the planner's decisions ride on.  Calibrate for real
-        estimates.
+        Calibrate (``scripts/calibrate_loggp.py``) for this host's own
+        numbers.
         """
         return cls(
             cpus=_usable_cpus(),
-            radix_pass_us=0.010,
-            merge_us=0.008,
             pack_us=0.010,
             unpack_us=0.008,
             fused_pack_us=0.004,
@@ -128,8 +154,8 @@ class HostProfile:
             backends={
                 "threads": BackendCosts(
                     L=10.0, o=30.0, g=30.0, G=0.0005,
-                    spawn_per_rank_s=0.0015,
-                    job_overhead_s=0.0010,
+                    spawn_per_rank_s=0.00018,
+                    job_overhead_s=0.000018,
                 ),
             },
         )
@@ -137,10 +163,13 @@ class HostProfile:
     # -- the bridge into the paper's closed forms ----------------------
 
     def compute_costs(self) -> ComputeCosts:
+        """Closed-form compute rates: a local sort and a merge phase each
+        cost one ``np.sort`` rate per key."""
+        sort_us = self.np_sort_ns_per_key / 1e3
         return ComputeCosts(
-            radix_pass=self.radix_pass_us,
-            merge=self.merge_us,
-            compare_exchange=self.merge_us,
+            radix_pass=sort_us / _SORT_PASSES,
+            merge=sort_us,
+            compare_exchange=sort_us,
             pack=self.pack_us,
             unpack=self.unpack_us,
             address=self.address_us,
@@ -176,6 +205,7 @@ class HostProfile:
         grouped: bool = True,
         warm: bool = True,
         dtype_size: int = KEY_BYTES,
+        memory_budget: Optional[int] = None,
     ) -> float:
         """Estimated end-to-end wall seconds for one sort request.
 
@@ -186,16 +216,53 @@ class HostProfile:
         beyond the core count serialize.  Ungrouped runs pay the full
         world-barrier fan-in per remap instead of the Lemma-4 group
         fan-in.  On top ride the serving fixed costs: spawn (cold only)
-        and job dispatch.
+        and job dispatch — except at ``P=1``, which the service runs in
+        its dispatcher thread with no world.  ``algorithm="external"``
+        prices :meth:`estimate_external` under ``memory_budget``.
+
+        Prices are memoized per profile (at most
+        :data:`PRICE_MEMO_LIMIT` shapes); the hit path takes no lock,
+        and a racing miss computes the same value.
         """
+        external = algorithm == "external"
+        if external:
+            key: Tuple[Any, ...] = (algorithm, N, dtype_size, memory_budget)
+        else:
+            key = (algorithm, N, P, backend, dtype_size, fused, grouped, warm)
+        prices = self._prices
+        price = prices.get(key)
+        if price is None:
+            if external:
+                # The out-of-core path runs in-process on one box: no
+                # world, no backend costs — ``backend`` is the planner's
+                # "local" pseudo-backend and is deliberately not
+                # validated here.
+                price = self.estimate_external(
+                    N, dtype_size=dtype_size, memory_budget=memory_budget
+                )
+            else:
+                price = self._price(N, P, backend, algorithm, fused,
+                                    grouped, warm)
+            if len(prices) >= PRICE_MEMO_LIMIT:
+                prices.clear()
+            prices[key] = price
+        return price
+
+    def _price(
+        self,
+        N: int,
+        P: int,
+        backend: str,
+        algorithm: str,
+        fused: bool,
+        grouped: bool,
+        warm: bool,
+    ) -> float:
+        """The in-memory closed form behind :meth:`estimate`,
+        unmemoized."""
         from repro.theory.counts import counts_for
         from repro.theory.predict import predict
 
-        if algorithm == "external":
-            # The out-of-core path runs in-process on one box: no world,
-            # no backend costs — ``backend`` is the planner's "local"
-            # pseudo-backend and is deliberately not validated here.
-            return self.estimate_external(N, dtype_size=dtype_size)
         costs = self.backends.get(backend)
         if costs is None:
             raise ConfigurationError(
@@ -227,9 +294,10 @@ class HostProfile:
             busy_us += remaps * costs.o * fanin
         oversub = P / max(1, min(P, self.cpus))
         wall = busy_us * oversub / 1e6
-        wall += costs.job_overhead_s
-        if not warm:
-            wall += costs.spawn_per_rank_s * P
+        if P > 1:
+            wall += costs.job_overhead_s
+            if not warm:
+                wall += costs.spawn_per_rank_s * P
         return wall
 
     @property

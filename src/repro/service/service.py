@@ -2,7 +2,9 @@
 
 ``SortService`` accepts sort requests (:meth:`~SortService.submit` /
 :meth:`~SortService.map` / :meth:`~SortService.sort`), plans each one
-with the LogGP planner, and runs it on a warm world from the pool:
+with the LogGP planner, and runs it on a warm world from the pool — or,
+for a one-rank plan without a fault plan, on a one-rank communicator in
+the dispatcher thread, with no world at all:
 
 * **bounded queue + admission control** — a full queue rejects
   (:class:`~repro.errors.AdmissionError`, ``reason="queue-full"``), and
@@ -14,7 +16,8 @@ with the LogGP planner, and runs it on a warm world from the pool:
   burst of lookalike requests pays one dispatch;
 * **crash replacement** — a request whose world dies mid-job is retried
   once on a fresh world (the pool replaces the dead one) before the
-  failure is surfaced;
+  failure is surfaced; fault-armed requests therefore always run on a
+  world, one-rank ones included;
 * **per-request tracing** — each request can carry its own per-rank
   :class:`~repro.trace.recorder.Tracer` set plus a service-lane tracer
   recording the queue wait as a ``wait/queue`` span on the same
@@ -27,7 +30,9 @@ with the LogGP planner, and runs it on a warm world from the pool:
   (:meth:`~repro.service.pool.WorldPool.note_arrival`) as the
   queue-pressure signal its autoscaler prespawns from.
 
-Everything observable lands in :class:`ServiceReport`.
+Everything observable lands in :class:`ServiceReport`, which keeps the
+counters for the service's lifetime and the records of the last
+:data:`REQUEST_LOG` served requests.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ from repro.extsort import (
     inmem_working_set_bytes,
     sweep_orphaned_spill_dirs,
 )
+from repro.runtime.threads import ThreadComm, _SharedState
 from repro.service.admission import DEFAULT_TENANT, TenantAdmission
 from repro.service.jobs import sort_shards_job
 from repro.service.planner import EXTERNAL_BACKEND, PlanDecision, Planner
@@ -63,7 +69,12 @@ from repro.service.pool import WorldPool
 from repro.trace.recorder import Tracer
 from repro.utils.validation import require_integer_keys
 
-__all__ = ["SortService", "SortOutcome", "ServiceReport", "Ticket"]
+__all__ = ["SortService", "SortOutcome", "ServiceReport", "Ticket",
+           "REQUEST_LOG"]
+
+#: Served-request records a service keeps; older ones are dropped, so a
+#: long-running service's report (and ``HEALTH``) costs O(1) in uptime.
+REQUEST_LOG = 1024
 
 
 @dataclass
@@ -164,11 +175,14 @@ class ServiceReport:
     #: Per-tenant admission counters (queued/admitted/rejections) when a
     #: TenantAdmission controller is attached.
     tenants: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: One dict per served request: id, keys, backend, P, flags,
-    #: est/queue/run/wall seconds, batch size.
+    #: One dict per served request — id, keys, backend, P, flags,
+    #: est/queue/run/wall seconds, batch size — for the last
+    #: :data:`REQUEST_LOG` requests served.
     requests: List[Dict[str, Any]] = field(default_factory=list)
 
     def latency_percentile(self, q: float) -> float:
+        """Wall-latency percentile over :attr:`requests` (the last
+        :data:`REQUEST_LOG` served)."""
         if not self.requests:
             return 0.0
         walls = sorted(r["wall_s"] for r in self.requests)
@@ -203,11 +217,21 @@ class ServiceReport:
             )
         if self.requests:
             lines.append(
-                f"  latency p50={self.latency_percentile(0.5) * 1e3:.1f}ms "
+                f"  latency over the last {len(self.requests)} requests: "
+                f"p50={self.latency_percentile(0.5) * 1e3:.1f}ms "
                 f"p95={self.latency_percentile(0.95) * 1e3:.1f}ms "
                 f"max={self.latency_percentile(1.0) * 1e3:.1f}ms"
             )
         return "\n".join(lines)
+
+
+def _needs_world(decision: PlanDecision, faults: bool) -> bool:
+    """Whether a request runs on a pooled world.  External plans run
+    in-process and one-rank plans in the dispatcher thread; a fault-armed
+    plan always takes a world, because its retry needs a fresh one."""
+    return decision.backend != EXTERNAL_BACKEND and (
+        decision.P > 1 or faults
+    )
 
 
 class SortService:
@@ -306,6 +330,7 @@ class SortService:
         self._closed = False
         self._ids = itertools.count(1)
         self._report = ServiceReport()
+        self._requests: deque = deque(maxlen=REQUEST_LOG)
         self._report_lock = threading.Lock()
         for backend, P in prewarm:
             self.pool.prewarm(backend, P)
@@ -461,9 +486,9 @@ class SortService:
             self._cond.notify()
         # Queue-pressure signal for the pool's autoscaler: one planned
         # arrival headed for the decision's shape (admitted requests
-        # only — rejections never exert pressure, and external requests
-        # never touch a world, so they must not make the pool prespawn).
-        if decision.backend != EXTERNAL_BACKEND:
+        # only — rejections never exert pressure, and requests that never
+        # touch a world must not make the pool prespawn).
+        if _needs_world(decision, have_faults):
             self.pool.note_arrival(decision.backend, decision.P)
         return ticket
 
@@ -565,7 +590,8 @@ class SortService:
         # The whole batch leaves the queue here — served, expired, or
         # failed, it no longer exerts queue pressure on the autoscaler.
         head = batch[0].decision
-        if head.backend != EXTERNAL_BACKEND:
+        on_world = _needs_world(head, batch[0].faults is not None)
+        if on_world:
             self.pool.note_done(head.backend, head.P, len(batch))
         batch = self._expire_overdue(batch)
         if not batch:
@@ -596,39 +622,16 @@ class SortService:
              False, 1, d.algorithm)
             for r in range(P)
         ]
-        # Deadline propagation into the world dispatch: when every batch
-        # member carries a budget, the dispatch may not outlive the
-        # latest of them (a lone overdue member was already expired
-        # above; mixed batches keep the service-wide budget so an
-        # undeadlined member is never cut short).
-        timeout = self._timeout
-        deadlines = [p.deadline_at for p in batch if p.deadline_at is not None]
-        if deadlines and len(deadlines) == len(batch):
-            remaining = max(deadlines) - time.perf_counter()
-            timeout = min(timeout, max(0.05, remaining))
         retries = 0
-        while True:
-            world = self.pool.acquire(d.backend, P)
-            try:
-                rank_results = world.run(
-                    sort_shards_job, rank_args=rank_args, timeout=timeout
-                )
-                break
-            except CommunicationError as exc:
-                # The world died under the job (rank crash, collapsed
-                # barrier).  Release sends it to the pool's morgue; one
-                # retry runs the batch on a fresh world.  Timeouts are
-                # not retried — the job itself was too slow.
-                self.pool.release(world)
-                if isinstance(exc, SpmdTimeoutError) or retries >= 1:
-                    raise
-                retries += 1
-                with self._report_lock:
-                    self._report.world_retries += 1
-            except BaseException:
-                self.pool.release(world)
-                raise
-        self.pool.release(world)
+        if on_world:
+            rank_results, retries = self._run_on_world(batch, rank_args)
+        else:
+            # One rank, no fault plan: the same job on a one-rank
+            # communicator, here in the dispatcher thread — no pool
+            # acquire, no hand-off to a rank thread.
+            rank_results = [
+                sort_shards_job(ThreadComm(0, _SharedState(1)), *rank_args[0])
+            ]
         done_at = time.perf_counter()
         run_s = done_at - dispatched_at
         # Close the feedback loop: fold each served request's measured
@@ -640,7 +643,8 @@ class SortService:
             adapter = None
 
         for i, p in enumerate(batch):
-            out = np.concatenate([rank_results[r][0][i] for r in range(P)])
+            parts = [rank_results[r][0][i] for r in range(P)]
+            out = parts[0] if P == 1 else np.concatenate(parts)
             if self._verify:
                 from repro.sorts.base import verify_sorted
 
@@ -689,7 +693,7 @@ class SortService:
             )
             with self._report_lock:
                 self._report.served += 1
-                self._report.requests.append(
+                self._requests.append(
                     {
                         "id": p.ticket.request_id,
                         "keys": int(p.keys.size),
@@ -710,6 +714,47 @@ class SortService:
             p.ticket._resolve(outcome)
         with self._report_lock:
             self._report.batches += 1
+
+    def _run_on_world(
+        self, batch: List[_Pending], rank_args: List[tuple]
+    ) -> Tuple[List[Any], int]:
+        """Run ``sort_shards_job`` on a pooled world: the per-rank results
+        and the world-replacement retries it took."""
+        d = batch[0].decision
+        # Deadline propagation into the world dispatch: when every batch
+        # member carries a budget, the dispatch may not outlive the
+        # latest of them (a lone overdue member was already expired
+        # above; mixed batches keep the service-wide budget so an
+        # undeadlined member is never cut short).
+        timeout = self._timeout
+        deadlines = [p.deadline_at for p in batch if p.deadline_at is not None]
+        if deadlines and len(deadlines) == len(batch):
+            remaining = max(deadlines) - time.perf_counter()
+            timeout = min(timeout, max(0.05, remaining))
+        retries = 0
+        while True:
+            world = self.pool.acquire(d.backend, d.P)
+            try:
+                rank_results = world.run(
+                    sort_shards_job, rank_args=rank_args, timeout=timeout
+                )
+                break
+            except CommunicationError as exc:
+                # The world died under the job (rank crash, collapsed
+                # barrier).  Release sends it to the pool's morgue; one
+                # retry runs the batch on a fresh world.  Timeouts are
+                # not retried — the job itself was too slow.
+                self.pool.release(world)
+                if isinstance(exc, SpmdTimeoutError) or retries >= 1:
+                    raise
+                retries += 1
+                with self._report_lock:
+                    self._report.world_retries += 1
+            except BaseException:
+                self.pool.release(world)
+                raise
+        self.pool.release(world)
+        return rank_results, retries
 
     def _run_external(self, batch: List[_Pending]) -> None:
         """Serve out-of-core requests in-process: no world, no pool —
@@ -771,7 +816,7 @@ class SortService:
             with self._report_lock:
                 self._report.served += 1
                 self._report.batches += 1
-                self._report.requests.append(
+                self._requests.append(
                     {
                         "id": p.ticket.request_id,
                         "keys": int(p.keys.size),
@@ -820,7 +865,7 @@ class SortService:
                     if self._admission is not None
                     else {}
                 ),
-                requests=list(self._report.requests),
+                requests=list(self._requests),
             )
         return snap
 

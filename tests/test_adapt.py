@@ -294,6 +294,25 @@ class TestPersistence:
         )
         assert "overlap_efficiency" not in adapter.stats()
 
+    def test_parent_file_prices_with_the_builtin_sort_rate(self):
+        """The parent /3 file's radix-era ``radix_pass_us``/``merge_us``
+        are skipped; without ``np_sort_ns_per_key`` it prices local sorts
+        and merges at the built-in ``np.sort`` rate."""
+        from repro.service.profile import DEFAULT_NP_SORT_NS_PER_KEY
+
+        path = str(Path(__file__).parent / "data" / "profile_v3_parent.json")
+        raw = json.loads(open(path).read())["profile"]
+        assert "radix_pass_us" in raw and "np_sort_ns_per_key" not in raw
+        profile = HostProfile.load(path)
+        assert not hasattr(profile, "radix_pass_us")
+        assert not hasattr(profile, "merge_us")
+        assert profile.np_sort_ns_per_key == DEFAULT_NP_SORT_NS_PER_KEY
+        costs = profile.compute_costs()
+        assert costs.merge == DEFAULT_NP_SORT_NS_PER_KEY / 1e3
+        assert profile.estimate(1 << 16, 1, "threads") == pytest.approx(
+            (1 << 16) * DEFAULT_NP_SORT_NS_PER_KEY / 1e9
+        )
+
     def test_unknown_schema_raises(self, tmp_path):
         path = str(tmp_path / "profile.json")
         HostProfile.default().save(path)

@@ -9,11 +9,12 @@ door bridge.
 
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import sort
@@ -31,6 +32,7 @@ from repro.service import (
     HostProfile,
     PlanDecision,
     Planner,
+    RequestAdapter,
     ServiceReport,
     SortService,
     TenantAdmission,
@@ -38,6 +40,7 @@ from repro.service import (
     WorldPool,
 )
 from repro.service.jobs import sort_shards_job
+from repro.service.service import REQUEST_LOG
 from repro.utils.rng import make_keys
 
 
@@ -204,18 +207,130 @@ class TestPlanner:
         }
 
 
+#: One profile shared by every example of the memo property: its price
+#: memo fills across examples, so a memo key missing anything the closed
+#: form reads would hand a later example a stale price.
+_SHARED_PROFILE = HostProfile.default()
+
+
+def _planned(profile, adapted, N, kwargs):
+    """``Planner.plan`` on ``profile`` (with a trained adapter when
+    ``adapted``), or the message of the ``ConfigurationError`` it
+    raises."""
+    adapter = None
+    if adapted:
+        adapter = RequestAdapter(profile, clock=lambda: 0.0)
+        adapter.observe(N=N, backend="threads", P=1, algorithm="smart",
+                        measured_s=1.0)
+        adapter.observe(N=N, backend="threads", P=2, algorithm="sample",
+                        measured_s=1e-6)
+    try:
+        return Planner(profile=profile, adapter=adapter).plan(N, **kwargs)
+    except ConfigurationError as exc:
+        return str(exc)
+
+
+class TestPriceMemo:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        log_n=st.integers(min_value=2, max_value=24),
+        dtype_size=st.sampled_from([4, 8]),
+        faults=st.booleans(),
+        algorithm=st.sampled_from([None, "smart", "sample", "external"]),
+        P=st.sampled_from([None, 1, 2, 4, 8]),
+        fused=st.sampled_from([None, True, False]),
+        grouped=st.sampled_from([None, True, False]),
+        warm=st.booleans(),
+        memory_budget=st.sampled_from([None, 1 << 12, 1 << 20, 1 << 28]),
+        adapted=st.booleans(),
+    )
+    def test_memoized_plans_match_fresh_ones(
+        self, log_n, dtype_size, faults, algorithm, P, fused, grouped, warm,
+        memory_budget, adapted,
+    ):
+        N = 1 << log_n
+        kwargs = dict(
+            dtype_size=dtype_size, faults=faults, algorithm=algorithm, P=P,
+            fused=fused, grouped=grouped, warm=warm,
+            memory_budget=memory_budget,
+        )
+        memoized = _planned(_SHARED_PROFILE, adapted, N, kwargs)
+        assert _planned(_SHARED_PROFILE, adapted, N, kwargs) == memoized
+        assert _planned(HostProfile.default(), adapted, N, kwargs) == memoized
+
+    def test_second_plan_builds_no_schedule(self, monkeypatch):
+        import importlib
+
+        schedule_mod = importlib.import_module("repro.layouts.schedule")
+        predict_mod = importlib.import_module("repro.theory.predict")
+        calls = []
+        real = schedule_mod.build_schedule
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(schedule_mod, "build_schedule", counting)
+        monkeypatch.setattr(predict_mod, "build_schedule", counting)
+        planner = Planner()
+        first = planner.plan(1 << 16)
+        assert calls  # the first plan of a shape runs the closed forms
+        calls.clear()
+        assert planner.plan(1 << 16) == first
+        assert calls == []
+
+    def test_replacing_the_profile_reprices(self):
+        planner = Planner()
+        before = planner.plan(1 << 14).candidates
+        planner.profile = replace(
+            planner.profile,
+            np_sort_ns_per_key=planner.profile.np_sort_ns_per_key * 10,
+        )
+        after = planner.plan(1 << 14).candidates
+        assert set(after) == set(before)
+        assert all(after[name] > before[name] for name in before)
+        assert after == Planner(profile=planner.profile).plan(
+            1 << 14
+        ).candidates
+
+    def test_memo_is_bounded(self):
+        from repro.service.profile import PRICE_MEMO_LIMIT
+
+        profile = HostProfile.default()
+        for shape in range(PRICE_MEMO_LIMIT + 10):  # distinct memo keys
+            profile.estimate(1 << 12, 1, "threads", dtype_size=shape + 1)
+        assert 0 < len(profile._prices) <= PRICE_MEMO_LIMIT
+
+    def test_one_rank_price_has_no_dispatch(self):
+        """P=1 runs in the service's dispatcher: its price is the local
+        sort alone, warm or cold."""
+        p = HostProfile.default()
+        sort_s = (1 << 16) * p.np_sort_ns_per_key / 1e9
+        assert p.estimate(1 << 16, 1, "threads") == pytest.approx(sort_s)
+        assert p.estimate(1 << 16, 1, "threads", warm=False) == (
+            p.estimate(1 << 16, 1, "threads")
+        )
+
+
 class TestBenchHistory:
     def test_biases_toward_measured_algorithm(self):
-        # The model alone routes 16 Ki keys to the sample sort; history
-        # saying sample is far slower than modeled there must push the
-        # planner to the smart bitonic sort.
-        assert Planner().plan(1 << 14).algorithm == "sample"
-        history = BenchHistory([{
-            "backend": "threads", "algorithm": "sample",
-            "keys": 1 << 14, "best_s": 50.0,
-        }])
+        # History saying the model's own pick at 16 Ki keys is far slower
+        # than modeled there must push the planner to the other
+        # algorithm, which history measures exactly as modeled.
+        planner = Planner()
+        picked = planner.plan(1 << 14).algorithm
+        other = "sample" if picked == "smart" else "smart"
+        modeled = planner.profile.estimate(
+            1 << 14, 4, "threads", algorithm=other, warm=False
+        )
+        history = BenchHistory([
+            {"backend": "threads", "algorithm": picked,
+             "keys": 1 << 14, "best_s": 50.0},
+            {"backend": "threads", "algorithm": other,
+             "keys": 1 << 14, "best_s": modeled},
+        ])
         d = Planner(history=history).plan(1 << 14)
-        assert d.algorithm == "smart"
+        assert d.algorithm == other
         assert d.source == "history"
 
     def test_missing_files_are_not_errors(self):
@@ -325,6 +440,93 @@ class TestSortServiceRequests:
         assert report.pool["spawned"] >= 1
         assert report.latency_percentile(0.5) > 0
         assert "served" in report.describe()
+
+
+class TestOneRankDispatch:
+    """A one-rank plan with no fault plan runs in the dispatcher thread,
+    on a one-rank communicator: no world is spawned or acquired."""
+
+    @staticmethod
+    def _service(**kwargs):
+        return SortService(pool=WorldPool(tick_interval_s=0.0), **kwargs)
+
+    @pytest.mark.parametrize("dtype", [np.uint32, np.int64])
+    def test_untraced(self, dtype):
+        keys = make_keys(1 << 12, seed=200).astype(dtype)
+        if dtype is np.int64:
+            keys -= 1 << 31  # negative keys too
+        with self._service() as svc:
+            out = svc.sort(keys, P=1)
+            spawned = svc.pool.stats()["spawned"]
+        assert out.decision.P == 1 and out.tracers is None
+        assert out.sorted_keys.tobytes() == np.sort(keys).tobytes()
+        assert spawned == 0
+
+    def test_traced(self):
+        keys = make_keys(1 << 12, seed=201)
+        with self._service() as svc:
+            out = svc.sort(keys, P=1, trace=True)
+            spawned = svc.pool.stats()["spawned"]
+        assert out.sorted_keys.tobytes() == np.sort(keys).tobytes()
+        assert spawned == 0
+        rank, lane = out.tracers
+        assert rank.rank == 0
+        assert "local_sort" in [span[0] for span in rank.spans]
+        assert lane.rank == 1  # the service lane, after the one rank
+        assert [tuple(span[:2]) for span in lane.spans] == [("wait", "queue")]
+
+    def test_batched(self):
+        arrays = [make_keys(1 << 10, seed=210 + i) for i in range(4)]
+        with self._service() as svc:
+            # Holding the queue's lock keeps the dispatcher from taking
+            # anything until all four same-shape requests are queued.
+            with svc._cond:
+                tickets = [svc.submit(a, P=1) for a in arrays]
+            outs = [t.result(60) for t in tickets]
+            spawned = svc.pool.stats()["spawned"]
+        assert [out.batch_size for out in outs] == [4] * 4
+        for arr, out in zip(arrays, outs):
+            assert out.sorted_keys.tobytes() == np.sort(arr).tobytes()
+        assert spawned == 0
+
+    def test_adapter_fed(self):
+        adapter = RequestAdapter(HostProfile.default())
+        keys = make_keys(1 << 12, seed=220)
+        with SortService(
+            planner=Planner(adapter=adapter),
+            pool=WorldPool(tick_interval_s=0.0),
+        ) as svc:
+            out = svc.sort(keys, P=1)
+            spawned = svc.pool.stats()["spawned"]
+        assert out.sorted_keys.tobytes() == np.sort(keys).tobytes()
+        assert spawned == 0
+        assert adapter.updates == 1
+        assert adapter.correction(
+            "threads", 1, out.decision.algorithm
+        ) is not None
+
+    def test_fault_armed_request_takes_a_world(self):
+        keys = make_keys(1 << 12, seed=230)
+        with self._service() as svc:
+            out = svc.sort(keys, P=1, faults=FaultPlan(seed=9, drop=0.05))
+            spawned = svc.pool.stats()["spawned"]
+        assert out.decision.P == 1
+        assert out.sorted_keys.tobytes() == np.sort(keys).tobytes()
+        assert spawned == 1
+
+
+class TestRequestLog:
+    def test_report_keeps_the_last_records(self):
+        total = REQUEST_LOG + 50
+        with SortService(pool=WorldPool(tick_interval_s=0.0)) as svc:
+            ids = [
+                svc.sort(make_keys(4, seed=i), P=1).request_id
+                for i in range(total)
+            ]
+            report = svc.report()
+        assert report.served == total == 1074
+        assert [r["id"] for r in report.requests] == ids[-REQUEST_LOG:]
+        assert f"last {REQUEST_LOG} requests" in report.describe()
 
 
 class TestAdmissionControl:
