@@ -3,8 +3,8 @@ pytest-benchmark).
 
 The backend runs :func:`~repro.runtime.spmd_bitonic_sort`; these benches
 time it against the collective it is built on and the fixed cost of
-launching a world.  ``repro-bitonic bench`` is the reporting counterpart
-that persists a trajectory JSON.
+launching a world.  The end-to-end counterpart is the repo's
+benchmark, ``perfbench/``.
 """
 
 import numpy as np

@@ -19,8 +19,7 @@ Measures, on the machine actually running the sorts:
   latency and the gap are not separable from the overhead at this
   granularity, and the closed forms price long messages by ``o`` + ``G``
   anyway);
-* **serving fixed costs** — world spawn per rank and warm job
-  dispatch/collect overhead;
+* **serving fixed cost** — warm job dispatch/collect overhead;
 * **disk lane** — sequential write and read bandwidth plus fsync
   latency, measured through the same temp-file path the out-of-core
   external sort spills through.  These fields are the planner's
@@ -140,12 +139,10 @@ def calibrate_disk(nbytes, reps):
 
 
 def calibrate_threads(rounds, reps):
-    """LogGP o/G plus the serving fixed costs of the threads backend."""
-    # Spawn cost: a fresh 2-rank world, timed end to end (per rank).
-    t0 = time.perf_counter()
+    """LogGP o/G plus the warm job dispatch cost of the threads
+    backend."""
     world = spawn_world(2)
     world.run(noop_job)  # the first job completes the warm-up
-    spawn_s = (time.perf_counter() - t0) / 2
 
     # Warm job overhead: dispatch + collect of a no-op on the warm world.
     job_s = _best_of(lambda: world.run(noop_job), reps)
@@ -166,7 +163,6 @@ def calibrate_threads(rounds, reps):
         o=round(o_us, 3),
         g=round(o_us, 3),
         G=round(G_us, 7),
-        spawn_per_rank_s=round(spawn_s, 6),
         job_overhead_s=round(job_s, 6),
     )
 
@@ -213,7 +209,6 @@ def main(argv=None):
     print("calibrating threads backend ...")
     costs = calibrate_threads(args.rounds, args.reps)
     print(f"  o={costs.o} us  G={costs.G} us/B  "
-          f"spawn={costs.spawn_per_rank_s * 1e3:.2f} ms/rank  "
           f"job={costs.job_overhead_s * 1e3:.2f} ms")
 
     profile = HostProfile(

@@ -18,7 +18,7 @@ mistake.*  This harness makes that claim reproducible:
 3. **Replay** the trace twice: once through an adapting service
    (planner + :class:`~repro.service.adapt.RequestAdapter`, autoscaling
    pool), once through a frozen static service (``adapter=None``) —
-   and emit a ``repro-bitonic-bench/7`` document whose
+   and emit a :data:`REPLAY_SCHEMA` document whose
    ``adapted_over_static`` ratio (static wall over adapted wall) CI
    gates at >= 1.0.
 
@@ -36,15 +36,15 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.harness.bench import BENCH_SCHEMA, _usable_cpus, write_bench
 from repro.service.adapt import RequestAdapter
-from repro.service.planner import BenchHistory, Planner
+from repro.service.planner import Planner
 from repro.service.pool import WorldPool
-from repro.service.profile import HostProfile
+from repro.service.profile import HostProfile, _usable_cpus
 from repro.service.service import SortService
 
 __all__ = [
     "LOAD_SCHEMA",
+    "REPLAY_SCHEMA",
     "drift_profile",
     "record_load_trace",
     "replay_load_trace",
@@ -55,6 +55,9 @@ __all__ = [
 #: /2 dropped the per-request ``overlap``/``P``/``algorithm`` overrides
 #: of the removed overlap probe pairs.
 LOAD_SCHEMA = "repro-bitonic-load/2"
+
+#: Schema of the replay document :func:`run_adapt_replay` writes.
+REPLAY_SCHEMA = "repro-bitonic-adapt-replay/1"
 
 #: World sizes the replay planner chooses between.  Kept narrow so the
 #: replay is fast and the drift story is crisp: the drifted model prices
@@ -71,8 +74,8 @@ def record_load_trace(
 ) -> Dict[str, Any]:
     """A deterministic mixed-shape load trace.
 
-    Every ``trace_every``-th request runs traced, feeding the adapter
-    phase deviations.
+    Every ``trace_every``-th request runs traced, as a served load's
+    sampled requests do.
     """
     rng = np.random.default_rng(seed)
     reqs: List[Dict[str, Any]] = []
@@ -114,16 +117,16 @@ def drift_profile(
 ) -> HostProfile:
     """Simulate calibration drift: the profile believes this host has
     eight cores per actual core, and that thread synchronization — the
-    LogGP terms plus world dispatch and spawn — costs 0.1% of its
-    calibrated cost.  Both distortions touch only the terms that grow
-    with ``P`` (a one-rank plan pays no dispatch), so the single-rank
-    price stays honest while wide worlds on small shards — overhead-bound
+    LogGP terms plus world dispatch — costs 0.1% of its calibrated
+    cost.  Both distortions touch only the terms that grow with ``P``
+    (a one-rank plan pays no dispatch), so the single-rank price stays
+    honest while wide worlds on small shards — overhead-bound
     on any real host — price *below* the single rank: the persistent
     mispick the static replay keeps dispatching into.  The mispricing is
     deliberately modest (under the default profile the 8-rank sample
     sort wins statically by ~1.2-1.4x at 4 Ki and 16 Ki keys), so the
-    corrections the adapter needs to reorder the candidates sit well
-    inside its ``[0.25, 4.0]`` clamp."""
+    corrections the adapter needs to reorder the candidates sit inside
+    its :data:`~repro.service.adapt.CLAMP`."""
     profile = profile or HostProfile.default()
     threads = profile.backends["threads"]
     return replace(
@@ -138,7 +141,6 @@ def drift_profile(
                 g=threads.g * comm_scale,
                 G=threads.G * comm_scale,
                 job_overhead_s=threads.job_overhead_s * comm_scale,
-                spawn_per_rank_s=threads.spawn_per_rank_s * comm_scale,
             ),
         },
         source=f"{profile.source}+drift",
@@ -153,10 +155,7 @@ def _make_service(
         if adapting else None
     )
     planner = Planner(
-        profile=profile,
-        candidate_P=_REPLAY_CANDIDATE_P,
-        history=BenchHistory(()),  # no committed bias: drift vs feedback only
-        adapter=adapter,
+        profile=profile, candidate_P=_REPLAY_CANDIDATE_P, adapter=adapter
     )
     pool = WorldPool(
         max_idle_per_key=2,
@@ -227,7 +226,7 @@ def run_adapt_replay(
     drift: bool = True,
 ) -> Dict[str, Any]:
     """Record (or reload) a load trace, replay it adapted and static,
-    and return (optionally write) the BENCH_SCHEMA /7 document.
+    and return (optionally write) the :data:`REPLAY_SCHEMA` document.
 
     ``drift=False`` replays against the undrifted profile — useful to
     check the adapter does no harm when the model is already right.
@@ -250,7 +249,7 @@ def run_adapt_replay(
         if adapted["sum_wall_s"] > 0 else float("inf")
     )
     doc = {
-        "schema": BENCH_SCHEMA,
+        "schema": REPLAY_SCHEMA,
         "host": {
             "cpu_count": _usable_cpus(),
             "platform": platform.platform(),
@@ -272,5 +271,7 @@ def run_adapt_replay(
         },
     }
     if out:
-        write_bench(doc, out)
+        with open(out, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
     return doc

@@ -20,12 +20,6 @@ Python:
     network (seeded drop/duplication/corruption/delay, optional rank
     crash) and report the recovery cost; the ``chaos-sweep`` experiment
     is the simulator-side counterpart.
-``repro-bitonic bench [--quick] [--out BENCH.json]``
-    Time the real SPMD sorts end-to-end on the threads backend (fused,
-    unfused and sample-sort variants, each checked byte-identical to
-    ``np.sort``) and remap-plan construction, and write the
-    machine-readable benchmark trajectory JSON (with per-phase
-    breakdowns from a traced companion run per variant).
 ``repro-bitonic serve --requests 200 --worlds 2``
     Soak the persistent sort service: push a mixed-shape request stream
     through a warm world pool, verify every output, export sampled
@@ -262,73 +256,10 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.errors import ConfigurationError
-    from repro.harness.bench import run_bench, write_bench
-
-    sizes = (
-        [int(s) for s in args.sizes.split(",") if s.strip()]
-        if args.sizes
-        else None
-    )
-    try:
-        payload = run_bench(
-            quick=args.quick,
-            sizes=sizes,
-            procs=args.procs,
-            reps=args.reps,
-            timeout=args.timeout,
-        )
-    except ConfigurationError as exc:
-        print(f"bench failed: {exc}", file=sys.stderr)
-        return 1
-    write_bench(payload, args.out)
-    host = payload["host"]
-    print(f"benchmark trajectory written to {args.out}")
-    print(f"  host: {host['cpu_count']} usable cores, numpy {host['numpy']}")
-    for rec in payload["end_to_end"]:
-        line = (f"  end-to-end {rec['backend']:>7} "
-                f"[{rec.get('variant', 'default'):>13}] "
-                f"{rec['keys']:>9,} keys "
-                f"x {rec['procs']} ranks: {rec['best_s'] * 1e3:8.1f} ms best")
-        phases = rec.get("phases") or {}
-        total = sum(phases.values())
-        if total > 0:
-            top = sorted(phases.items(), key=lambda kv: -kv[1])[:3]
-            line += "  [" + ", ".join(
-                f"{name} {100.0 * us / total:.0f}%" for name, us in top
-            ) + "]"
-        print(line)
-    for name, by_size in payload["end_to_end_speedup"].items():
-        pretty = ", ".join(f"{int(k):,}: {v:.2f}x" for k, v in by_size.items())
-        print(f"  speedup {name}: {pretty}")
-    for rec in payload["kernels"]["plan"]:
-        print(f"  kernel plan {rec['keys']}: {rec['speedup']:.2f}x "
-              "cached vs rebuilt")
-    service = payload.get("service", {})
-    for backend, by_size in service.get("warm_over_cold", {}).items():
-        pretty = ", ".join(f"{int(k):,}: {v:.2f}x" for k, v in by_size.items())
-        print(f"  service warm-over-cold {backend}: {pretty}")
-    if service.get("planner_points"):
-        print(f"  planner matched best measured config on "
-              f"{service['planner_matches']}/{service['planner_points']} "
-              f"(backend, size) points")
-    algos = service.get("algorithms", {})
-    for backend, by_size in algos.get("sample_over_bitonic", {}).items():
-        pretty = ", ".join(f"{int(k):,}: {v:.2f}x" for k, v in by_size.items())
-        print(f"  sample-over-bitonic {backend} (warm, P="
-              f"{algos.get('P')}): {pretty}")
-    if algos.get("planner_points"):
-        print(f"  planner routed the best measured algorithm on "
-              f"{algos['planner_matches']}/{algos['planner_points']} "
-              f"(backend, size) shapes")
-    return 0
-
-
 def _cmd_adapt_replay(args) -> int:
     """Record/replay proof of the online-adaptation loop: replay one
     load trace against a frozen-profile service and an adapting one,
-    write the BENCH /7 ``adapted_over_static`` table, gate >= min."""
+    write the ``adapted_over_static`` document, gate >= min."""
     from repro.harness.adapt_replay import (
         record_load_trace,
         run_adapt_replay,
@@ -374,15 +305,13 @@ def _cmd_adapt_replay(args) -> int:
 
 
 def _service_planner(profile_path):
-    """A Planner for the CLI service commands: calibrated profile when
-    one is given (or the default path exists), bench history when any
-    ``BENCH_pr*.json`` is nearby."""
-    from repro.service import BenchHistory, HostProfile, Planner
+    """A Planner for the CLI service commands: the calibrated profile
+    when one is given, else the built-in one."""
+    from repro.service import HostProfile, Planner
 
-    profile = None
-    if profile_path:
-        profile = HostProfile.load(profile_path)
-    return Planner(profile=profile, history=BenchHistory.load())
+    return Planner(
+        profile=HostProfile.load(profile_path) if profile_path else None
+    )
 
 
 def _spill_dirs() -> set:
@@ -923,22 +852,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--seed", type=int, default=0)
     p_chaos.set_defaults(fn=_cmd_chaos)
 
-    p_bench = sub.add_parser(
-        "bench", help="benchmark the SPMD sorts, write trajectory JSON"
-    )
-    p_bench.add_argument("--quick", action="store_true",
-                         help="CI-smoke sizes and repetitions")
-    p_bench.add_argument("--out", default="BENCH.json",
-                         help="output JSON path")
-    p_bench.add_argument("--sizes", default=None,
-                         help="comma-separated key counts (default by mode)")
-    p_bench.add_argument("--procs", type=int, default=8)
-    p_bench.add_argument("--reps", type=int, default=None,
-                         help="timed repetitions per measurement")
-    p_bench.add_argument("--timeout", type=float, default=300.0,
-                         help="per-world SPMD timeout in seconds")
-    p_bench.set_defaults(fn=_cmd_bench)
-
     p_ar = sub.add_parser(
         "adapt-replay",
         help="record a load trace, replay it against a frozen-profile "
@@ -950,7 +863,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="comma-separated key counts in the trace")
     p_ar.add_argument("--seed", type=int, default=0)
     p_ar.add_argument("--out", default="BENCH_adapt.json",
-                      help="BENCH /7 output JSON path")
+                      help="replay document JSON output path")
     p_ar.add_argument("--record-out", default=None,
                       help="also persist the recorded load trace here "
                            "(and replay exactly that file)")
@@ -1124,7 +1037,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # Back-compat: `repro-bitonic table5.1` == `repro-bitonic experiment table5.1`.
     known = {"experiment", "sort", "schedule", "predict", "fft", "gantt",
-             "chaos", "bench", "trace", "serve", "submit", "chaos-serve",
+             "chaos", "trace", "serve", "submit", "chaos-serve",
              "adapt-replay", "-h", "--help"}
     if argv and argv[0] not in known:
         argv = ["experiment"] + argv

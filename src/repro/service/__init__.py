@@ -24,7 +24,7 @@ prices with, and the pool autoscales itself from queue pressure.  See
 from repro.service.adapt import RequestAdapter
 from repro.service.admission import DEFAULT_TENANT, TenantAdmission, TenantPolicy
 from repro.service.net import ClientOutcome, SortClient, SortServer
-from repro.service.planner import BenchHistory, PlanDecision, Planner
+from repro.service.planner import PlanDecision, Planner
 from repro.service.pool import WorldPool
 from repro.service.profile import PROFILE_SCHEMA, BackendCosts, HostProfile
 from repro.service.router import LocalShard, ShardRouter
@@ -32,7 +32,6 @@ from repro.service.service import ServiceReport, SortOutcome, SortService, Ticke
 
 __all__ = [
     "BackendCosts",
-    "BenchHistory",
     "ClientOutcome",
     "DEFAULT_TENANT",
     "HostProfile",

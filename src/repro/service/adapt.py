@@ -1,4 +1,4 @@
-"""Online adaptation: completed-request traces folded back into the model.
+"""Online adaptation: completed-request measurements folded back into the model.
 
 The planner prices every request with LogGP closed forms calibrated once
 by ``scripts/calibrate_loggp.py`` — but real hosts drift under load
@@ -8,21 +8,15 @@ calibration.  :class:`RequestAdapter` closes the loop
 (**monitor → model → adapt → replay**):
 
 * after each served request the service calls :meth:`observe` with the
-  measured run time (and, for traced requests, the per-rank tracers);
+  measured run time;
 * the adapter folds ``measured / statically-modeled`` into a
   per-``(backend, P, algorithm)`` **EWMA correction factor**, clamped to
-  the same ``[0.25, 4.0]`` band as the
-  :class:`~repro.service.planner.BenchHistory` bias and **decaying toward
-  1.0** without traffic — a stale correction must never outlive the load
-  pattern that produced it;
-* traced requests additionally fold the
-  :class:`~repro.trace.report.PhaseReport` deviation ratios
-  (communication vs computation share, measured over predicted) into
-  per-key diagnostic EWMAs;
-* :meth:`Planner.plan(adapt=True) <repro.service.planner.Planner.plan>`
-  then prices every candidate with the adapted factors — the static
-  profile object is never mutated, and ``adapt=False`` (or an armed
-  fault plan) yields decisions byte-identical to the static planner's.
+  :data:`CLAMP` and **decaying toward 1.0** without traffic — a stale
+  correction must never outlive the load pattern that produced it;
+* :meth:`Planner.plan <repro.service.planner.Planner.plan>` then
+  multiplies every observed candidate's static price by its factor —
+  the static profile object is never mutated, and an armed fault plan
+  yields decisions byte-identical to the static planner's.
 
 State persists through the profile schema
 (:meth:`~repro.service.profile.HostProfile.save` with
@@ -40,10 +34,9 @@ import math
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.machine.metrics import COMM_CATEGORIES, COMPUTE_CATEGORIES
 from repro.service.profile import HostProfile
 
 __all__ = ["AdaptKey", "CorrectionState", "RequestAdapter"]
@@ -51,10 +44,13 @@ __all__ = ["AdaptKey", "CorrectionState", "RequestAdapter"]
 #: One correction key: the planner candidate the factor corrects.
 AdaptKey = Tuple[str, int, str]  # (backend, P, algorithm)
 
-#: Correction clamp: identical to the BenchHistory bias clamp — a live
-#: correction is a bias, not an oracle, and must never invert sane
-#: decisions by more than the committed-history bias could.
-CLAMP = (0.25, 4.0)
+#: Correction clamp.  Wide enough to hold the error of a drifted model:
+#: under ``repro-bitonic adapt-replay``'s drift an 8-rank world measures
+#: 20x and more its price while the one-rank plan measures about 3.4x,
+#: and a ceiling of 4 left the wide world priced below the one-rank plan
+#: it loses to.  Narrow enough that no stream of outlier samples moves a
+#: price by more than 16x either way.
+CLAMP = (1.0 / 16.0, 16.0)
 
 
 def _clamped(value: float, lo: float = CLAMP[0], hi: float = CLAMP[1]) -> float:
@@ -128,11 +124,6 @@ class RequestAdapter:
         self._clock = clock
         self._lock = threading.Lock()
         self._corr: Dict[AdaptKey, CorrectionState] = {}
-        #: Per-key diagnostic EWMAs of the PhaseReport deviation ratios
-        #: (measured share over predicted share) for the communication
-        #: and computation category groups of traced requests.
-        self._comm_dev: Dict[AdaptKey, CorrectionState] = {}
-        self._comp_dev: Dict[AdaptKey, CorrectionState] = {}
         self.updates = 0
 
     # -- monitor: fold one completed request ---------------------------
@@ -148,7 +139,6 @@ class RequestAdapter:
         dtype_size: int = 4,
         fused: bool = True,
         grouped: bool = True,
-        tracers: Optional[Sequence[Any]] = None,
     ) -> float:
         """Fold one completed request; returns the key's updated factor.
 
@@ -160,14 +150,12 @@ class RequestAdapter:
         through their own feedback.  The static estimate comes from the
         profile's price memo, the table the planner priced the request
         from, so folding a served request costs a lookup, not a closed
-        form.  ``tracers``, when given (a traced
-        request's per-rank recorders), additionally fold the phase-share
-        deviation ratios.
+        form.
         """
         try:
             static = self.profile.estimate(
                 N, P, backend, algorithm=algorithm, fused=fused,
-                grouped=grouped, warm=True, dtype_size=dtype_size,
+                grouped=grouped, dtype_size=dtype_size,
             )
         except ConfigurationError:
             return 1.0
@@ -180,49 +168,7 @@ class RequestAdapter:
             state = self._corr.setdefault(key, CorrectionState())
             factor = state.update(sample, now, self.alpha, self.decay_s)
             self.updates += 1
-        if tracers:
-            self._observe_trace(
-                key, N, fused, [t for t in tracers if t is not None], now
-            )
         return factor
-
-    def _observe_trace(
-        self,
-        key: AdaptKey,
-        N: int,
-        fused: bool,
-        tracers: Sequence[Any],
-        now: float,
-    ) -> None:
-        """Fold a traced request's phase deviations."""
-        from repro.theory.predict import predict
-        from repro.trace.report import build_phase_report
-
-        backend, P, algorithm = key
-        if not tracers:
-            return
-        try:
-            spec = self.profile.machine_spec(backend, P)
-            if algorithm == "smart":
-                pt = predict("smart", N, P, spec=spec, fused=fused)
-            else:
-                pt = predict(algorithm, N, P, spec=spec)
-        except (ConfigurationError, ValueError):
-            pt = None
-        rep = build_phase_report(
-            tracers=tracers, predicted=pt, P=P, n=max(1, N // max(P, 1))
-        )
-        comm_dev = _group_deviation(rep, COMM_CATEGORIES)
-        comp_dev = _group_deviation(rep, COMPUTE_CATEGORIES)
-        with self._lock:
-            if comm_dev is not None:
-                self._comm_dev.setdefault(key, CorrectionState()).update(
-                    _clamped(comm_dev), now, self.alpha, self.decay_s
-                )
-            if comp_dev is not None:
-                self._comp_dev.setdefault(key, CorrectionState()).update(
-                    _clamped(comp_dev), now, self.alpha, self.decay_s
-                )
 
     # -- model: the adapted corrections the planner prices with --------
 
@@ -241,19 +187,6 @@ class RequestAdapter:
             if state is None or not state.updates:
                 return None
             return _clamped(state.effective(self._clock(), self.decay_s))
-
-    def deviations(self, backend: str, P: int, algorithm: str) -> Dict[str, float]:
-        """The key's diagnostic deviation EWMAs (empty when untraced)."""
-        key = (backend, P, algorithm)
-        out: Dict[str, float] = {}
-        with self._lock:
-            now = self._clock()
-            for name, table in (("comm", self._comm_dev),
-                                ("comp", self._comp_dev)):
-                state = table.get(key)
-                if state is not None and state.updates:
-                    out[name] = state.effective(now, self.decay_s)
-        return out
 
     def stats(self) -> Dict[str, Any]:
         """JSON-ready snapshot for reports and observability."""
@@ -295,13 +228,6 @@ class RequestAdapter:
                     {"backend": b, "P": p, "algorithm": a, **dump(s)}
                     for (b, p, a), s in sorted(self._corr.items())
                 ],
-                "deviations": [
-                    {"backend": b, "P": p, "algorithm": a, "group": grp,
-                     **dump(s)}
-                    for grp, table in (("comm", self._comm_dev),
-                                       ("comp", self._comp_dev))
-                    for (b, p, a), s in sorted(table.items())
-                ],
             }
 
     @classmethod
@@ -313,7 +239,8 @@ class RequestAdapter:
     ) -> "RequestAdapter":
         """Rebuild an adapter from a ``state_blob`` (a fresh adapter when
         the blob is ``None`` or unreadable — adapted state is a bias,
-        never a requirement)."""
+        never a requirement).  Entries an older blob carries beyond the
+        corrections, such as ``deviations`` or ``waits``, are ignored."""
         blob = blob or {}
         adapter = cls(
             profile=profile,
@@ -335,26 +262,8 @@ class RequestAdapter:
                 key = (str(entry["backend"]), int(entry["P"]),
                        str(entry["algorithm"]))
                 adapter._corr[key] = load(entry)
-            for entry in blob.get("deviations", []):
-                key = (str(entry["backend"]), int(entry["P"]),
-                       str(entry["algorithm"]))
-                table = (adapter._comm_dev if entry.get("group") == "comm"
-                         else adapter._comp_dev)
-                table[key] = load(entry)
             adapter.updates = max(0, int(blob.get("updates", 0)))
         except (KeyError, TypeError, ValueError):
             return cls(profile=profile, clock=clock)
         return adapter
 
-
-def _group_deviation(rep: Any, categories: Sequence[str]) -> Optional[float]:
-    """Measured share over predicted share for a category *group* (the
-    PhaseReport deviation, aggregated), ``None`` when either side lacks
-    the group."""
-    if rep.measured_us is None or rep.column("predicted") is None:
-        return None
-    measured = sum(rep.share("measured", c) for c in categories)
-    predicted = sum(rep.share("predicted", c) for c in categories)
-    if predicted <= 0.0:
-        return None
-    return measured / predicted

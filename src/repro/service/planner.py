@@ -2,17 +2,22 @@
 
 Given a request's ``(N, dtype, faults)`` the planner chooses the cheapest
 execution: **algorithm** (smart bitonic vs sample sort — the Figure
-5.7/5.8 crossover, priced live), world size ``P``, and the
-fused/grouped communication flags — using the paper's
-closed forms priced with the host's calibrated
-:class:`~repro.service.profile.HostProfile`, optionally biased by
-measured bench history (``BENCH_pr*.json``).  This mirrors how
+5.7/5.8 crossover, priced live — or the out-of-core external sort),
+world size ``P``, and the fused/grouped communication flags — using the
+paper's closed forms priced with the host's calibrated
+:class:`~repro.service.profile.HostProfile`.  This mirrors how
 engineered distributed sorters pick algorithms from machine parameters
-instead of hardcoding one.  The profile prices every local sort and
-merge phase at its measured ``np.sort`` rate and memoizes each
-candidate's static price, so planning a shape seen before costs a few
-table lookups; a one-rank plan is priced without world dispatch, since
-the service runs it in its dispatcher thread.
+instead of hardcoding one.
+
+:meth:`Planner.plan` runs in passes: **clamp** (validate the request,
+apply the memory-budget and fault clamps) → **candidates** (every
+``(algorithm, backend, P)`` the request may run) → **price** (each
+candidate's static price from the profile's memo, so planning a shape
+seen before costs a few table lookups; a one-rank plan is priced without
+world dispatch, since the service runs it in its dispatcher thread) →
+**correct** (an attached :class:`~repro.service.adapt.RequestAdapter`'s
+live factor for each observed candidate) → **pick** (the first
+minimum).
 
 Every choice has a **forced-override escape hatch**: pass
 ``algorithm=``, ``backend=``, ``P=``, ``fused=`` or ``grouped=`` to
@@ -30,18 +35,15 @@ property test.
 
 from __future__ import annotations
 
-import glob
-import json
-import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.runtime.driver import BACKENDS
 from repro.service.adapt import RequestAdapter
 from repro.service.profile import HostProfile
 
-__all__ = ["PlanDecision", "Planner", "BenchHistory", "EXTERNAL_BACKEND"]
+__all__ = ["PlanDecision", "Planner", "EXTERNAL_BACKEND"]
 
 #: Candidate world sizes considered when ``P`` is not forced.
 _DEFAULT_CANDIDATE_P = (1, 2, 4, 8)
@@ -72,9 +74,9 @@ class PlanDecision:
     estimate, so callers (and the decision table in SERVING.md) can see
     the margins.  ``clamped`` is True when fault safety or the memory
     budget overrode a request's own flags; ``source`` records what the
-    choice rode on (``"model"``, ``"history"``, ``"adapted"``,
-    ``"forced"`` or ``"budget"`` — the last meaning the memory budget
-    degraded the request to the out-of-core external sort).
+    choice rode on (``"model"``, ``"adapted"``, ``"forced"`` or
+    ``"budget"`` — the last meaning the memory budget degraded the
+    request to the out-of-core external sort).
     """
 
     backend: str
@@ -86,8 +88,8 @@ class PlanDecision:
     clamped: bool = False
     source: str = "model"
     candidates: Dict[str, float] = field(default_factory=dict)
-    #: The same candidates priced by the *static* model (profile + bench
-    #: history, no live corrections).  Empty unless an online
+    #: The same candidates priced by the *static* model (the profile,
+    #: no live corrections).  Empty unless an online
     #: :class:`~repro.service.adapt.RequestAdapter` repriced the table —
     #: then ``candidates`` holds the adapted estimates the choice rode on
     #: and this column shows what the frozen model believed, side by side
@@ -135,86 +137,37 @@ class PlanDecision:
         return "\n".join(lines)
 
 
-class BenchHistory:
-    """Measured end-to-end latencies from committed bench trajectories.
+class _Request(NamedTuple):
+    """What the clamp pass lets take effect; ``None`` leaves the choice
+    to the planner."""
 
-    Loads the ``end_to_end`` records of ``BENCH_pr*.json`` files (schema
-    ``repro-bitonic-bench/2+``) and answers "what did backend X actually
-    cost near N keys on this host" — the empirical correction on top of
-    the closed forms.
-    """
-
-    def __init__(self, records: Sequence[Dict[str, Any]] = ()):
-        self._records = [
-            r for r in records
-            if "backend" in r and "keys" in r and "best_s" in r
-        ]
-
-    @classmethod
-    def load(cls, paths: Optional[Sequence[str]] = None) -> "BenchHistory":
-        """Load from explicit paths, or from ``BENCH_pr*.json`` in the
-        current directory when none are given.  Unreadable files are
-        skipped — history is a bias, never a requirement."""
-        if paths is None:
-            paths = sorted(glob.glob("BENCH_pr*.json"))
-        records: List[Dict[str, Any]] = []
-        for path in paths:
-            if not os.path.exists(path):
-                continue
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    doc = json.load(fh)
-                records.extend(doc.get("end_to_end", []))
-            except (OSError, ValueError):
-                continue
-        return cls(records)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def best(
-        self, backend: str, N: int, algorithm: str = "smart"
-    ) -> Optional[Tuple[float, int]]:
-        """Best measured ``(seconds, keys)`` for ``backend`` running
-        ``algorithm`` at the record size nearest ``N`` (within a factor
-        of 4), fused variant preferred implicitly by taking the minimum.
-        Records predating the algorithm field (schema < 6) are bitonic
-        trajectories and count as ``"smart"``."""
-        nearby = [
-            r for r in self._records
-            if r["backend"] == backend
-            and r.get("algorithm", "smart") == algorithm
-            and N / 4 <= r["keys"] <= N * 4
-        ]
-        if not nearby:
-            return None
-        r = min(nearby, key=lambda r: (abs(r["keys"] - N), r["best_s"]))
-        best = min(
-            x["best_s"] for x in nearby if x["keys"] == r["keys"]
-        )
-        return best, int(r["keys"])
+    algorithm: Optional[str]
+    backend: Optional[str]
+    P: Optional[int]
+    fused: bool
+    grouped: bool
+    #: Fault safety or the memory budget overrode the request's flags.
+    clamped: bool
+    #: The memory budget degraded the request to the external sort.
+    budget: bool
 
 
 class Planner:
     """Choose (algorithm, P, flags) per request from the host profile.
 
-    ``candidate_P`` restricts the world sizes considered.  ``history``
-    supplies measured latencies used to scale the model's estimates
-    (estimate × measured/modeled at the nearest benched size).
-    ``adapter`` closes the online feedback loop: when a
+    ``candidate_P`` restricts the world sizes considered.  ``adapter``
+    closes the online feedback loop: when a
     :class:`~repro.service.adapt.RequestAdapter` is attached, ``plan()``
-    reprices every candidate with its live correction factors (unless
-    the caller passes ``adapt=False`` or the fault clamp engages — those
-    paths stay byte-identical to the static planner).  Without a
-    ``profile`` the planner prices with the adapter's, so both read one
-    price memo.
+    multiplies every observed candidate's price by its live correction
+    factor (unless the fault clamp engages: a fault request prices
+    statically).  Without a ``profile`` the planner prices with the
+    adapter's, so both read one price memo.
     """
 
     def __init__(
         self,
         profile: Optional[HostProfile] = None,
         candidate_P: Sequence[int] = _DEFAULT_CANDIDATE_P,
-        history: Optional[BenchHistory] = None,
         adapter: Optional[RequestAdapter] = None,
     ):
         self.profile = profile or (
@@ -228,7 +181,6 @@ class Planner:
                 f"(knows {sorted(self.profile.backends)})"
             )
         self.candidate_P = tuple(sorted(set(candidate_P)))
-        self.history = history if history is not None else BenchHistory()
         self.adapter = adapter
 
     # -- the decision --------------------------------------------------
@@ -244,36 +196,20 @@ class Planner:
         P: Optional[int] = None,
         fused: Optional[bool] = None,
         grouped: Optional[bool] = None,
-        warm: bool = True,
-        adapt: bool = True,
         memory_budget: Optional[int] = None,
     ) -> PlanDecision:
         """Plan one sort request of ``N`` keys.
 
-        Keyword arguments other than ``faults``/``warm``/``adapt`` are
-        forced overrides: ``None`` means "planner chooses".
-        ``faults=True`` applies the safety clamp described in the module
-        docstring — it wins even over forced ``fused``/``grouped``.
-
-        ``adapt`` engages the attached
-        :class:`~repro.service.adapt.RequestAdapter` (a no-op without
-        one): every candidate is priced twice — statically (profile +
-        bench history, exactly the computation run without an adapter)
-        and with the live corrections — and the *adapted* estimates pick
-        the winner, with both columns kept on the decision
-        (:attr:`PlanDecision.static_candidates`).  An unobserved
-        candidate's adapted price equals its static price, so adaptation
-        only moves decisions on evidence.  ``adapt=False``, a missing
-        adapter, or an armed fault plan (live corrections reflect the
-        unclamped fast path, not the fault transport) all fall back to
-        the static path, byte-identical to a planner with no adapter.
+        Keyword arguments other than ``faults`` are forced overrides:
+        ``None`` means "planner chooses".  ``faults=True`` applies the
+        safety clamp described in the module docstring — it wins even
+        over forced ``fused``/``grouped``.
 
         With ``algorithm=None`` (or ``"auto"``) the planner prices both
-        runnable algorithms — smart bitonic and sample sort — against
-        each other, each at its own bench-history bias, and the winner's
-        name lands on :attr:`PlanDecision.algorithm` (the ``sample:``-
-        prefixed rows of :meth:`PlanDecision.explain`'s candidate
-        table).
+        in-memory algorithms — smart bitonic and sample sort — against
+        each other, and the winner's name lands on
+        :attr:`PlanDecision.algorithm` (the ``sample:``-prefixed rows of
+        :meth:`PlanDecision.explain`'s candidate table).
 
         ``memory_budget`` (bytes) engages the third regime: when the
         request's estimated in-memory working set
@@ -289,7 +225,73 @@ class Planner:
         profile carries measured disk evidence
         (:attr:`~repro.service.profile.HostProfile.has_disk_evidence`)
         — never chosen on conservative defaults alone.
+
+        With an attached adapter every candidate keeps its static price
+        in :attr:`PlanDecision.static_candidates`, and the corrected
+        prices pick the winner.  An unobserved candidate's corrected
+        price equals its static price, so adaptation only moves
+        decisions on evidence.
         """
+        req = self._clamp(N, dtype_size, faults, algorithm, backend, P,
+                          fused, grouped, memory_budget)
+        # Live corrections measured the unclamped fast path, not the
+        # fault transport.
+        adapter = None if faults else self.adapter
+        candidates: Dict[str, float] = {}
+        static: Dict[str, float] = {}
+        best: Optional[Tuple[float, str, str, int]] = None
+        for algo, b, p in self._candidates(N, req):
+            name = ("" if algo == "smart" else f"{algo}:") + f"{b}x{p}"
+            est = self.profile.estimate(
+                N, p, b, algorithm=algo, fused=req.fused,
+                grouped=req.grouped, dtype_size=dtype_size,
+                memory_budget=memory_budget,
+            )
+            if adapter is not None:
+                static[name] = est
+                corr = adapter.correction(b, p, algo)
+                if corr is not None:
+                    est *= corr
+            candidates[name] = est
+            if best is None or est < best[0]:
+                best = (est, algo, b, p)
+        assert best is not None
+        est, algo, b, p = best
+        source = (
+            "budget" if req.budget
+            else "forced" if req.backend is not None and req.P is not None
+            else "adapted" if adapter is not None and adapter.updates
+            else "model"
+        )
+        return PlanDecision(
+            backend=b,
+            P=p,
+            algorithm=algo,
+            fused=req.fused,
+            grouped=req.grouped,
+            est_seconds=est,
+            clamped=req.clamped,
+            source=source,
+            candidates=candidates,
+            static_candidates=static,
+        )
+
+    def _clamp(
+        self,
+        N: int,
+        dtype_size: int,
+        faults: bool,
+        algorithm: Optional[str],
+        backend: Optional[str],
+        P: Optional[int],
+        fused: Optional[bool],
+        grouped: Optional[bool],
+        memory_budget: Optional[int],
+    ) -> _Request:
+        """The clamp pass: validate the request, then apply the memory
+        budget and fault clamps.  Raises
+        :class:`~repro.errors.ConfigurationError` for a request no
+        candidate can run."""
         if N < 1:
             raise ConfigurationError(f"cannot plan a sort of {N} keys")
         if backend not in (None, EXTERNAL_BACKEND) + BACKENDS:
@@ -303,12 +305,11 @@ class Planner:
                 f"the planner cannot schedule algorithm {algorithm!r}; "
                 f"choose from {PLANNABLE_ALGORITHMS} (or None for auto)"
             )
-        clamped = False
-        budget_forced = False
         if memory_budget is not None and memory_budget < 1:
             raise ConfigurationError(
                 f"memory_budget must be >= 1 byte, got {memory_budget}"
             )
+        clamped = budget = False
         if memory_budget is not None:
             from repro.extsort import inmem_working_set_bytes
 
@@ -325,16 +326,13 @@ class Planner:
                 # the request runs out of core regardless of what was
                 # forced — like the fault clamp, the planner must never
                 # select a configuration it knows will OOM.
-                budget_forced = True
-                if (
+                budget = True
+                clamped = (
                     algorithm not in (None, "external")
                     or backend not in (None, EXTERNAL_BACKEND)
                     or (P is not None and P != 1)
-                ):
-                    clamped = True
-                algorithm = "external"
-                backend = None
-                P = None
+                )
+                algorithm, backend, P = "external", None, None
         if algorithm == "external":
             if faults:
                 raise ConfigurationError(
@@ -352,8 +350,7 @@ class Planner:
                     f"the external sort is single-host: P must be 1, "
                     f"got {P}"
                 )
-            backend = None
-            P = None
+            backend, P = None, None
         if backend == EXTERNAL_BACKEND:
             raise ConfigurationError(
                 f"the {EXTERNAL_BACKEND!r} pseudo-backend runs only "
@@ -366,11 +363,7 @@ class Planner:
             # Never *plan* into a fallback.
             if fused is not False or grouped is not False:
                 clamped = True
-            fused = False
-            grouped = False
-        use_fused = True if fused is None else fused
-        use_grouped = True if grouped is None else grouped
-
+            fused = grouped = False
         if P is not None:
             if P < 1 or N % P:
                 raise ConfigurationError(
@@ -381,146 +374,49 @@ class Planner:
                     f"P={P} leaves {N // P} key(s) per rank; the smart "
                     f"schedule needs at least 2"
                 )
-            candidates_P = (P,)
-        else:
-            # Smart schedules need >= 2 keys per rank (P=1 is the
-            # degenerate local sort and always valid).
-            candidates_P = tuple(
-                p for p in self.candidate_P
-                if p == 1 or (N % p == 0 and N // p >= 2)
-            ) or (1,)
+        return _Request(
+            algorithm=algorithm,
+            backend=backend,
+            P=P,
+            fused=True if fused is None else fused,
+            grouped=True if grouped is None else grouped,
+            clamped=clamped,
+            budget=budget,
+        )
 
-        # Which algorithms compete: one when forced; otherwise every
-        # runnable algorithm — the out-of-core regime only once the
-        # profile carries measured disk bandwidth (conservative defaults
-        # must never win an auto race).
-        if algorithm is not None:
-            algos: Tuple[str, ...] = (algorithm,)
+    def _candidates(
+        self, N: int, req: _Request
+    ) -> List[Tuple[str, str, int]]:
+        """The candidate pass: every ``(algorithm, backend, P)`` the
+        request may run, in pricing order — smart, then sample, then
+        external.  The external sort is the single candidate
+        ``("external", "local", 1)``: it runs in-process on the serving
+        host, and it joins only when forced (or budget-degraded) or when
+        the profile carries measured disk evidence — conservative
+        defaults must never win an auto race."""
+        if req.algorithm is not None:
+            algos: Tuple[str, ...] = (req.algorithm,)
         elif self.profile.has_disk_evidence:
             algos = PLANNABLE_ALGORITHMS
         else:
             algos = _INMEM_ALGORITHMS
-        # Live corrections engage only when an adapter is attached, the
-        # caller kept ``adapt``, and no fault clamp is armed — every
-        # other path runs exactly the static computation below.
-        adapter = self.adapter if (adapt and not faults) else None
-        candidates: Dict[str, float] = {}
-        static_candidates: Dict[str, float] = {}
-        best: Optional[Tuple[float, str, str, int]] = None
+        if req.P is not None:
+            ps: Tuple[int, ...] = (req.P,)
+        else:
+            # Smart schedules need >= 2 keys per rank (P=1 is the
+            # degenerate local sort and always valid).
+            ps = tuple(
+                p for p in self.candidate_P
+                if p == 1 or (N % p == 0 and N // p >= 2)
+            ) or (1,)
+        backends = BACKENDS if req.backend is None else (req.backend,)
+        out: List[Tuple[str, str, int]] = []
         for algo in algos:
             if algo == "external":
-                # The out-of-core regime is a single candidate: it runs
-                # in-process on the serving host (``local`` pseudo-
-                # backend, P=1), so there is no backend/P sweep — just
-                # the I/O closed form, biased by its own bench history
-                # and live EWMA correction like every other candidate.
-                scale = self._history_scale(
-                    EXTERNAL_BACKEND, N, dtype_size, "external"
-                )
-                est = self.profile.estimate(
-                    N, 1, EXTERNAL_BACKEND, algorithm="external",
-                    dtype_size=dtype_size, memory_budget=memory_budget,
-                ) * scale
-                name = f"external:{EXTERNAL_BACKEND}x1"
-                if adapter is not None:
-                    corr = adapter.correction(EXTERNAL_BACKEND, 1, "external")
-                    adapted = est if corr is None else est / scale * corr
-                    static_candidates[name] = est
-                    candidates[name] = adapted
-                    est = adapted
-                else:
-                    candidates[name] = est
-                if best is None or est < best[0]:
-                    best = (est, "external", EXTERNAL_BACKEND, 1)
-                continue
-            prefix = "" if algo == "smart" else f"{algo}:"
-            for b in BACKENDS:
-                scale = self._history_scale(b, N, dtype_size, algo)
-                for p in candidates_P:
-                    model = self.profile.estimate(
-                        N, p, b,
-                        algorithm=algo,
-                        fused=use_fused, grouped=use_grouped,
-                        warm=warm, dtype_size=dtype_size,
-                    )
-                    est = model * scale
-                    name = f"{prefix}{b}x{p}"
-                    if adapter is not None:
-                        # Adapted price: the live measured/modeled factor
-                        # replaces the bench-history scale for observed
-                        # keys (live beats committed); an unobserved key
-                        # keeps the static price, so adaptation never
-                        # diverges without evidence.
-                        corr = adapter.correction(b, p, algo)
-                        adapted = est if corr is None else model * corr
-                        static_candidates[name] = est
-                        candidates[name] = adapted
-                        est = adapted
-                    else:
-                        candidates[name] = est
-                    if best is None or est < best[0]:
-                        best = (est, algo, b, p)
-        assert best is not None
-        est, chosen_algo, chosen_backend, chosen_P = best
-        forced = backend is not None and P is not None
-        source = (
-            "budget" if budget_forced
-            else "forced" if forced
-            else "adapted" if adapter is not None and adapter.updates
-            else "history" if len(self.history) and not faults
-            else "model"
-        )
-        return PlanDecision(
-            backend=chosen_backend,
-            P=chosen_P,
-            algorithm=chosen_algo,
-            fused=use_fused,
-            grouped=use_grouped,
-            est_seconds=est,
-            clamped=clamped,
-            source=source,
-            candidates=candidates,
-            static_candidates=static_candidates if adapter is not None else {},
-        )
-
-    def _history_scale(
-        self, backend: str, N: int, dtype_size: int,
-        algorithm: str = "smart",
-    ) -> float:
-        """Measured/modeled ratio at the nearest benched size: scales the
-        model's estimate for ``backend`` running ``algorithm`` so
-        systematic model error (GIL serialization, allocator behaviour)
-        cancels out of the algorithm- and backend-vs-backend comparison.
-        An algorithm with no bench records of its own falls back to the
-        backend's bitonic-derived ratio — the backend-systematic share of
-        the error transfers even before the algorithm is benched."""
-        hit = self.history.best(backend, N, algorithm)
-        if hit is None and algorithm not in ("smart", "external"):
-            # An SPMD algorithm with no records of its own borrows the
-            # backend's bitonic ratio; the external sort shares nothing
-            # with the SPMD backends and never borrows.
-            algorithm = "smart"
-            hit = self.history.best(backend, N, algorithm)
-        if hit is None:
-            return 1.0
-        measured, keys = hit
-        # Bench records run cold at their recorded procs count; compare
-        # against the cold model estimate at the benched size.  P is not
-        # recorded per-history here, so use the bench default of 4 (the
-        # external sort is always P=1 and modeled by its own form).
-        try:
-            modeled = self.profile.estimate(
-                keys, 4, backend, algorithm=algorithm,
-                warm=False, dtype_size=dtype_size,
-            )
-        except ConfigurationError:
-            return 1.0
-        if modeled <= 0 or measured <= 0:
-            return 1.0
-        ratio = measured / modeled
-        # Clamp: history is a bias, not an oracle — a wildly off ratio
-        # (different host, stale file) must not invert sane decisions.
-        return min(max(ratio, 0.25), 4.0)
+                out.append((algo, EXTERNAL_BACKEND, 1))
+            else:
+                out.extend((algo, b, p) for b in backends for p in ps)
+        return out
 
     # -- reporting ------------------------------------------------------
 

@@ -10,8 +10,8 @@ formulas need *host* numbers.  A :class:`HostProfile` carries them:
   sort and merge phase of the runtime runs — plus the per-element
   pack/unpack/fused-pack and addressing rates;
 * per-backend :class:`BackendCosts` — LogGP parameters fitted to the
-  backend's collectives plus the serving-specific fixed costs the closed
-  forms do not cover: world spawn and warm job dispatch;
+  backend's collectives plus the serving-specific fixed cost the closed
+  forms do not cover: warm job dispatch;
 * the usable core count, which turns per-processor busy time into wall
   time on an oversubscribed host.
 
@@ -88,16 +88,15 @@ class BackendCosts:
     """One SPMD backend's measured costs on this host.
 
     ``L``/``o``/``g``/``G`` are LogGP parameters (µs, µs/byte) fitted to
-    the backend's collectives; the remaining fields are the serving fixed
-    costs outside the closed forms' scope, in seconds.
+    the backend's collectives; ``job_overhead_s`` is the serving fixed
+    cost outside the closed forms' scope.  The pool keeps worlds warm,
+    so no price carries a world's spawn.
     """
 
     L: float
     o: float
     g: float
     G: float
-    #: Seconds to spawn one rank of a fresh world.
-    spawn_per_rank_s: float
     #: Seconds of per-job dispatch/collect overhead on a warm world.
     job_overhead_s: float
 
@@ -138,9 +137,9 @@ class HostProfile:
 
     @classmethod
     def default(cls) -> "HostProfile":
-        """The built-in profile: the ``np.sort`` rate and the serving
-        fixed costs as measured on a 2-vCPU VM (warm job dispatch
-        0.018 ms, world spawn 0.18 ms), with conservative LogGP numbers.
+        """The built-in profile: the ``np.sort`` rate and the warm job
+        dispatch (0.018 ms) as measured on a 2-vCPU VM, with
+        conservative LogGP numbers.
 
         Calibrate (``scripts/calibrate_loggp.py``) for this host's own
         numbers.
@@ -154,7 +153,6 @@ class HostProfile:
             backends={
                 "threads": BackendCosts(
                     L=10.0, o=30.0, g=30.0, G=0.0005,
-                    spawn_per_rank_s=0.00018,
                     job_overhead_s=0.000018,
                 ),
             },
@@ -203,7 +201,6 @@ class HostProfile:
         algorithm: str = "smart",
         fused: bool = True,
         grouped: bool = True,
-        warm: bool = True,
         dtype_size: int = KEY_BYTES,
         memory_budget: Optional[int] = None,
     ) -> float:
@@ -215,10 +212,10 @@ class HostProfile:
         oversubscription scales it by ``P / min(P, cpus)`` because ranks
         beyond the core count serialize.  Ungrouped runs pay the full
         world-barrier fan-in per remap instead of the Lemma-4 group
-        fan-in.  On top ride the serving fixed costs: spawn (cold only)
-        and job dispatch — except at ``P=1``, which the service runs in
-        its dispatcher thread with no world.  ``algorithm="external"``
-        prices :meth:`estimate_external` under ``memory_budget``.
+        fan-in.  On top rides the warm world's job dispatch — except at
+        ``P=1``, which the service runs in its dispatcher thread with no
+        world.  ``algorithm="external"`` prices
+        :meth:`estimate_external` under ``memory_budget``.
 
         Prices are memoized per profile (at most
         :data:`PRICE_MEMO_LIMIT` shapes); the hit path takes no lock,
@@ -228,7 +225,7 @@ class HostProfile:
         if external:
             key: Tuple[Any, ...] = (algorithm, N, dtype_size, memory_budget)
         else:
-            key = (algorithm, N, P, backend, dtype_size, fused, grouped, warm)
+            key = (algorithm, N, P, backend, dtype_size, fused, grouped)
         prices = self._prices
         price = prices.get(key)
         if price is None:
@@ -242,7 +239,7 @@ class HostProfile:
                 )
             else:
                 price = self._price(N, P, backend, algorithm, fused,
-                                    grouped, warm)
+                                    grouped)
             if len(prices) >= PRICE_MEMO_LIMIT:
                 prices.clear()
             prices[key] = price
@@ -256,7 +253,6 @@ class HostProfile:
         algorithm: str,
         fused: bool,
         grouped: bool,
-        warm: bool,
     ) -> float:
         """The in-memory closed form behind :meth:`estimate`,
         unmemoized."""
@@ -296,8 +292,6 @@ class HostProfile:
         wall = busy_us * oversub / 1e6
         if P > 1:
             wall += costs.job_overhead_s
-            if not warm:
-                wall += costs.spawn_per_rank_s * P
         return wall
 
     @property
@@ -375,7 +369,8 @@ class HostProfile:
                 f"{PROFILE_SCHEMA!r} — re-run scripts/calibrate_loggp.py"
             )
         # Fields and backend lanes this code no longer has (an older /3
-        # file's procs lane, for one) are skipped, not rejected.
+        # file's procs lane or spawn cost, for two) are skipped, not
+        # rejected.
         raw = _known_fields(cls, doc["profile"])
         raw["backends"] = {
             name: BackendCosts(**_known_fields(BackendCosts, costs))

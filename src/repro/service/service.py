@@ -24,11 +24,10 @@ the dispatcher thread, with no world at all:
   monotonic timebase, exported per request (not blurred per batch);
 * **online adaptation** — when the planner carries a
   :class:`~repro.service.adapt.RequestAdapter`, every served request's
-  measured run time (and, for traced requests, its per-rank tracers)
-  feeds back into the adapter, so the next plan prices with live
-  corrections; every planned arrival is also reported to the pool
-  (:meth:`~repro.service.pool.WorldPool.note_arrival`) as the
-  queue-pressure signal its autoscaler prespawns from.
+  measured run time feeds back into the adapter, so the next plan
+  prices with live corrections; every planned arrival is also reported
+  to the pool (:meth:`~repro.service.pool.WorldPool.note_arrival`) as
+  the queue-pressure signal its autoscaler prespawns from.
 
 Everything observable lands in :class:`ServiceReport`, which keeps the
 counters for the service's lifetime and the records of the last
@@ -652,19 +651,17 @@ class SortService:
                     p.keys, out, f"service[{d.algorithm}:{d.backend}x{P}]"
                 )
             tracers = None
-            rank_tracers = None
             if p.trace:
-                rank_tracers = [
-                    t for t in (rank_results[r][1][i] for r in range(P))
-                    if t is not None
-                ]
                 lane = Tracer(rank=P)  # the service lane, after the ranks
                 lane.spans.append(
                     ["wait", "queue", p.enqueued_at, dispatched_at, -1]
                 )
                 if adapter is not None:
                     lane.add("adapt.updates", 1)
-                tracers = rank_tracers + [lane]
+                tracers = [
+                    t for t in (rank_results[r][1][i] for r in range(P))
+                    if t is not None
+                ] + [lane]
             if adapter is not None:
                 adapter.observe(
                     N=int(p.keys.size),
@@ -675,7 +672,6 @@ class SortService:
                     dtype_size=p.keys.dtype.itemsize,
                     fused=d.fused,
                     grouped=d.grouped,
-                    tracers=rank_tracers,
                 )
             outcome = SortOutcome(
                 request_id=p.ticket.request_id,
@@ -801,7 +797,6 @@ class SortService:
                     dtype_size=p.keys.dtype.itemsize,
                     fused=d.fused,
                     grouped=d.grouped,
-                    tracers=[tracer] if tracer is not None else None,
                 )
             outcome = SortOutcome(
                 request_id=p.ticket.request_id,

@@ -3,15 +3,15 @@
 Pins the contracts behind :mod:`repro.service.adapt` and the
 queue-driven :class:`~repro.service.pool.WorldPool` autoscaler:
 
-* correction factors never escape the ``[0.25, 4.0]`` clamp and decay
-  toward the neutral 1.0 without traffic (hypothesis properties over
-  arbitrary sample streams and clock skips);
-* ``plan(adapt=False)`` and armed fault plans are *byte-identical* to a
-  planner with no adapter at all — adaptation is opt-in per request and
-  never leaks into the fault-clamped path;
+* correction factors never escape the :data:`~repro.service.adapt.CLAMP`
+  band and decay toward the neutral 1.0 without traffic (hypothesis
+  properties over arbitrary sample streams and clock skips);
+* armed fault plans are *byte-identical* to a planner with no adapter
+  at all — adaptation never leaks into the fault-clamped path;
 * an unobserved key's adapted price equals its static price (adaptation
   moves decisions on evidence only), while sustained slow observations
-  flip the decision away from the mispriced candidate;
+  flip the decision away from the mispriced candidate — under the
+  adapt-replay drift too, back to the one-rank plan;
 * the whole adapter state round-trips through the persisted profile
   schema (older /1 and /2 files are rejected, while a /3 file written
   before the overlap pipeline's removal still loads);
@@ -24,7 +24,7 @@ import json
 import math
 import warnings
 from pathlib import Path
-from dataclasses import replace
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -34,7 +34,6 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.faults import FaultPlan
 from repro.service import (
-    BenchHistory,
     HostProfile,
     Planner,
     RequestAdapter,
@@ -80,7 +79,7 @@ class TestCorrectionProperties:
     )
     def test_factor_stays_inside_clamp(self, samples, alpha, dts):
         """No stream of measurements — however absurd — pushes a
-        correction outside the BenchHistory bias clamp."""
+        correction outside the clamp."""
         state = CorrectionState()
         now = 0.0
         for s in samples:
@@ -118,7 +117,7 @@ class TestCorrectionProperties:
         assert CorrectionState().effective(123.0, 600.0) == 1.0
 
 
-# -- byte-identity: adapt=False and armed faults ------------------------
+# -- byte-identity: armed faults ----------------------------------------
 
 
 class TestByteIdentity:
@@ -132,16 +131,6 @@ class TestByteIdentity:
             adapter.observe(N=1 << 14, backend="threads", P=4,
                             algorithm="smart", measured_s=1e-5)
         return Planner(adapter=adapter)
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        n_log2=st.integers(min_value=8, max_value=18),
-        warm=st.booleans(),
-    )
-    def test_adapt_false_matches_plain_planner(self, n_log2, warm):
-        plain = Planner().plan(1 << n_log2, warm=warm)
-        frozen = self._trained().plan(1 << n_log2, warm=warm, adapt=False)
-        assert frozen == plain
 
     @settings(max_examples=30, deadline=None)
     @given(n_log2=st.integers(min_value=8, max_value=18))
@@ -216,6 +205,34 @@ class TestAdaptedPlanning:
             1.0, abs=1e-6
         )
 
+    def test_replay_drift_routes_back_to_one_rank(self):
+        """The adapt-replay drift prices the 8-rank world below the one
+        rank it loses to.  Once one-rank plans measure 3.4x their static
+        price (the dispatcher's fixed cost the price leaves out) and
+        wider worlds 20x, both replay sizes must plan P=1 again."""
+        from repro.harness.adapt_replay import drift_profile
+
+        profile = drift_profile()
+        adapter = RequestAdapter(profile, clock=FakeClock())
+        planner = Planner(
+            profile=profile, candidate_P=(1, 2, 8), adapter=adapter
+        )
+        sizes = (1 << 12, 1 << 14)
+        assert [planner.plan(N).P for N in sizes] == [8, 8]
+        for _ in range(20):
+            for N in sizes:
+                for algorithm in ("smart", "sample"):
+                    for P in (1, 2, 8):
+                        static = profile.estimate(
+                            N, P, "threads", algorithm=algorithm
+                        )
+                        adapter.observe(
+                            N=N, backend="threads", P=P,
+                            algorithm=algorithm,
+                            measured_s=static * (3.4 if P == 1 else 20.0),
+                        )
+        assert [planner.plan(N).P for N in sizes] == [1, 1]
+
     def test_bad_alpha_rejected(self):
         with pytest.raises(ConfigurationError):
             RequestAdapter(alpha=0.0)
@@ -274,9 +291,10 @@ class TestPersistence:
 
     def test_parent_schema_3_file_still_loads(self):
         """A /3 file carrying the removed ``overlap_efficiency`` field,
-        adapt ``waits`` entries, and the removed procs backend's lane,
-        ``spin_budget`` and ``ship_bytes_per_s`` loads: unknown keys and
-        backends are skipped."""
+        adapt ``waits`` and ``deviations`` entries, the removed world
+        spawn cost, and the removed procs backend's lane, ``spin_budget``
+        and ``ship_bytes_per_s`` loads: unknown keys and backends are
+        skipped."""
         path = str(Path(__file__).parent / "data" / "profile_v3_parent.json")
         profile, blob = HostProfile.load_with_state(path)
         assert profile.source == "calibrated"
@@ -284,10 +302,15 @@ class TestPersistence:
         assert not hasattr(profile, "overlap_efficiency")
         assert not hasattr(profile, "spin_budget")
         assert set(profile.backends) == {"threads"}
-        assert not hasattr(profile.backends["threads"], "ship_bytes_per_s")
+        assert set(asdict(profile.backends["threads"])) == {
+            "L", "o", "g", "G", "job_overhead_s"
+        }
         assert profile.backends["threads"].job_overhead_s == 0.001
-        assert blob["waits"]
+        assert blob["waits"] and blob["deviations"]
         adapter = RequestAdapter.restore(blob, profile, clock=FakeClock())
+        assert set(adapter.state_blob()) == {
+            "alpha", "decay_s", "updates", "corrections"
+        }
         assert adapter.updates == 3
         assert adapter.correction("threads", 2, "smart") == pytest.approx(
             1.0 + 1.53 * math.exp(-30.0 / 600.0)
@@ -487,10 +510,7 @@ class TestPoolReaping:
 class TestServiceIntegration:
     def test_served_requests_feed_the_adapter(self):
         adapter = RequestAdapter(HostProfile.default())
-        planner = Planner(
-            candidate_P=(1, 2),
-            history=BenchHistory(()), adapter=adapter,
-        )
+        planner = Planner(candidate_P=(1, 2), adapter=adapter)
         service = SortService(
             planner=planner,
             pool=WorldPool(tick_interval_s=0.0),
@@ -511,10 +531,7 @@ class TestServiceIntegration:
 
     def test_fault_requests_do_not_train_the_adapter(self):
         adapter = RequestAdapter(HostProfile.default())
-        planner = Planner(
-            candidate_P=(1, 2),
-            history=BenchHistory(()), adapter=adapter,
-        )
+        planner = Planner(candidate_P=(1, 2), adapter=adapter)
         service = SortService(
             planner=planner,
             pool=WorldPool(tick_interval_s=0.0),
@@ -532,10 +549,7 @@ class TestServiceIntegration:
 
     def test_adapt_counter_reaches_trace(self):
         adapter = RequestAdapter(HostProfile.default())
-        planner = Planner(
-            candidate_P=(1,),
-            history=BenchHistory(()), adapter=adapter,
-        )
+        planner = Planner(candidate_P=(1,), adapter=adapter)
         service = SortService(
             planner=planner,
             pool=WorldPool(tick_interval_s=0.0),

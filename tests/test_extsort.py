@@ -372,7 +372,7 @@ class TestPlannerRegime:
 
         d = Planner().plan(1 << 12, algorithm="external")
         assert (d.algorithm, d.P) == ("external", 1)
-        assert d.source in ("model", "history")
+        assert d.source == "model"
 
     def test_decision_table_shows_regime_split(self):
         from repro.service import Planner

@@ -1,0 +1,137 @@
+"""Pinned planner decisions.
+
+``data/plan_decisions.json`` records what four planners decided for a
+fixed sample of requests, taken from the planner as it stood before it
+was rebuilt as passes (clamp, candidates, price, correct, pick) and lost
+its bench-history correction.  Every planner here plans without bench
+history, so the rebuild must not move one decision: replaying each
+request must give the same algorithm, backend, P, flags, clamp, source
+and estimate, or the same error message.
+
+The requests vary the size (4 to 16 Mi keys), the key width, faults,
+auto and forced algorithm (external included), forced backend and P,
+``fused``/``grouped=False`` and a 64 KiB memory budget.  The planners
+are fixed-core profiles with 2 and 8 cores, a profile with measured disk
+evidence, and a 2-core planner whose adapter was trained on a fixed
+clock with corrections inside ``[0.25, 4]``.
+"""
+
+import json
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from repro.errors import ConfigurationError
+from repro.service import HostProfile, Planner, RequestAdapter
+
+FIXTURE = Path(__file__).parent / "data" / "plan_decisions.json"
+
+#: The memory budget a request with ``budget=1`` plans under.
+BUDGET = 64 << 10
+
+#: The trained planner's observed ratios of measured to static price,
+#: per ``(algorithm, backend, P)``.
+_OBSERVED = {
+    ("smart", "threads", 1): 3.0,
+    ("sample", "threads", 2): 0.4,
+    ("smart", "threads", 4): 2.0,
+    ("external", "local", 1): 0.5,
+}
+
+
+def _profile(cpus, disk=False):
+    profile = replace(HostProfile.default(), cpus=cpus)
+    if disk:
+        profile = replace(
+            profile, disk_read_bytes_per_s=1.5e9,
+            disk_write_bytes_per_s=8e8, fsync_s=0.002,
+        )
+    return profile
+
+
+def _trained(profile):
+    adapter = RequestAdapter(profile, clock=lambda: 0.0)
+    for (algorithm, backend, P), ratio in _OBSERVED.items():
+        static = profile.estimate(1 << 14, P, backend, algorithm=algorithm)
+        for _ in range(3):
+            adapter.observe(N=1 << 14, backend=backend, P=P,
+                            algorithm=algorithm, measured_s=ratio * static)
+    return Planner(profile=profile, adapter=adapter)
+
+
+PLANNERS = {
+    "cpus2": lambda: Planner(profile=_profile(2)),
+    "cpus8": lambda: Planner(profile=_profile(8)),
+    "disk": lambda: Planner(profile=_profile(2, disk=True)),
+    "adapted": lambda: _trained(_profile(2)),
+}
+
+
+def decide(planner, request):
+    """One request's decision as the fixture records it, or the message
+    of the ``ConfigurationError`` it raises.  ``request`` is
+    ``[log2 N, dtype size, faults, algorithm, backend, P, fused,
+    grouped, budget]``."""
+    log_n, dtype_size, faults, algorithm, backend, P, fused, grouped, \
+        budget = request
+    try:
+        d = planner.plan(
+            1 << log_n, dtype_size=dtype_size, faults=bool(faults),
+            algorithm=algorithm, backend=backend, P=P, fused=fused,
+            grouped=grouped, memory_budget=BUDGET if budget else None,
+        )
+    except ConfigurationError as exc:
+        return str(exc)
+    return [d.algorithm, d.backend, d.P, int(d.fused), int(d.grouped),
+            int(d.clamped), d.source, d.est_seconds]
+
+
+def _recorded(doc, name):
+    """``(request, recorded outcome)`` pairs of planner ``name``; an
+    error is recorded as an index into the fixture's message list, and
+    an estimate to 12 significant digits."""
+    column = doc["planners"].index(name) + 1
+    for row in doc["rows"]:
+        want = row[column]
+        yield row[0], doc["errors"][want] if isinstance(want, int) else want
+
+
+def _same(got, want):
+    if isinstance(want, str) or isinstance(got, str):
+        return got == want
+    return got[:-1] == want[:-1] and got[-1] == pytest.approx(
+        want[-1], rel=1e-11
+    )
+
+
+@pytest.mark.parametrize("name", sorted(PLANNERS))
+def test_decisions_match_the_fixture(name):
+    doc = json.loads(FIXTURE.read_text())
+    planner = PLANNERS[name]()
+    moved = []
+    for request, want in _recorded(doc, name):
+        got = decide(planner, request)
+        if not _same(got, want):
+            moved.append((request, got, want))
+    assert not moved, f"{len(moved)} decisions moved, first: {moved[:3]}"
+
+
+def test_fixture_covers_every_axis():
+    doc = json.loads(FIXTURE.read_text())
+    requests = [row[0] for row in doc["rows"]]
+    assert {r[0] for r in requests} == set(range(2, 25, 2))
+    assert {r[3] for r in requests} == {
+        "auto", "smart", "sample", "external"
+    }
+    for axis, values in ((1, {4, 8}), (2, {0, 1}),
+                         (4, {None, "threads", "local"}),
+                         (5, {None, 1, 2, 4}), (6, {None, False}),
+                         (7, {None, False}), (8, {0, 1})):
+        assert {r[axis] for r in requests} == values
+    outcomes = [out for name in doc["planners"]
+                for _, out in _recorded(doc, name)]
+    assert any(isinstance(out, str) for out in outcomes)
+    assert {out[6] for out in outcomes if not isinstance(out, str)} == {
+        "model", "forced", "adapted", "budget"
+    }

@@ -28,7 +28,6 @@ from repro.errors import (
 from repro.faults import FaultPlan
 from repro.runtime.driver import BACKENDS, spawn_world
 from repro.service import (
-    BenchHistory,
     HostProfile,
     PlanDecision,
     Planner,
@@ -240,19 +239,17 @@ class TestPriceMemo:
         P=st.sampled_from([None, 1, 2, 4, 8]),
         fused=st.sampled_from([None, True, False]),
         grouped=st.sampled_from([None, True, False]),
-        warm=st.booleans(),
         memory_budget=st.sampled_from([None, 1 << 12, 1 << 20, 1 << 28]),
         adapted=st.booleans(),
     )
     def test_memoized_plans_match_fresh_ones(
-        self, log_n, dtype_size, faults, algorithm, P, fused, grouped, warm,
+        self, log_n, dtype_size, faults, algorithm, P, fused, grouped,
         memory_budget, adapted,
     ):
         N = 1 << log_n
         kwargs = dict(
             dtype_size=dtype_size, faults=faults, algorithm=algorithm, P=P,
-            fused=fused, grouped=grouped, warm=warm,
-            memory_budget=memory_budget,
+            fused=fused, grouped=grouped, memory_budget=memory_budget,
         )
         memoized = _planned(_SHARED_PROFILE, adapted, N, kwargs)
         assert _planned(_SHARED_PROFILE, adapted, N, kwargs) == memoized
@@ -303,46 +300,17 @@ class TestPriceMemo:
 
     def test_one_rank_price_has_no_dispatch(self):
         """P=1 runs in the service's dispatcher: its price is the local
-        sort alone, warm or cold."""
+        sort alone, whatever a world's job dispatch costs."""
         p = HostProfile.default()
         sort_s = (1 << 16) * p.np_sort_ns_per_key / 1e9
         assert p.estimate(1 << 16, 1, "threads") == pytest.approx(sort_s)
-        assert p.estimate(1 << 16, 1, "threads", warm=False) == (
+        slow = p.with_backend(
+            "threads", replace(p.backends["threads"], job_overhead_s=1.0)
+        )
+        assert slow.estimate(1 << 16, 1, "threads") == (
             p.estimate(1 << 16, 1, "threads")
         )
-
-
-class TestBenchHistory:
-    def test_biases_toward_measured_algorithm(self):
-        # History saying the model's own pick at 16 Ki keys is far slower
-        # than modeled there must push the planner to the other
-        # algorithm, which history measures exactly as modeled.
-        planner = Planner()
-        picked = planner.plan(1 << 14).algorithm
-        other = "sample" if picked == "smart" else "smart"
-        modeled = planner.profile.estimate(
-            1 << 14, 4, "threads", algorithm=other, warm=False
-        )
-        history = BenchHistory([
-            {"backend": "threads", "algorithm": picked,
-             "keys": 1 << 14, "best_s": 50.0},
-            {"backend": "threads", "algorithm": other,
-             "keys": 1 << 14, "best_s": modeled},
-        ])
-        d = Planner(history=history).plan(1 << 14)
-        assert d.algorithm == other
-        assert d.source == "history"
-
-    def test_missing_files_are_not_errors(self):
-        history = BenchHistory.load(["/nonexistent/BENCH_pr999.json"])
-        assert len(history) == 0
-
-    def test_nearest_size_within_factor_four(self):
-        history = BenchHistory(
-            [{"backend": "threads", "keys": 1 << 14, "best_s": 0.5}]
-        )
-        assert history.best("threads", 1 << 15) == (0.5, 1 << 14)
-        assert history.best("threads", 1 << 20) is None
+        assert slow.estimate(1 << 16, 2, "threads") > 1.0
 
 
 class TestHostProfile:
@@ -363,12 +331,6 @@ class TestHostProfile:
         p = HostProfile.default()
         assert p.estimate(1 << 16, 2, "threads") > p.estimate(
             1 << 12, 2, "threads"
-        )
-
-    def test_cold_costs_more_than_warm(self):
-        p = HostProfile.default()
-        assert p.estimate(1 << 14, 4, "threads", warm=False) > p.estimate(
-            1 << 14, 4, "threads", warm=True
         )
 
     def test_unknown_backend_rejected(self):
