@@ -256,54 +256,6 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_adapt_replay(args) -> int:
-    """Record/replay proof of the online-adaptation loop: replay one
-    load trace against a frozen-profile service and an adapting one,
-    write the ``adapted_over_static`` document, gate >= min."""
-    from repro.harness.adapt_replay import (
-        record_load_trace,
-        run_adapt_replay,
-        save_load_trace,
-    )
-
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    if args.record_out:
-        save_load_trace(
-            record_load_trace(args.requests, sizes, args.seed),
-            args.record_out,
-        )
-        print(f"load trace recorded to {args.record_out}")
-    doc = run_adapt_replay(
-        requests=args.requests,
-        sizes=sizes,
-        seed=args.seed,
-        profile_path=args.profile,
-        load_path=args.record_out or args.load,
-        out=args.out,
-        drift=not args.no_drift,
-    )
-    ar = doc["adapt_replay"]
-    ratio = ar["adapted_over_static"]
-    print(f"adapt-replay written to {args.out}")
-    for side in ("static", "adapted"):
-        r = ar[side]
-        mix = ", ".join(f"{k} x{v}" for k, v in r["decision_mix"].items())
-        print(f"  {side:>7}: {r['requests']} requests, "
-              f"sum wall {r['sum_wall_s'] * 1e3:.0f} ms, "
-              f"p50 {r['p50_s'] * 1e3:.1f} ms, p99 {r['p99_s'] * 1e3:.1f} ms")
-        print(f"           [{mix}]")
-    adapt = ar["adapted"].get("adapt", {})
-    print(f"  adapter: {adapt.get('updates', 0)} updates, "
-          f"factors {adapt.get('factors', {})}")
-    print(f"  adapted_over_static: {ratio:.3f}x "
-          f"(gate: >= {args.min_ratio})")
-    if ratio < args.min_ratio:
-        print(f"adapt-replay: adapting service was slower than the frozen "
-              f"one ({ratio:.3f}x < {args.min_ratio})", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _service_planner(profile_path):
     """A Planner for the CLI service commands: the calibrated profile
     when one is given, else the built-in one."""
@@ -368,7 +320,6 @@ def _cmd_listen(args) -> int:
             planner,
             WorldPool(max_idle_per_key=args.worlds),
             queue_depth=args.queue_depth,
-            batch_max=args.batch_max,
             timeout=args.timeout,
             memory_budget=args.memory_budget,
             disk_budget=args.disk_budget,
@@ -427,7 +378,6 @@ def _cmd_serve(args) -> int:
         planner,
         pool,
         queue_depth=args.queue_depth,
-        batch_max=args.batch_max,
         timeout=args.timeout,
         memory_budget=args.memory_budget,
         disk_budget=args.disk_budget,
@@ -650,7 +600,6 @@ def _cmd_chaos_serve(args) -> int:
             planner,
             WorldPool(max_idle_per_key=1),
             queue_depth=args.queue_depth,
-            batch_max=args.batch_max,
             timeout=args.timeout,
         )
         name = f"shard{s}"
@@ -852,34 +801,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--seed", type=int, default=0)
     p_chaos.set_defaults(fn=_cmd_chaos)
 
-    p_ar = sub.add_parser(
-        "adapt-replay",
-        help="record a load trace, replay it against a frozen-profile "
-             "service and an adapting one, gate adapted_over_static",
-    )
-    p_ar.add_argument("--requests", type=int, default=200,
-                      help="requests in a freshly recorded load trace")
-    p_ar.add_argument("--sizes", default="4096,16384",
-                      help="comma-separated key counts in the trace")
-    p_ar.add_argument("--seed", type=int, default=0)
-    p_ar.add_argument("--out", default="BENCH_adapt.json",
-                      help="replay document JSON output path")
-    p_ar.add_argument("--record-out", default=None,
-                      help="also persist the recorded load trace here "
-                           "(and replay exactly that file)")
-    p_ar.add_argument("--load", default=None,
-                      help="replay a previously recorded load trace "
-                           "instead of recording a fresh one")
-    p_ar.add_argument("--profile", default=None,
-                      help="calibrated host profile JSON to start from")
-    p_ar.add_argument("--no-drift", action="store_true",
-                      help="replay against the undrifted profile (checks "
-                           "the adapter does no harm when the model is "
-                           "already right)")
-    p_ar.add_argument("--min-ratio", type=float, default=1.0,
-                      help="fail when adapted_over_static falls below this")
-    p_ar.set_defaults(fn=_cmd_adapt_replay)
-
     p_trace = sub.add_parser(
         "trace",
         help="run the SPMD sort traced; print the phase table, write a "
@@ -916,7 +837,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--sizes", default="4096,16384",
                          help="comma-separated request key counts")
     p_serve.add_argument("--queue-depth", type=int, default=16)
-    p_serve.add_argument("--batch-max", type=int, default=8)
     p_serve.add_argument("--timeout", type=float, default=120.0)
     p_serve.add_argument("--trace-every", type=int, default=25,
                          help="trace every Nth request (0 disables)")
@@ -976,7 +896,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cserve.add_argument("--attempt-timeout", type=float, default=3.0,
                           help="client per-attempt socket budget")
     p_cserve.add_argument("--queue-depth", type=int, default=16)
-    p_cserve.add_argument("--batch-max", type=int, default=4)
     p_cserve.add_argument("--timeout", type=float, default=120.0,
                           help="service dispatch timeout / kill-wait cap")
     p_cserve.add_argument("--no-kill", action="store_true",
@@ -1038,7 +957,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     # Back-compat: `repro-bitonic table5.1` == `repro-bitonic experiment table5.1`.
     known = {"experiment", "sort", "schedule", "predict", "fft", "gantt",
              "chaos", "trace", "serve", "submit", "chaos-serve",
-             "adapt-replay", "-h", "--help"}
+             "-h", "--help"}
     if argv and argv[0] not in known:
         argv = ["experiment"] + argv
     parser = _build_parser()

@@ -32,13 +32,13 @@ def sort_shards_job(
     chunks: int = 1,
     algorithm: str = "smart",
 ) -> Tuple[List[np.ndarray], List[Optional[Tracer]]]:
-    """Run one batch of same-shape sort requests back to back.
+    """Sort each of this rank's shards in turn.
 
-    ``shards[i]`` is *this rank's* partition of request ``i``.  Returns
-    the rank's output partitions and (when ``trace``) one
-    :class:`Tracer` per request, so the service can surface per-request
-    spans rather than one blurred batch.  ``injector`` wraps the comm in
-    the fault-tolerant transport for the whole batch.  ``algorithm`` picks
+    ``shards[i]`` is *this rank's* partition of request ``i``; the
+    service passes one, and perfbench/ladder.py calls with the list.
+    Returns the rank's output partitions and (when ``trace``) one
+    :class:`Tracer` per shard.  ``injector`` wraps the comm in the
+    fault-tolerant transport for every shard.  ``algorithm`` picks
     the SPMD sort: ``"smart"`` bitonic (honours the schedule flags) or
     ``"sample"`` (one splitter-driven redistribution; the flags do not
     apply).  ``overlap=True`` raises

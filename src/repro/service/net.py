@@ -52,6 +52,7 @@ retry/failover — never a silent loss.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import os
 import random
@@ -273,9 +274,11 @@ def error_from_meta(meta: Dict[str, Any]) -> ReproError:
 # -- shm payloads ---------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def host_token() -> str:
     """A token two processes share iff they share a kernel (same host,
-    same boot) — the gate for shm payload transport."""
+    same boot) — the gate for shm payload transport.  Read once per
+    process: the boot id cannot change under it."""
     try:
         with open("/proc/sys/kernel/random/boot_id", encoding="ascii") as fh:
             return fh.read().strip()
@@ -673,7 +676,9 @@ class SortServer:
                 "P": outcome.decision.P,
                 "queue_wait_s": outcome.queue_wait_s,
                 "run_s": outcome.run_s,
-                "batch_size": outcome.batch_size,
+                # One request per dispatch; the key stays for readers of
+                # the RESULT frame that still look it up.
+                "batch_size": 1,
                 "retries": outcome.retries,
                 "dtype": str(outcome.sorted_keys.dtype.str),
             }
@@ -706,7 +711,7 @@ class ClientOutcome:
     wall_s: float = 0.0
     attempts: int = 1
     via_shm: bool = False
-    #: Server-side accounting (queue wait, run time, batch size, ...).
+    #: Server-side accounting (queue wait, run time, retries, ...).
     server: Dict[str, Any] = field(default_factory=dict)
     #: Network spans (frame/inflight/retry) when the request was traced.
     tracer: Optional[Tracer] = None
@@ -775,6 +780,9 @@ class SortClient:
         self.shm_min_bytes = shm_min_bytes
         self._tls = threading.local()
         self._server_info: Dict[str, Any] = {}
+        #: Whether the server shares this host's kernel and /dev/shm,
+        #: decided at each handshake.
+        self._same_host = False
         self._rng = random.Random()
         #: Every live socket across threads, so close() can reach them.
         self._socks_lock = threading.Lock()
@@ -812,6 +820,10 @@ class SortClient:
                     frame_type=ftype, detail="meta",
                 )
             self._server_info = meta
+            self._same_host = (
+                meta.get("host_token") == host_token()
+                and os.path.isdir(_SHM_DIR)
+            )
         except BaseException:
             self._drop_connection()
             raise
@@ -1100,11 +1112,6 @@ class SortClient:
         )
 
     def _shm_eligible(self, keys: np.ndarray) -> bool:
-        if self.via_shm is False:
+        if self.via_shm is False or not self._same_host:
             return False
-        if not os.path.isdir(_SHM_DIR):
-            return False
-        same_host = self._server_info.get("host_token") == host_token()
-        if self.via_shm is True:
-            return same_host
-        return same_host and keys.nbytes >= self.shm_min_bytes
+        return self.via_shm is True or keys.nbytes >= self.shm_min_bytes

@@ -12,12 +12,10 @@ instead of hardcoding one.
 :meth:`Planner.plan` runs in passes: **clamp** (validate the request,
 apply the memory-budget and fault clamps) → **candidates** (every
 ``(algorithm, backend, P)`` the request may run) → **price** (each
-candidate's static price from the profile's memo, so planning a shape
+candidate's price from the profile's memo, so planning a shape
 seen before costs a few table lookups; a one-rank plan is priced without
 world dispatch, since the service runs it in its dispatcher thread) →
-**correct** (an attached :class:`~repro.service.adapt.RequestAdapter`'s
-live factor for each observed candidate) → **pick** (the first
-minimum).
+**pick** (the first minimum).
 
 Every choice has a **forced-override escape hatch**: pass
 ``algorithm=``, ``backend=``, ``P=``, ``fused=`` or ``grouped=`` to
@@ -40,7 +38,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.runtime.driver import BACKENDS
-from repro.service.adapt import RequestAdapter
 from repro.service.profile import HostProfile
 
 __all__ = ["PlanDecision", "Planner", "EXTERNAL_BACKEND"]
@@ -74,9 +71,9 @@ class PlanDecision:
     estimate, so callers (and the decision table in SERVING.md) can see
     the margins.  ``clamped`` is True when fault safety or the memory
     budget overrode a request's own flags; ``source`` records what the
-    choice rode on (``"model"``, ``"adapted"``, ``"forced"`` or
-    ``"budget"`` — the last meaning the memory budget degraded the
-    request to the out-of-core external sort).
+    choice rode on (``"model"``, ``"forced"`` or ``"budget"`` — the last
+    meaning the memory budget degraded the request to the out-of-core
+    external sort).
     """
 
     backend: str
@@ -88,13 +85,6 @@ class PlanDecision:
     clamped: bool = False
     source: str = "model"
     candidates: Dict[str, float] = field(default_factory=dict)
-    #: The same candidates priced by the *static* model (the profile,
-    #: no live corrections).  Empty unless an online
-    #: :class:`~repro.service.adapt.RequestAdapter` repriced the table —
-    #: then ``candidates`` holds the adapted estimates the choice rode on
-    #: and this column shows what the frozen model believed, side by side
-    #: in :meth:`explain`.
-    static_candidates: Dict[str, float] = field(default_factory=dict)
     # Constants, not fields: perfbench/ladder.py still reads these names.
     overlap = False
     chunks = 1
@@ -116,24 +106,9 @@ class PlanDecision:
             )
             + ")"
         ]
-        if self.static_candidates:
-            lines.append(
-                f"    {'candidate':<18} {'static':>11}  {'adapted':>11}"
-            )
-            for name, est in ranked:
-                marker = "*" if name == chosen else " "
-                static = self.static_candidates.get(name)
-                static_txt = (
-                    "-" if static is None else f"{static * 1e3:8.3f} ms"
-                )
-                lines.append(
-                    f"  {marker} {name:<18} {static_txt:>11}  "
-                    f"{est * 1e3:8.3f} ms"
-                )
-        else:
-            for name, est in ranked:
-                marker = "*" if name == chosen else " "
-                lines.append(f"  {marker} {name:<18} ~{est * 1e3:8.3f} ms")
+        for name, est in ranked:
+            marker = "*" if name == chosen else " "
+            lines.append(f"  {marker} {name:<18} ~{est * 1e3:8.3f} ms")
         return "\n".join(lines)
 
 
@@ -153,35 +128,17 @@ class _Request(NamedTuple):
 
 
 class Planner:
-    """Choose (algorithm, P, flags) per request from the host profile.
+    """Choose (algorithm, P, flags) per request from the host profile
+    (the built-in one when none is given)."""
 
-    ``candidate_P`` restricts the world sizes considered.  ``adapter``
-    closes the online feedback loop: when a
-    :class:`~repro.service.adapt.RequestAdapter` is attached, ``plan()``
-    multiplies every observed candidate's price by its live correction
-    factor (unless the fault clamp engages: a fault request prices
-    statically).  Without a ``profile`` the planner prices with the
-    adapter's, so both read one price memo.
-    """
-
-    def __init__(
-        self,
-        profile: Optional[HostProfile] = None,
-        candidate_P: Sequence[int] = _DEFAULT_CANDIDATE_P,
-        adapter: Optional[RequestAdapter] = None,
-    ):
-        self.profile = profile or (
-            adapter.profile if adapter is not None
-            else HostProfile.default()
-        )
+    def __init__(self, profile: Optional[HostProfile] = None):
+        self.profile = profile or HostProfile.default()
         missing = [b for b in BACKENDS if b not in self.profile.backends]
         if missing:
             raise ConfigurationError(
                 f"the host profile has no costs for backend(s) {missing} "
                 f"(knows {sorted(self.profile.backends)})"
             )
-        self.candidate_P = tuple(sorted(set(candidate_P)))
-        self.adapter = adapter
 
     # -- the decision --------------------------------------------------
 
@@ -225,20 +182,10 @@ class Planner:
         profile carries measured disk evidence
         (:attr:`~repro.service.profile.HostProfile.has_disk_evidence`)
         — never chosen on conservative defaults alone.
-
-        With an attached adapter every candidate keeps its static price
-        in :attr:`PlanDecision.static_candidates`, and the corrected
-        prices pick the winner.  An unobserved candidate's corrected
-        price equals its static price, so adaptation only moves
-        decisions on evidence.
         """
         req = self._clamp(N, dtype_size, faults, algorithm, backend, P,
                           fused, grouped, memory_budget)
-        # Live corrections measured the unclamped fast path, not the
-        # fault transport.
-        adapter = None if faults else self.adapter
         candidates: Dict[str, float] = {}
-        static: Dict[str, float] = {}
         best: Optional[Tuple[float, str, str, int]] = None
         for algo, b, p in self._candidates(N, req):
             name = ("" if algo == "smart" else f"{algo}:") + f"{b}x{p}"
@@ -247,11 +194,6 @@ class Planner:
                 grouped=req.grouped, dtype_size=dtype_size,
                 memory_budget=memory_budget,
             )
-            if adapter is not None:
-                static[name] = est
-                corr = adapter.correction(b, p, algo)
-                if corr is not None:
-                    est *= corr
             candidates[name] = est
             if best is None or est < best[0]:
                 best = (est, algo, b, p)
@@ -260,7 +202,6 @@ class Planner:
         source = (
             "budget" if req.budget
             else "forced" if req.backend is not None and req.P is not None
-            else "adapted" if adapter is not None and adapter.updates
             else "model"
         )
         return PlanDecision(
@@ -273,7 +214,6 @@ class Planner:
             clamped=req.clamped,
             source=source,
             candidates=candidates,
-            static_candidates=static,
         )
 
     def _clamp(
@@ -406,7 +346,7 @@ class Planner:
             # Smart schedules need >= 2 keys per rank (P=1 is the
             # degenerate local sort and always valid).
             ps = tuple(
-                p for p in self.candidate_P
+                p for p in _DEFAULT_CANDIDATE_P
                 if p == 1 or (N % p == 0 and N // p >= 2)
             ) or (1,)
         backends = BACKENDS if req.backend is None else (req.backend,)
@@ -426,41 +366,19 @@ class Planner:
         memory_budget: Optional[int] = None,
     ) -> str:
         """Human-readable table of what the planner would pick per size
-        (the "planner decision table" of docs/SERVING.md).  With an
-        attached adapter the table grows a static column: what the frozen
-        model priced the chosen candidate at, next to the adapted
-        estimate the choice actually rode on.  ``memory_budget`` shows
-        the regime split: sizes whose working set exceeds it degrade to
-        ``external`` rows (the planner's third regime)."""
-        adapted = self.adapter is not None
-        header = (
+        (the "planner decision table" of docs/SERVING.md).
+        ``memory_budget`` shows the regime split: sizes whose working set
+        exceeds it degrade to ``external`` rows (the planner's third
+        regime)."""
+        lines = [
             f"{'keys':>10}  {'algorithm':<9} {'backend':<8} {'P':>2}  "
-            f"{'fused':<5} {'grouped':<7}"
-        )
-        if adapted:
-            header += f" {'static':>10} {'adapted':>10}"
-        else:
-            header += f" {'est':>10}"
-        lines = [header]
+            f"{'fused':<5} {'grouped':<7} {'est':>10}"
+        ]
         for N in sizes:
             d = self.plan(N, memory_budget=memory_budget)
-            row = (
+            lines.append(
                 f"{N:>10,}  {d.algorithm:<9} {d.backend:<8} {d.P:>2}  "
-                f"{str(d.fused):<5} {str(d.grouped):<7}"
+                f"{str(d.fused):<5} {str(d.grouped):<7} "
+                f"{d.est_seconds * 1e3:>8.3f}ms"
             )
-            if adapted:
-                chosen = (
-                    ("" if d.algorithm == "smart" else f"{d.algorithm}:")
-                    + f"{d.backend}x{d.P}"
-                )
-                static = d.static_candidates.get(chosen)
-                static_txt = (
-                    "-" if static is None else f"{static * 1e3:>8.3f}ms"
-                )
-                row += (
-                    f" {static_txt:>10} {d.est_seconds * 1e3:>8.3f}ms"
-                )
-            else:
-                row += f" {d.est_seconds * 1e3:>8.3f}ms"
-            lines.append(row)
         return "\n".join(lines)

@@ -21,10 +21,9 @@ numbers and persists them as JSON (:meth:`HostProfile.save` /
 :meth:`HostProfile.load`), which is the calibration workflow
 ``docs/SERVING.md`` describes.
 
-A profile is frozen, so each one memoizes the static price of every
-request shape it has priced (:meth:`HostProfile.estimate`): the planner
-and the online adapter read one table, and a new profile — from
-:func:`dataclasses.replace`, :meth:`HostProfile.with_backend` or
+A profile is frozen, so each one memoizes the price of every request
+shape it has priced (:meth:`HostProfile.estimate`), and a new profile —
+from :func:`dataclasses.replace`, :meth:`HostProfile.with_backend` or
 :meth:`HostProfile.load` — starts with an empty one.
 """
 
@@ -46,13 +45,13 @@ __all__ = ["BackendCosts", "HostProfile", "PROFILE_SCHEMA"]
 
 #: Schema string embedded in persisted profiles; bump on layout changes.
 #: History: /1 = calibrated LogGP + serving fixed costs; /2 adds an
-#: optional ``adapt`` blob (the :class:`~repro.service.adapt.RequestAdapter`
-#: state snapshot) so a restarted service resumes its online corrections
-#: warm; /3 adds measured sequential disk read/write bandwidth and fsync
+#: optional ``adapt`` blob (the online adapter's state, since removed);
+#: /3 adds measured sequential disk read/write bandwidth and fsync
 #: latency, which price the out-of-core external-sort regime.  Older
 #: files are rejected: re-run the calibration.  A /3 file written before
-#: the procs backend's removal still loads: its ``procs`` lane and the
-#: fields only that backend used are ignored.
+#: the procs backend's or the adapter's removal still loads: its ``procs``
+#: lane, the fields only that backend used and its ``adapt`` blob are
+#: ignored.
 PROFILE_SCHEMA = "repro-bitonic-profile/3"
 
 #: ``np.sort`` ns per 4-byte key when a profile carries no measurement:
@@ -131,7 +130,7 @@ class HostProfile:
     source: str = "default"
 
     def __post_init__(self) -> None:
-        # The price memo: static estimates keyed on what the closed form
+        # The price memo: estimates keyed on what the closed form
         # reads.  Not a field, so it is neither saved nor compared.
         object.__setattr__(self, "_prices", {})
 
@@ -346,22 +345,19 @@ class HostProfile:
 
     # -- persistence ---------------------------------------------------
 
-    def save(self, path: str, adapt: Optional[Dict[str, Any]] = None) -> None:
-        """Persist the profile; ``adapt`` (a
-        :meth:`~repro.service.adapt.RequestAdapter.state_blob`) rides
-        along so a restarted service resumes its corrections warm."""
-        doc: Dict[str, Any] = {
-            "schema": PROFILE_SCHEMA,
-            "profile": asdict(self),
-        }
-        if adapt is not None:
-            doc["adapt"] = adapt
+    def save(self, path: str) -> None:
+        """Persist the profile as JSON (:meth:`load` reads it back)."""
+        doc = {"schema": PROFILE_SCHEMA, "profile": asdict(self)}
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
 
     @classmethod
-    def _parse(cls, path: str, doc: Dict[str, Any]) -> "HostProfile":
+    def load(cls, path: str) -> "HostProfile":
+        """A saved profile.  Entries this code does not know (an older
+        file's ``adapt`` blob, for one) are ignored."""
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
         schema = doc.get("schema")
         if schema != PROFILE_SCHEMA:
             raise ConfigurationError(
@@ -378,23 +374,6 @@ class HostProfile:
             if name in BACKENDS
         }
         return cls(**raw)
-
-    @classmethod
-    def load(cls, path: str) -> "HostProfile":
-        profile, _ = cls.load_with_state(path)
-        return profile
-
-    @classmethod
-    def load_with_state(
-        cls, path: str
-    ) -> Tuple["HostProfile", Optional[Dict[str, Any]]]:
-        """The profile plus its persisted adapt blob (``None`` when the
-        file was saved without one)."""
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        profile = cls._parse(path, doc)
-        blob = doc.get("adapt")
-        return profile, blob if isinstance(blob, dict) else None
 
     def with_backend(self, name: str, costs: BackendCosts) -> "HostProfile":
         merged = dict(self.backends)

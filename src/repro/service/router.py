@@ -118,7 +118,7 @@ class LocalShard:
                 "P": outcome.decision.P,
                 "queue_wait_s": outcome.queue_wait_s,
                 "run_s": outcome.run_s,
-                "batch_size": outcome.batch_size,
+                "batch_size": 1,  # as a SortServer's RESULT frame
                 "retries": outcome.retries,
             },
         )

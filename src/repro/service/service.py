@@ -4,16 +4,14 @@
 :meth:`~SortService.map` / :meth:`~SortService.sort`), plans each one
 with the LogGP planner, and runs it on a warm world from the pool — or,
 for a one-rank plan without a fault plan, on a one-rank communicator in
-the dispatcher thread, with no world at all:
+the dispatcher thread, with no world at all.  The dispatcher runs one
+request at a time, in submission order:
 
 * **bounded queue + admission control** — a full queue rejects
   (:class:`~repro.errors.AdmissionError`, ``reason="queue-full"``), and
   when a deadline is configured a request whose estimated completion
   time (queued work + its own planner estimate) exceeds it is shed at
   the door (``reason="deadline"``) rather than timing out after queuing;
-* **same-shape batching** — consecutive requests with identical
-  ``(N, dtype, plan)`` run back to back on one world acquisition, so a
-  burst of lookalike requests pays one dispatch;
 * **crash replacement** — a request whose world dies mid-job is retried
   once on a fresh world (the pool replaces the dead one) before the
   failure is surfaced; fault-armed requests therefore always run on a
@@ -21,13 +19,7 @@ the dispatcher thread, with no world at all:
 * **per-request tracing** — each request can carry its own per-rank
   :class:`~repro.trace.recorder.Tracer` set plus a service-lane tracer
   recording the queue wait as a ``wait/queue`` span on the same
-  monotonic timebase, exported per request (not blurred per batch);
-* **online adaptation** — when the planner carries a
-  :class:`~repro.service.adapt.RequestAdapter`, every served request's
-  measured run time feeds back into the adapter, so the next plan
-  prices with live corrections; every planned arrival is also reported
-  to the pool (:meth:`~repro.service.pool.WorldPool.note_arrival`) as
-  the queue-pressure signal its autoscaler prespawns from.
+  monotonic timebase.
 
 Everything observable lands in :class:`ServiceReport`, which keeps the
 counters for the service's lifetime and the records of the last
@@ -86,8 +78,6 @@ class SortOutcome:
     queue_wait_s: float
     run_s: float
     wall_s: float
-    #: Number of requests that shared this request's world dispatch.
-    batch_size: int = 1
     #: World-replacement retries this request survived.
     retries: int = 0
     #: Per-rank tracers (+ one service-lane tracer with the queue-wait
@@ -165,17 +155,13 @@ class ServiceReport:
     #: Requests whose deadline passed while they queued; failed with
     #: RequestTimeoutError *before* dispatch (never run past a give-up).
     expired: int = 0
-    batches: int = 0
     world_retries: int = 0
     pool: Dict[str, Any] = field(default_factory=dict)
-    #: Online-adaptation snapshot (update count, live correction factors)
-    #: when the planner carries an adapter.
-    adapt: Dict[str, Any] = field(default_factory=dict)
     #: Per-tenant admission counters (queued/admitted/rejections) when a
     #: TenantAdmission controller is attached.
     tenants: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: One dict per served request — id, keys, backend, P, flags,
-    #: est/queue/run/wall seconds, batch size — for the last
+    #: est/queue/run/wall seconds, tenant — for the last
     #: :data:`REQUEST_LOG` requests served.
     requests: List[Dict[str, Any]] = field(default_factory=list)
 
@@ -194,7 +180,7 @@ class ServiceReport:
             f"{self.rejected_queue_full} rejected (queue), "
             f"{self.shed_deadline} shed (deadline), "
             f"{self.expired} expired (in queue), "
-            f"{self.batches} batches, {self.world_retries} world retries",
+            f"{self.world_retries} world retries",
             f"  pool: {self.pool}",
         ]
         if self.rejected_memory or self.degraded_external:
@@ -202,11 +188,6 @@ class ServiceReport:
                 1,
                 f"  memory budget: {self.degraded_external} degraded to "
                 f"external, {self.rejected_memory} rejected (disk budget)",
-            )
-        if self.adapt:
-            lines.append(
-                f"  adapt: {self.adapt.get('updates', 0)} updates, "
-                f"factors {self.adapt.get('factors', {})}"
             )
         for tenant, st in sorted(self.tenants.items()):
             lines.append(
@@ -251,8 +232,6 @@ class SortService:
         (queued estimates + its own) exceeds this is shed.  ``None``
         disables deadline shedding (per-request ``deadline_s`` still
         applies).
-    batch_max:
-        Most same-shape requests coalesced into one world dispatch.
     trace:
         Default per-request tracing (overridable per request).
     verify:
@@ -266,10 +245,6 @@ class SortService:
         controller layered on the bounded queue; when attached,
         ``submit(tenant=...)`` is rate-limited and fair-share-bounded per
         tenant and :meth:`report` carries per-tenant counters.
-    autoscale:
-        Enable queue-driven autoscaling on the default-constructed pool
-        (ignored when ``pool`` is supplied — configure that pool
-        directly).
     memory_budget:
         Default per-request memory budget in bytes.  A request whose
         estimated in-memory working set exceeds it is degraded to the
@@ -292,13 +267,10 @@ class SortService:
         pool: Optional[WorldPool] = None,
         queue_depth: int = 32,
         deadline_s: Optional[float] = None,
-        batch_max: int = 8,
         trace: bool = False,
         verify: bool = False,
         timeout: float = 120.0,
-        prewarm: Sequence[Tuple[str, int]] = (),
         admission: Optional[TenantAdmission] = None,
-        autoscale: bool = False,
         memory_budget: Optional[int] = None,
         disk_budget: Optional[int] = None,
         spill_root: Optional[str] = None,
@@ -307,13 +279,10 @@ class SortService:
             raise ConfigurationError(
                 f"queue_depth must be >= 1, got {queue_depth}"
             )
-        if batch_max < 1:
-            raise ConfigurationError(f"batch_max must be >= 1, got {batch_max}")
         self.planner = planner or Planner()
-        self.pool = pool or WorldPool(autoscale=autoscale)
+        self.pool = pool or WorldPool()
         self._queue_depth = queue_depth
         self._deadline_s = deadline_s
-        self._batch_max = batch_max
         self._trace = trace
         self._verify = verify
         self._timeout = timeout
@@ -331,8 +300,6 @@ class SortService:
         self._report = ServiceReport()
         self._requests: deque = deque(maxlen=REQUEST_LOG)
         self._report_lock = threading.Lock()
-        for backend, P in prewarm:
-            self.pool.prewarm(backend, P)
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="sort-service-dispatch", daemon=True
         )
@@ -483,12 +450,6 @@ class SortService:
                 )
             )
             self._cond.notify()
-        # Queue-pressure signal for the pool's autoscaler: one planned
-        # arrival headed for the decision's shape (admitted requests
-        # only — rejections never exert pressure, and requests that never
-        # touch a world must not make the pool prespawn).
-        if _needs_world(decision, have_faults):
-            self.pool.note_arrival(decision.backend, decision.P)
         return ticket
 
     def sort(self, keys: np.ndarray, **kwargs: Any) -> SortOutcome:
@@ -499,131 +460,84 @@ class SortService:
     def map(
         self, arrays: Sequence[np.ndarray], **kwargs: Any
     ) -> List[SortOutcome]:
-        """Submit many requests, wait for all, return outcomes in order.
-
-        Same-shape neighbours batch onto shared world dispatches."""
+        """Submit many requests, wait for all, return outcomes in order."""
         timeout = kwargs.pop("result_timeout", None)
         tickets = [self.submit(a, **kwargs) for a in arrays]
         return [t.result(timeout) for t in tickets]
 
     # -- the dispatcher -------------------------------------------------
 
-    def _batch_key(self, p: _Pending) -> Optional[Tuple]:
-        if p.faults is not None or not 1 <= p.decision.P <= p.keys.size:
-            return None  # fault runs never share a world dispatch
-        if p.decision.backend == EXTERNAL_BACKEND:
-            return None  # out-of-core runs are in-process, one at a time
-        d = p.decision
-        return (
-            p.keys.size, p.keys.dtype.str, d.backend, d.P, d.algorithm,
-            d.fused, d.grouped,
-        )
-
-    def _take_batch(self) -> Optional[List[_Pending]]:
+    def _take(self) -> Optional[_Pending]:
+        """The oldest queued request, or ``None`` once the service is
+        closed and drained."""
         with self._cond:
             while not self._queue and not self._closed:
                 self._cond.wait()
-            if not self._queue:
-                return None  # closed and drained
-            head = self._queue.popleft()
-            batch = [head]
-            key = self._batch_key(head)
-            if key is not None:
-                # Same-shape coalescing: pull lookalikes from anywhere in
-                # the queue (order within a shape is preserved; distinct
-                # shapes may complete out of submission order, as in any
-                # batching server).
-                rest = []
-                for p in self._queue:
-                    if len(batch) < self._batch_max and self._batch_key(p) == key:
-                        batch.append(p)
-                    else:
-                        rest.append(p)
-                self._queue.clear()
-                self._queue.extend(rest)
-            return batch
+            return self._queue.popleft() if self._queue else None
 
     def _dispatch_loop(self) -> None:
         while True:
-            batch = self._take_batch()
-            if batch is None:
+            p = self._take()
+            if p is None:
                 return
             try:
-                self._run_batch(batch)
-            except BaseException as exc:  # noqa: BLE001 — fail the batch, not the service
-                for p in batch:
-                    self._release_tenant(p)
-                    p.ticket._fail(exc)
+                self._run_request(p)
+            except BaseException as exc:  # noqa: BLE001 — fail the request, not the service
+                self._release_tenant(p)
+                p.ticket._fail(exc)
                 with self._report_lock:
-                    self._report.failed += len(batch)
+                    self._report.failed += 1
 
     def _release_tenant(self, p: _Pending) -> None:
         if self._admission is not None:
             self._admission.release(p.tenant)
 
-    def _expire_overdue(self, batch: List[_Pending]) -> List[_Pending]:
-        """Fail (typed, never silent) the batch members whose caller's
-        budget ran out while they queued; return the still-live rest."""
+    def _expire_overdue(self, p: _Pending) -> bool:
+        """Fail (typed, never silent) a request whose caller's budget ran
+        out while it queued; True when it did."""
         now = time.perf_counter()
-        live = []
-        for p in batch:
-            if p.deadline_at is not None and now >= p.deadline_at:
-                self._release_tenant(p)
-                p.ticket._fail(
-                    RequestTimeoutError(
-                        f"request {p.ticket.request_id} spent its "
-                        f"{p.deadline_at - p.enqueued_at:.3f}s budget in the "
-                        "queue; not dispatched",
-                        deadline_s=p.deadline_at - p.enqueued_at,
-                        elapsed_s=now - p.enqueued_at,
-                        stage="dispatch",
-                    )
-                )
-                with self._report_lock:
-                    self._report.expired += 1
-            else:
-                live.append(p)
-        return live
+        if p.deadline_at is None or now < p.deadline_at:
+            return False
+        self._release_tenant(p)
+        p.ticket._fail(
+            RequestTimeoutError(
+                f"request {p.ticket.request_id} spent its "
+                f"{p.deadline_at - p.enqueued_at:.3f}s budget in the "
+                "queue; not dispatched",
+                deadline_s=p.deadline_at - p.enqueued_at,
+                elapsed_s=now - p.enqueued_at,
+                stage="dispatch",
+            )
+        )
+        with self._report_lock:
+            self._report.expired += 1
+        return True
 
-    def _run_batch(self, batch: List[_Pending]) -> None:
-        # The whole batch leaves the queue here — served, expired, or
-        # failed, it no longer exerts queue pressure on the autoscaler.
-        head = batch[0].decision
-        on_world = _needs_world(head, batch[0].faults is not None)
-        if on_world:
-            self.pool.note_done(head.backend, head.P, len(batch))
-        batch = self._expire_overdue(batch)
-        if not batch:
+    def _run_request(self, p: _Pending) -> None:
+        if self._expire_overdue(p):
             return
-        if head.backend == EXTERNAL_BACKEND:
-            self._run_external(batch)
+        d = p.decision
+        if d.backend == EXTERNAL_BACKEND:
+            self._run_external(p)
             return
-        d = batch[0].decision
         dispatched_at = time.perf_counter()
         injector = None
-        if batch[0].faults is not None:
+        if p.faults is not None:
             from repro.faults.plan import FaultInjector
 
-            injector = FaultInjector(batch[0].faults)
-        trace = any(p.trace for p in batch)
+            injector = FaultInjector(p.faults)
         P = d.P
-        # rank r receives its slice of every request in the batch.
-        def shards_for(rank: int) -> List[np.ndarray]:
-            out = []
-            for p in batch:
-                n = p.keys.size // P
-                out.append(p.keys[rank * n : (rank + 1) * n])
-            return out
-
-        # False, 1: sort_shards_job's unused overlap/chunks slots.
+        n = p.keys.size // P
+        # Rank r sorts its slice; False, 1: sort_shards_job's unused
+        # overlap/chunks slots.
         rank_args = [
-            (shards_for(r), d.fused, d.grouped, trace, injector,
-             False, 1, d.algorithm)
+            ([p.keys[r * n:(r + 1) * n]], d.fused, d.grouped, p.trace,
+             injector, False, 1, d.algorithm)
             for r in range(P)
         ]
         retries = 0
-        if on_world:
-            rank_results, retries = self._run_on_world(batch, rank_args)
+        if _needs_world(d, injector is not None):
+            rank_results, retries = self._run_on_world(p, rank_args)
         else:
             # One rank, no fault plan: the same job on a one-rank
             # communicator, here in the dispatcher thread — no pool
@@ -632,100 +546,80 @@ class SortService:
                 sort_shards_job(ThreadComm(0, _SharedState(1)), *rank_args[0])
             ]
         done_at = time.perf_counter()
-        run_s = done_at - dispatched_at
-        # Close the feedback loop: fold each served request's measured
-        # run into the planner's adapter (fault runs excluded — the
-        # clamped fault transport measures a different machine than the
-        # fast path the adapter corrects).
-        adapter = getattr(self.planner, "adapter", None)
-        if injector is not None:
-            adapter = None
+        parts = [outs[0] for outs, _ in rank_results]
+        out = parts[0] if P == 1 else np.concatenate(parts)
+        if self._verify:
+            from repro.sorts.base import verify_sorted
 
-        for i, p in enumerate(batch):
-            parts = [rank_results[r][0][i] for r in range(P)]
-            out = parts[0] if P == 1 else np.concatenate(parts)
-            if self._verify:
-                from repro.sorts.base import verify_sorted
-
-                verify_sorted(
-                    p.keys, out, f"service[{d.algorithm}:{d.backend}x{P}]"
-                )
-            tracers = None
-            if p.trace:
-                lane = Tracer(rank=P)  # the service lane, after the ranks
-                lane.spans.append(
-                    ["wait", "queue", p.enqueued_at, dispatched_at, -1]
-                )
-                if adapter is not None:
-                    lane.add("adapt.updates", 1)
-                tracers = [
-                    t for t in (rank_results[r][1][i] for r in range(P))
-                    if t is not None
-                ] + [lane]
-            if adapter is not None:
-                adapter.observe(
-                    N=int(p.keys.size),
-                    backend=d.backend,
-                    P=P,
-                    algorithm=d.algorithm,
-                    measured_s=run_s / len(batch),
-                    dtype_size=p.keys.dtype.itemsize,
-                    fused=d.fused,
-                    grouped=d.grouped,
-                )
-            outcome = SortOutcome(
+            verify_sorted(
+                p.keys, out, f"service[{d.algorithm}:{d.backend}x{P}]"
+            )
+        tracers = None
+        if p.trace:
+            tracers = [
+                t for t in (ts[0] for _, ts in rank_results)
+                if t is not None
+            ] + [self._queue_lane(p, P, dispatched_at)]
+        self._serve(
+            p,
+            SortOutcome(
                 request_id=p.ticket.request_id,
                 sorted_keys=out,
-                decision=p.decision,
+                decision=d,
                 queue_wait_s=dispatched_at - p.enqueued_at,
-                run_s=run_s,
+                run_s=done_at - dispatched_at,
                 wall_s=done_at - p.enqueued_at,
-                batch_size=len(batch),
                 retries=retries,
                 tracers=tracers,
                 fault_stats=(
                     injector.stats.as_dict() if injector is not None else {}
                 ),
-            )
-            with self._report_lock:
-                self._report.served += 1
-                self._requests.append(
-                    {
-                        "id": p.ticket.request_id,
-                        "keys": int(p.keys.size),
-                        "algorithm": d.algorithm,
-                        "backend": d.backend,
-                        "P": P,
-                        "fused": d.fused,
-                        "grouped": d.grouped,
-                        "est_s": d.est_seconds,
-                        "queue_wait_s": outcome.queue_wait_s,
-                        "run_s": run_s,
-                        "wall_s": outcome.wall_s,
-                        "batch_size": len(batch),
-                        "tenant": p.tenant,
-                    }
-                )
-            self._release_tenant(p)
-            p.ticket._resolve(outcome)
+            ),
+        )
+
+    @staticmethod
+    def _queue_lane(p: _Pending, rank: int, dispatched_at: float) -> Tracer:
+        """The service lane, after the ranks: the request's queue wait."""
+        lane = Tracer(rank=rank)
+        lane.spans.append(["wait", "queue", p.enqueued_at, dispatched_at, -1])
+        return lane
+
+    def _serve(self, p: _Pending, outcome: SortOutcome, **record: Any) -> None:
+        """Log one served request and hand its outcome to the caller."""
+        d = outcome.decision
         with self._report_lock:
-            self._report.batches += 1
+            self._report.served += 1
+            self._requests.append(
+                {
+                    "id": p.ticket.request_id,
+                    "keys": int(p.keys.size),
+                    "algorithm": d.algorithm,
+                    "backend": d.backend,
+                    "P": d.P,
+                    "fused": d.fused,
+                    "grouped": d.grouped,
+                    "est_s": d.est_seconds,
+                    "queue_wait_s": outcome.queue_wait_s,
+                    "run_s": outcome.run_s,
+                    "wall_s": outcome.wall_s,
+                    "tenant": p.tenant,
+                    **record,
+                }
+            )
+        self._release_tenant(p)
+        p.ticket._resolve(outcome)
 
     def _run_on_world(
-        self, batch: List[_Pending], rank_args: List[tuple]
+        self, p: _Pending, rank_args: List[tuple]
     ) -> Tuple[List[Any], int]:
         """Run ``sort_shards_job`` on a pooled world: the per-rank results
         and the world-replacement retries it took."""
-        d = batch[0].decision
-        # Deadline propagation into the world dispatch: when every batch
-        # member carries a budget, the dispatch may not outlive the
-        # latest of them (a lone overdue member was already expired
-        # above; mixed batches keep the service-wide budget so an
-        # undeadlined member is never cut short).
+        d = p.decision
+        # Deadline propagation into the world dispatch: a request with a
+        # budget may not run past it (an overdue one was already expired).
         timeout = self._timeout
-        deadlines = [p.deadline_at for p in batch if p.deadline_at is not None]
-        if deadlines and len(deadlines) == len(batch):
-            remaining = max(deadlines) - time.perf_counter()
+        if p.deadline_at is not None:
+            remaining = p.deadline_at - time.perf_counter()
             timeout = min(timeout, max(0.05, remaining))
         retries = 0
         while True:
@@ -738,7 +632,7 @@ class SortService:
             except CommunicationError as exc:
                 # The world died under the job (rank crash, collapsed
                 # barrier).  Release sends it to the pool's morgue; one
-                # retry runs the batch on a fresh world.  Timeouts are
+                # retry runs the request on a fresh world.  Timeouts are
                 # not retried — the job itself was too slow.
                 self.pool.release(world)
                 if isinstance(exc, SpmdTimeoutError) or retries >= 1:
@@ -752,87 +646,47 @@ class SortService:
         self.pool.release(world)
         return rank_results, retries
 
-    def _run_external(self, batch: List[_Pending]) -> None:
-        """Serve out-of-core requests in-process: no world, no pool —
-        the dispatcher streams each request through the spill-to-disk
-        external sort under the memory budget its admission priced."""
-        adapter = getattr(self.planner, "adapter", None)
-        for p in batch:
-            d = p.decision
-            dispatched_at = time.perf_counter()
-            budget = (
-                p.memory_budget if p.memory_budget is not None
-                else 64 << 20  # estimate_external's default working set
-            )
-            tracer = Tracer(rank=0) if p.trace else None
-            out, ext = external_sort(
-                p.keys,
-                budget,
-                spill_root=self._spill_root,
-                disk_budget=self._disk_budget,
-                tracer=tracer,
-            )
-            done_at = time.perf_counter()
-            run_s = done_at - dispatched_at
-            if self._verify:
-                from repro.sorts.base import verify_sorted
+    def _run_external(self, p: _Pending) -> None:
+        """Serve an out-of-core request in-process: no world, no pool —
+        the dispatcher streams it through the spill-to-disk external
+        sort under the memory budget its admission priced."""
+        d = p.decision
+        dispatched_at = time.perf_counter()
+        budget = (
+            p.memory_budget if p.memory_budget is not None
+            else 64 << 20  # estimate_external's default working set
+        )
+        tracer = Tracer(rank=0) if p.trace else None
+        out, ext = external_sort(
+            p.keys,
+            budget,
+            spill_root=self._spill_root,
+            disk_budget=self._disk_budget,
+            tracer=tracer,
+        )
+        done_at = time.perf_counter()
+        if self._verify:
+            from repro.sorts.base import verify_sorted
 
-                verify_sorted(p.keys, out, "service[external:localx1]")
-            tracers = None
-            if tracer is not None:
-                lane = Tracer(rank=1)  # the service lane, after rank 0
-                lane.spans.append(
-                    ["wait", "queue", p.enqueued_at, dispatched_at, -1]
-                )
-                if adapter is not None:
-                    lane.add("adapt.updates", 1)
-                tracers = [tracer, lane]
-            if adapter is not None:
-                adapter.observe(
-                    N=int(p.keys.size),
-                    backend=EXTERNAL_BACKEND,
-                    P=1,
-                    algorithm="external",
-                    measured_s=run_s,
-                    dtype_size=p.keys.dtype.itemsize,
-                    fused=d.fused,
-                    grouped=d.grouped,
-                )
-            outcome = SortOutcome(
+            verify_sorted(p.keys, out, "service[external:localx1]")
+        tracers = None
+        if tracer is not None:
+            tracers = [tracer, self._queue_lane(p, 1, dispatched_at)]
+        self._serve(
+            p,
+            SortOutcome(
                 request_id=p.ticket.request_id,
                 sorted_keys=out,
                 decision=d,
                 queue_wait_s=dispatched_at - p.enqueued_at,
-                run_s=run_s,
+                run_s=done_at - dispatched_at,
                 wall_s=done_at - p.enqueued_at,
-                batch_size=1,
                 tracers=tracers,
-            )
-            with self._report_lock:
-                self._report.served += 1
-                self._report.batches += 1
-                self._requests.append(
-                    {
-                        "id": p.ticket.request_id,
-                        "keys": int(p.keys.size),
-                        "algorithm": "external",
-                        "backend": EXTERNAL_BACKEND,
-                        "P": 1,
-                        "fused": d.fused,
-                        "grouped": d.grouped,
-                        "est_s": d.est_seconds,
-                        "queue_wait_s": outcome.queue_wait_s,
-                        "run_s": run_s,
-                        "wall_s": outcome.wall_s,
-                        "batch_size": 1,
-                        "tenant": p.tenant,
-                        "memory_budget": budget,
-                        "spill_bytes": ext.spill_bytes,
-                        "merge_passes": ext.merge_passes,
-                    }
-                )
-            self._release_tenant(p)
-            p.ticket._resolve(outcome)
+            ),
+            memory_budget=budget,
+            spill_bytes=ext.spill_bytes,
+            merge_passes=ext.merge_passes,
+        )
 
     # -- lifecycle -------------------------------------------------------
 
@@ -847,14 +701,8 @@ class SortService:
                 rejected_memory=self._report.rejected_memory,
                 degraded_external=self._report.degraded_external,
                 expired=self._report.expired,
-                batches=self._report.batches,
                 world_retries=self._report.world_retries,
                 pool=self.pool.stats(),
-                adapt=(
-                    self.planner.adapter.stats()
-                    if getattr(self.planner, "adapter", None) is not None
-                    else {}
-                ),
                 tenants=(
                     self._admission.stats()
                     if self._admission is not None

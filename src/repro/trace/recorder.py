@@ -56,9 +56,6 @@ COUNTERS = (
     "remaps",           # data remaps performed by the sort
     "retries",          # retransmission rounds (reliable transport)
     "resent_elements",  # elements retransmitted across those rounds
-    "adapt.updates",    # online-adaptation observations folded (service lane)
-    "pool.scale_up",    # worlds pre-spawned by the pool autoscaler
-    "pool.scale_down",  # idle worlds shrunk by the pool autoscaler
     "ext.runs",         # sorted runs the external sort spilled to disk
     "ext.buckets",      # splitter-bounded buckets merged back out
     "ext.spill_bytes",  # bytes written to the spill directory

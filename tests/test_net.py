@@ -171,7 +171,7 @@ class TestWireErrors:
 @pytest.fixture(scope="module")
 def server():
     """One live server over a real SortService for the wire tests."""
-    svc = SortService(queue_depth=16, batch_max=4)
+    svc = SortService(queue_depth=16)
     srv = SortServer(svc, name="test-shard", own_service=True)
     srv.start()
     yield srv
@@ -348,7 +348,7 @@ class TestSortOverTheWire:
 class TestFaultInjectedServer:
     def test_always_corrupt_exhausts_retries_typed(self):
         plan = FaultPlan(seed=0, corrupt=1.0)
-        svc = SortService(queue_depth=8, batch_max=2)
+        svc = SortService(queue_depth=8)
         srv = SortServer(svc, name="chaos-shard",
                          faults=NetFaultInjector(plan), own_service=True)
         addr = srv.start()
@@ -363,7 +363,7 @@ class TestFaultInjectedServer:
             srv.close()
 
     def test_kill_is_abrupt_but_typed_for_clients(self):
-        svc = SortService(queue_depth=8, batch_max=2)
+        svc = SortService(queue_depth=8)
         srv = SortServer(svc, name="doomed", own_service=True)
         addr = srv.start()
         cli = SortClient(addr, via_shm=False, retries=1, backoff_s=0.01,

@@ -1,9 +1,9 @@
 """Pinned planner decisions.
 
-``data/plan_decisions.json`` records what four planners decided for a
+``data/plan_decisions.json`` records what three planners decided for a
 fixed sample of requests, taken from the planner as it stood before it
-was rebuilt as passes (clamp, candidates, price, correct, pick) and lost
-its bench-history correction.  Every planner here plans without bench
+was rebuilt as passes (clamp, candidates, price, pick) and lost its
+bench-history correction.  Every planner here plans without bench
 history, so the rebuild must not move one decision: replaying each
 request must give the same algorithm, backend, P, flags, clamp, source
 and estimate, or the same error message.
@@ -11,9 +11,8 @@ and estimate, or the same error message.
 The requests vary the size (4 to 16 Mi keys), the key width, faults,
 auto and forced algorithm (external included), forced backend and P,
 ``fused``/``grouped=False`` and a 64 KiB memory budget.  The planners
-are fixed-core profiles with 2 and 8 cores, a profile with measured disk
-evidence, and a 2-core planner whose adapter was trained on a fixed
-clock with corrections inside ``[0.25, 4]``.
+are fixed-core profiles with 2 and 8 cores and a profile with measured
+disk evidence.
 """
 
 import json
@@ -23,22 +22,12 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.service import HostProfile, Planner, RequestAdapter
+from repro.service import HostProfile, Planner
 
 FIXTURE = Path(__file__).parent / "data" / "plan_decisions.json"
 
 #: The memory budget a request with ``budget=1`` plans under.
 BUDGET = 64 << 10
-
-#: The trained planner's observed ratios of measured to static price,
-#: per ``(algorithm, backend, P)``.
-_OBSERVED = {
-    ("smart", "threads", 1): 3.0,
-    ("sample", "threads", 2): 0.4,
-    ("smart", "threads", 4): 2.0,
-    ("external", "local", 1): 0.5,
-}
-
 
 def _profile(cpus, disk=False):
     profile = replace(HostProfile.default(), cpus=cpus)
@@ -50,21 +39,10 @@ def _profile(cpus, disk=False):
     return profile
 
 
-def _trained(profile):
-    adapter = RequestAdapter(profile, clock=lambda: 0.0)
-    for (algorithm, backend, P), ratio in _OBSERVED.items():
-        static = profile.estimate(1 << 14, P, backend, algorithm=algorithm)
-        for _ in range(3):
-            adapter.observe(N=1 << 14, backend=backend, P=P,
-                            algorithm=algorithm, measured_s=ratio * static)
-    return Planner(profile=profile, adapter=adapter)
-
-
 PLANNERS = {
     "cpus2": lambda: Planner(profile=_profile(2)),
     "cpus8": lambda: Planner(profile=_profile(8)),
     "disk": lambda: Planner(profile=_profile(2, disk=True)),
-    "adapted": lambda: _trained(_profile(2)),
 }
 
 
@@ -133,5 +111,5 @@ def test_fixture_covers_every_axis():
                 for _, out in _recorded(doc, name)]
     assert any(isinstance(out, str) for out in outcomes)
     assert {out[6] for out in outcomes if not isinstance(out, str)} == {
-        "model", "forced", "adapted", "budget"
+        "model", "forced", "budget"
     }

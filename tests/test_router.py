@@ -235,7 +235,7 @@ class TestCircuitBreaker:
 class TestLocalShard:
     @pytest.fixture(scope="class")
     def service(self):
-        svc = SortService(queue_depth=8, batch_max=2)
+        svc = SortService(queue_depth=8)
         yield svc
         svc.close()
 
@@ -263,7 +263,7 @@ class TestIntegrationKillMidStream:
     def test_requests_survive_a_shard_kill(self):
         servers, shards = [], {}
         for s in range(2):
-            svc = SortService(queue_depth=8, batch_max=2)
+            svc = SortService(queue_depth=8)
             srv = SortServer(svc, name=f"s{s}", own_service=True)
             addr = srv.start()
             servers.append(srv)

@@ -2,14 +2,15 @@
 
 Covers the warm world pool, the LogGP request planner (including the
 fault-safety clamp pinned as a hypothesis property), admission control,
-same-shape batching, per-request tracing with the queue-wait span, the
-calibrated host profile round-trip, and the ``sort(service=...)`` front
-door bridge.
+first-in first-out dispatch, per-request tracing with the queue-wait
+span, the calibrated host profile round-trip (older files included), and
+the ``sort(service=...)`` front door bridge.
 """
 
+import json
 import threading
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,6 @@ from repro.service import (
     HostProfile,
     PlanDecision,
     Planner,
-    RequestAdapter,
     ServiceReport,
     SortService,
     TenantAdmission,
@@ -39,8 +39,15 @@ from repro.service import (
     WorldPool,
 )
 from repro.service.jobs import sort_shards_job
+from repro.service.planner import _DEFAULT_CANDIDATE_P
+from repro.service.profile import DEFAULT_NP_SORT_NS_PER_KEY
 from repro.service.service import REQUEST_LOG
 from repro.utils.rng import make_keys
+
+
+#: A /3 profile as the release before the overlap pipeline's removal
+#: wrote it (see data/README.md).
+_PARENT_PROFILE = Path(__file__).parent / "data" / "profile_v3_parent.json"
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +117,40 @@ class TestWorldPool:
         pool.close()
         with pytest.raises(ConfigurationError, match="closed"):
             pool.acquire("threads", 2)
+
+    @staticmethod
+    def _shelve(pool, count):
+        """Put ``count`` idle one-rank worlds on ``pool``'s shelf."""
+        worlds = [pool.acquire("threads", 1) for _ in range(count)]
+        for world in worlds:
+            pool.release(world)
+        assert pool.idle_count() == count
+
+    def test_acquire_reaps_expired_idle(self):
+        """TTL binds on acquire too, not only on release: a pool whose
+        traffic never releases must not hold expired worlds forever."""
+        with WorldPool(tick_interval_s=0.0) as pool:
+            self._shelve(pool, 2)
+            pool._ttl = 0.0  # the shelved worlds have now expired
+            world = pool.acquire("threads", 2)  # different shape
+            try:
+                assert pool.reaped == 2
+                assert pool.idle_count() == 0
+            finally:
+                pool.release(world)
+
+    def test_background_tick_reaps_without_traffic(self):
+        pool = WorldPool(tick_interval_s=0.05)
+        try:
+            self._shelve(pool, 1)
+            pool._ttl = 0.0  # expired; only the tick runs from here
+            deadline = time.monotonic() + 5.0
+            while pool.idle_count() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert pool.idle_count() == 0
+            assert pool.reaped == 1
+        finally:
+            pool.close()
 
 
 class TestPlanner:
@@ -202,7 +243,7 @@ class TestPlanner:
             (algo, backend, P)
             for algo in ("smart", "sample")
             for backend in BACKENDS
-            for P in planner.candidate_P
+            for P in _DEFAULT_CANDIDATE_P
         }
 
 
@@ -212,19 +253,11 @@ class TestPlanner:
 _SHARED_PROFILE = HostProfile.default()
 
 
-def _planned(profile, adapted, N, kwargs):
-    """``Planner.plan`` on ``profile`` (with a trained adapter when
-    ``adapted``), or the message of the ``ConfigurationError`` it
-    raises."""
-    adapter = None
-    if adapted:
-        adapter = RequestAdapter(profile, clock=lambda: 0.0)
-        adapter.observe(N=N, backend="threads", P=1, algorithm="smart",
-                        measured_s=1.0)
-        adapter.observe(N=N, backend="threads", P=2, algorithm="sample",
-                        measured_s=1e-6)
+def _planned(profile, N, kwargs):
+    """``Planner.plan`` on ``profile``, or the message of the
+    ``ConfigurationError`` it raises."""
     try:
-        return Planner(profile=profile, adapter=adapter).plan(N, **kwargs)
+        return Planner(profile=profile).plan(N, **kwargs)
     except ConfigurationError as exc:
         return str(exc)
 
@@ -240,20 +273,19 @@ class TestPriceMemo:
         fused=st.sampled_from([None, True, False]),
         grouped=st.sampled_from([None, True, False]),
         memory_budget=st.sampled_from([None, 1 << 12, 1 << 20, 1 << 28]),
-        adapted=st.booleans(),
     )
     def test_memoized_plans_match_fresh_ones(
         self, log_n, dtype_size, faults, algorithm, P, fused, grouped,
-        memory_budget, adapted,
+        memory_budget,
     ):
         N = 1 << log_n
         kwargs = dict(
             dtype_size=dtype_size, faults=faults, algorithm=algorithm, P=P,
             fused=fused, grouped=grouped, memory_budget=memory_budget,
         )
-        memoized = _planned(_SHARED_PROFILE, adapted, N, kwargs)
-        assert _planned(_SHARED_PROFILE, adapted, N, kwargs) == memoized
-        assert _planned(HostProfile.default(), adapted, N, kwargs) == memoized
+        memoized = _planned(_SHARED_PROFILE, N, kwargs)
+        assert _planned(_SHARED_PROFILE, N, kwargs) == memoized
+        assert _planned(HostProfile.default(), N, kwargs) == memoized
 
     def test_second_plan_builds_no_schedule(self, monkeypatch):
         import importlib
@@ -337,6 +369,57 @@ class TestHostProfile:
         with pytest.raises(ConfigurationError, match="no backend"):
             HostProfile.default().estimate(1 << 12, 2, "mpi")
 
+    @pytest.mark.parametrize("schema", ["repro-bitonic-profile/1",
+                                        "repro-bitonic-profile/2"])
+    def test_legacy_schema_is_rejected(self, tmp_path, schema):
+        path = tmp_path / "profile.json"
+        HostProfile.default().save(str(path))
+        doc = json.loads(path.read_text())
+        doc["schema"] = schema
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigurationError, match="re-run"):
+            HostProfile.load(str(path))
+
+    def test_parent_schema_3_file_still_loads(self, tmp_path):
+        """A /3 file carrying the removed ``overlap_efficiency`` field,
+        the removed world spawn cost, the removed procs backend's lane,
+        ``spin_budget`` and ``ship_bytes_per_s``, and an ``adapt`` blob
+        from the removed online adapter loads: unknown keys and backends
+        are skipped, and the blob is ignored."""
+        doc = json.loads(_PARENT_PROFILE.read_text())
+        assert doc["adapt"]["corrections"]
+        profile = HostProfile.load(str(_PARENT_PROFILE))
+        assert profile.source == "calibrated"
+        assert profile.has_disk_evidence
+        assert not hasattr(profile, "overlap_efficiency")
+        assert not hasattr(profile, "spin_budget")
+        assert set(profile.backends) == {"threads"}
+        assert set(asdict(profile.backends["threads"])) == {
+            "L", "o", "g", "G", "job_overhead_s"
+        }
+        assert profile.backends["threads"].job_overhead_s == 0.001
+        # The file loads exactly as it does without the blob.
+        del doc["adapt"]
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps(doc))
+        assert HostProfile.load(str(bare)) == profile
+
+    def test_parent_file_prices_with_the_builtin_sort_rate(self):
+        """The parent /3 file's radix-era ``radix_pass_us``/``merge_us``
+        are skipped; without ``np_sort_ns_per_key`` it prices local sorts
+        and merges at the built-in ``np.sort`` rate."""
+        raw = json.loads(_PARENT_PROFILE.read_text())["profile"]
+        assert "radix_pass_us" in raw and "np_sort_ns_per_key" not in raw
+        profile = HostProfile.load(str(_PARENT_PROFILE))
+        assert not hasattr(profile, "radix_pass_us")
+        assert not hasattr(profile, "merge_us")
+        assert profile.np_sort_ns_per_key == DEFAULT_NP_SORT_NS_PER_KEY
+        costs = profile.compute_costs()
+        assert costs.merge == DEFAULT_NP_SORT_NS_PER_KEY / 1e3
+        assert profile.estimate(1 << 16, 1, "threads") == pytest.approx(
+            (1 << 16) * DEFAULT_NP_SORT_NS_PER_KEY / 1e9
+        )
+
 
 class TestSortServiceRequests:
     @pytest.mark.parametrize("backend", ("threads",))
@@ -351,22 +434,20 @@ class TestSortServiceRequests:
         """A /3 profile written before the procs backend's removal (its
         procs lane and procs-only fields included) plans and serves
         threads requests."""
-        path = Path(__file__).parent / "data" / "profile_v3_parent.json"
-        planner = Planner(profile=HostProfile.load(str(path)))
+        planner = Planner(profile=HostProfile.load(str(_PARENT_PROFILE)))
         keys = make_keys(1 << 12, seed=33)
         with SortService(planner) as svc:
             out = svc.sort(keys)
         assert out.decision.backend == "threads"
         assert out.sorted_keys.tobytes() == np.sort(keys).tobytes()
 
-    def test_map_batches_same_shapes(self, service):
+    def test_map_returns_outcomes_in_order(self, service):
         arrays = [make_keys(1 << 10, seed=40 + i) for i in range(5)]
         outs = service.map(arrays, backend="threads", P=2)
         for arr, out in zip(arrays, outs):
             assert out.sorted_keys.tobytes() == np.sort(arr).tobytes()
-        # All five were admitted back to back with one dispatcher — at
-        # least one dispatch must have coalesced multiple requests.
-        assert max(out.batch_size for out in outs) > 1
+        ids = [out.request_id for out in outs]
+        assert ids == sorted(ids) and len(set(ids)) == 5
 
     def test_traced_request_carries_queue_wait_span(self, service):
         keys = make_keys(1 << 10, seed=50)
@@ -437,35 +518,24 @@ class TestOneRankDispatch:
         assert lane.rank == 1  # the service lane, after the one rank
         assert [tuple(span[:2]) for span in lane.spans] == [("wait", "queue")]
 
-    def test_batched(self):
-        arrays = [make_keys(1 << 10, seed=210 + i) for i in range(4)]
+    def test_runs_in_submission_order(self):
+        """Queued requests run first in, first out, whatever their
+        shapes: no later request overtakes an earlier one."""
+        arrays = [make_keys(size, seed=210 + i)
+                  for i, size in enumerate((4096, 1024, 4096, 1024))]
         with self._service() as svc:
             # Holding the queue's lock keeps the dispatcher from taking
-            # anything until all four same-shape requests are queued.
+            # anything until all four requests are queued.
             with svc._cond:
                 tickets = [svc.submit(a, P=1) for a in arrays]
             outs = [t.result(60) for t in tickets]
-            spawned = svc.pool.stats()["spawned"]
-        assert [out.batch_size for out in outs] == [4] * 4
+            report = svc.report()
+        assert [r["id"] for r in report.requests] == [
+            t.request_id for t in tickets
+        ]
         for arr, out in zip(arrays, outs):
             assert out.sorted_keys.tobytes() == np.sort(arr).tobytes()
-        assert spawned == 0
-
-    def test_adapter_fed(self):
-        adapter = RequestAdapter(HostProfile.default())
-        keys = make_keys(1 << 12, seed=220)
-        with SortService(
-            planner=Planner(adapter=adapter),
-            pool=WorldPool(tick_interval_s=0.0),
-        ) as svc:
-            out = svc.sort(keys, P=1)
-            spawned = svc.pool.stats()["spawned"]
-        assert out.sorted_keys.tobytes() == np.sort(keys).tobytes()
-        assert spawned == 0
-        assert adapter.updates == 1
-        assert adapter.correction(
-            "threads", 1, out.decision.algorithm
-        ) is not None
+        assert report.pool["spawned"] == 0
 
     def test_fault_armed_request_takes_a_world(self):
         keys = make_keys(1 << 12, seed=230)
@@ -593,7 +663,7 @@ class TestDeadlinePropagation:
         """A request whose deadline dies while queued is failed typed at
         dispatch — it never runs after the caller gave up."""
         pool = _GatedPool()
-        with SortService(pool=pool, queue_depth=8, batch_max=1) as svc:
+        with SortService(pool=pool, queue_depth=8) as svc:
             # Park a request on the dispatcher so the next one ages in
             # the queue: it holds the dispatcher until released.
             slow = svc.submit(make_keys(1 << 10, seed=2),
@@ -643,8 +713,7 @@ class TestTenantFairness:
         """Under a contended queue a bursting tenant is capped near its
         fair share while a quiet tenant still gets in."""
         adm = TenantAdmission(contended_fraction=0.25)
-        with SortService(queue_depth=8, batch_max=1,
-                         admission=adm) as svc:
+        with SortService(queue_depth=8, admission=adm) as svc:
             # Stall the dispatcher with one slow request so the burst
             # really contends for queue slots.
             slow = svc.submit(make_keys(1 << 20, seed=6),
@@ -692,8 +761,7 @@ class TestTenantFairness:
         adm = TenantAdmission()
         outcomes = {"ok": 0, "rejected": 0}
         lock = threading.Lock()
-        with SortService(queue_depth=8, batch_max=4,
-                         admission=adm) as svc:
+        with SortService(queue_depth=8, admission=adm) as svc:
             def client(tenant, seed):
                 try:
                     ticket = svc.submit(make_keys(1 << 10, seed=seed),
