@@ -5,15 +5,18 @@ Usage::
 
     PYTHONPATH=src python scripts/check_fused.py
 
-Sorts 16 Ki and 64 Ki keys with the smart bitonic sort on one warm
-4-rank threads world, fused + group-scoped and unfused + world-wide in
-alternating repetitions (21 timed per side, after one untimed run each),
-and checks every output byte for byte against ``np.sort``.  Prints the
-median of each side and the ratio unfused / fused per size, and exits 1
-on a wrong output or when a ratio falls below 0.75: the fused path may
-not be more than 25% slower than the baseline it replaced, which is how
-a compatibility fallback that engaged silently, with outputs still
-correct, would show.
+Sorts 16 Ki and 64 Ki keys on a warm 4-rank threads world, and 1 Mi keys
+on a warm 2-rank one (the bulk-1m benchmark's shape), with the smart
+bitonic sort: fused + group-scoped and unfused + world-wide in alternating
+repetitions (21 timed per side, after one untimed run each), checking
+every output byte for byte against ``np.sort``.  Fused, each remap
+exchanges strided views of the partitions and the receiver places each
+key once; unfused, each message is packed into a copy and unpacked in a
+second pass.  Prints the median of each side and the ratio unfused /
+fused per shape, and exits 1 on a wrong output or when a ratio falls
+below 0.75: the fused path may not be more than 25% slower than the
+packed baseline, which is how a fused remap that silently started
+copying again, with outputs still correct, would show.
 """
 
 import sys
@@ -25,8 +28,8 @@ from repro.runtime.driver import spawn_world
 from repro.service.jobs import sort_shards_job
 from repro.utils.rng import make_keys
 
-SIZES = (1 << 14, 1 << 16)
-RANKS = 4
+#: ``(keys, ranks)`` per timed shape.
+SIZES = ((1 << 14, 4), (1 << 16, 4), (1 << 20, 2))
 REPS = 21
 MIN_RATIO = 0.75
 
@@ -55,8 +58,8 @@ def timed_sort(world, keys, expected, fused, grouped):
 
 def main() -> int:
     failed = False
-    with spawn_world(RANKS) as world:
-        for N in SIZES:
+    for N, ranks in SIZES:
+        with spawn_world(ranks) as world:
             keys = make_keys(N, seed=N % 104729)
             expected = np.sort(keys).tobytes()
             times = {name: [] for name in VARIANTS}
@@ -72,7 +75,7 @@ def main() -> int:
             ratio = medians["unfused"] / medians["fused"]
             ok = ratio >= MIN_RATIO
             failed |= not ok
-            print(f"{N:>7,} keys x {RANKS} ranks: fused "
+            print(f"{N:>9,} keys x {ranks} ranks: fused "
                   f"{medians['fused'] * 1e3:.3f} ms, unfused "
                   f"{medians['unfused'] * 1e3:.3f} ms (medians of {REPS}), "
                   f"unfused/fused {ratio:.2f}x "

@@ -18,13 +18,15 @@ Fails (exit 1) if any given trace file:
   (``remaps``, ``messages``, ``bytes_sent``) — pure out-of-core traces
   (``algo.external`` > 0, no remaps) are exempt: the external sort moves
   bytes through the filesystem, not a transport;
-* ran the default (fused) bitonic sort but shows no ``coll.fused``
-  collectives, or fused collectives that all fell back off the zero-copy
-  path (``coll.fused_direct`` == 0) — the compatibility fallback must
-  never engage silently on the bundled backends (pass ``--allow-unfused``
-  for traces of deliberately unfused runs).  Traces of pure sample-sort
-  runs (``algo.sample`` > 0, no bitonic remaps) are exempt: sample sort
-  fuses nothing by design;
+* records a number of exchanges (``coll.alltoallv`` plus
+  ``coll.group_alltoallv``) other than its ``remaps`` plus ``retries``:
+  every remap of the bitonic and the sample sort is exactly one exchange,
+  and the reliable transport adds one per retransmission round;
+* ran the default (fused) bitonic sort but shows an ``unpack`` span — the
+  fused remap places each arrival inside its ``transfer`` span, so an
+  unpack pass means the fusion silently stopped.  With
+  ``--expect-unfused`` (traces of ``--no-fused`` runs) the opposite holds:
+  every trace with remaps must show both ``pack`` and ``unpack`` spans;
 * records sample-sort runs (``algo.sample`` > 0) with fewer ``remaps``
   than runs (each run is exactly one splitter-driven redistribution) or
   without a ``merge`` span — a sample trace missing its p-way merge
@@ -55,7 +57,7 @@ from repro.trace import CHROME_TRACE_SCHEMA
 REQUIRED_COUNTERS = ("remaps", "messages", "bytes_sent")
 
 
-def check(path: str, allow_unfused: bool = False,
+def check(path: str, expect_unfused: bool = False,
           expect_external: bool = False) -> list:
     errors = []
     with open(path, encoding="utf-8") as fh:
@@ -131,18 +133,30 @@ def check(path: str, allow_unfused: bool = False,
                     f"algo.external recorded but {counter} is missing or "
                     "zero — an external sort that spilled nothing"
                 )
-    fused = counters.get("coll.fused", 0)
-    if not allow_unfused:
-        if not fused and not sample_runs and not external_runs:
+    remaps = counters.get("remaps", 0)
+    retries = counters.get("retries", 0)
+    exchanges = counters.get("coll.alltoallv", 0) + counters.get(
+        "coll.group_alltoallv", 0
+    )
+    if exchanges != remaps + retries:
+        errors.append(
+            f"{exchanges} exchanges for {remaps} remaps and {retries} "
+            "retransmission rounds — every remap is exactly one alltoallv "
+            "or group_alltoallv"
+        )
+    cats = {e.get("cat") for e in spans}
+    if expect_unfused:
+        if remaps and not {"pack", "unpack"} <= cats:
             errors.append(
-                "no coll.fused collectives — the default sort fuses every "
-                "remap (pass --allow-unfused for deliberately unfused runs)"
+                "an unfused trace without both pack and unpack spans — "
+                "the long messages were never packed or never unpacked"
             )
-        elif fused and not counters.get("coll.fused_direct"):
-            errors.append(
-                "every fused collective fell back off the zero-copy path "
-                "(coll.fused_direct == 0) — silent compatibility fallback"
-            )
+    elif "unpack" in cats:
+        errors.append(
+            "unpack spans in a fused trace — the fused remap places "
+            "arrivals inside transfer (pass --expect-unfused for "
+            "deliberately unfused runs)"
+        )
     group_calls = counters.get("coll.group_alltoallv", 0)
     group_size = counters.get("coll.group_size", 0)
     if group_calls and not group_size:
@@ -163,9 +177,9 @@ def check(path: str, allow_unfused: bool = False,
 def main(argv) -> int:
     parser = argparse.ArgumentParser(description="validate Chrome traces")
     parser.add_argument("traces", nargs="*", help="Chrome-trace JSON files")
-    parser.add_argument("--allow-unfused", action="store_true",
-                        help="skip the fused-collective requirement (for "
-                             "traces of deliberately unfused runs)")
+    parser.add_argument("--expect-unfused", action="store_true",
+                        help="require pack and unpack spans instead of "
+                             "forbidding unpack (traces of --no-fused runs)")
     parser.add_argument("--expect-external", action="store_true",
                         help="require a positive algo.external counter "
                              "(traces of budget-degraded out-of-core runs)")
@@ -175,7 +189,7 @@ def main(argv) -> int:
         return 2
     failed = False
     for path in args.traces:
-        errors = check(path, allow_unfused=args.allow_unfused,
+        errors = check(path, expect_unfused=args.expect_unfused,
                        expect_external=args.expect_external)
         if errors:
             failed = True

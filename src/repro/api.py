@@ -241,7 +241,7 @@ def sort(
     options:
         :class:`~repro.runtime.driver.BackendOptions` flags for the SPMD
         sort.  Its ``fused`` / ``grouped`` fields (both on by
-        default) toggle the fused zero-copy remap collective and the
+        default) toggle the fused zero-copy remap and the
         Lemma-4 group-scoped exchanges of the SPMD bitonic sort.
         (Sample sort's single exchange ignores both flags.)
     service:

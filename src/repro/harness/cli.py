@@ -819,7 +819,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--timeout", type=float, default=120.0)
     p_trace.add_argument("--no-fused", action="store_true",
                          help="disable the fused pack/transfer/unpack "
-                              "collective (run the classic 3-phase remap)")
+                              "remap (run the classic 3-phase remap)")
     p_trace.add_argument("--no-group", action="store_true",
                          help="disable Lemma-4 group-scoped exchanges "
                               "(every remap synchronizes the whole world)")

@@ -1,21 +1,21 @@
-"""Memoized remap plans.
+"""Memoized remap plans for the simulator.
 
 A :class:`~repro.remap.plan.RemapPlan` is pure index algebra: for a given
 ``(old layout, new layout, rank)`` triple it is always the same arrays.
-Yet the executors rebuilt it on every call — every simulated sort, every
-SPMD phase, every repetition of a benchmark paid the O(n) address
-computation and the per-call ``sorted()`` of the send lists again.
+Without a memo every simulated sort and every repetition of a benchmark
+would pay the O(n) address computation and the ``sorted()`` of the send
+lists again.
 
 :class:`RemapPlanCache` memoizes plans by value: the key is
 ``(N, P, old's bit assignment, new's bit assignment, rank)`` — via
 :class:`~repro.layouts.base.BitFieldLayout`'s value hash — so two
-schedules that derive *equal* layouts share plans even across runs and
-backends.  The cached plan also carries its derived views
-(``send_sorted``, ``recv_concat``) computed at most once.
+schedules that derive *equal* layouts share plans across runs.  The cached
+plan also carries ``send_sorted``, computed at most once.
 
-The default process-wide cache is what :func:`cached_remap_plan` uses;
-both :func:`repro.remap.exchange.perform_remap` and
-:func:`repro.runtime.bitonic_spmd.spmd_bitonic_sort` go through it.
+The default process-wide cache is what :func:`cached_remap_plan` uses, and
+it serves only :func:`repro.remap.exchange.perform_remap`.  The SPMD
+runtime never builds a plan: it runs each remap on the O(lg N) strided
+views of :func:`repro.remap.masks.remap_masks`.
 Simulated *time accounting is unchanged*: the simulator still charges the
 ``address`` computation per remap — the cache removes redundant host work,
 not modeled work (the paper's nodes, too, compute each mask once and reuse
@@ -42,10 +42,8 @@ __all__ = ["RemapPlanCache", "cached_remap_plan", "PLAN_CACHE"]
 class RemapPlanCache:
     """An LRU-bounded, thread-safe memo of remap plans.
 
-    Thread safety matters: the threads backend runs every rank of an SPMD
-    world through this cache concurrently (which is also what makes it
-    effective there — ``P`` ranks crossing the same phase need ``P``
-    distinct plans, each built once ever instead of once per run).
+    Thread safety matters: simulated sorts may run on several threads at
+    once (a service's workers, a threaded test), all through this cache.
     """
 
     def __init__(self, max_entries: int = 4096):
@@ -66,12 +64,10 @@ class RemapPlanCache:
                 return plan
             self.misses += 1
         # Build outside the lock: construction is the expensive part, and
-        # concurrent ranks miss on *different* keys almost always.  A rare
+        # concurrent callers miss on *different* keys almost always.  A rare
         # duplicate build for the same key is benign (plans are immutable).
         plan = build_remap_plan(old, new, rank)
-        # Materialize the derived views once, while the plan is cold.
-        plan.send_sorted, plan.recv_concat  # noqa: B018 — priming caches
-        plan.send_concat_src, plan.send_extents  # noqa: B018 — fused views
+        plan.send_sorted  # noqa: B018 — sort once, while the plan is cold
         with self._lock:
             self._plans[key] = plan
             while len(self._plans) > self._max:

@@ -1,9 +1,11 @@
 """Concrete remap plans: vectorized gather/scatter index sets.
 
-A :class:`RemapPlan` is the executable form of the pack/unpack masks for one
-processor and one layout pair: which local slots stay (and where they land),
-and, per destination, which slots are gathered into the outgoing long
-message and where the corresponding incoming message scatters.
+A :class:`RemapPlan` spells out the pack/unpack masks for one processor and
+one layout pair as O(n) index vectors for the simulator: which local slots
+stay (and where they land), and, per destination, which slots are gathered
+into the outgoing long message and where the incoming message scatters.
+(The SPMD runtime places every key in the same slot through
+:func:`~repro.remap.masks.remap_masks`' strided views instead.)
 
 Message element order is *destination-local-address order*, so that the
 receiver's scatter indices are simply the sorted destination local addresses
@@ -59,53 +61,11 @@ class RemapPlan:
     def num_messages(self) -> int:
         return len(self.send)
 
-    # Derived views, computed once per plan.  ``cached_property`` writes to
-    # ``__dict__`` directly, which a frozen dataclass permits; plans shared
-    # through :mod:`repro.remap.cache` amortize these across every caller.
-
     @cached_property
     def send_sorted(self) -> Tuple[Tuple[int, np.ndarray], ...]:
         """``send.items()`` in ascending destination order — the
         deterministic emission order every executor wants, sorted once."""
         return tuple(sorted(self.send.items()))
-
-    @cached_property
-    def recv_sorted(self) -> Tuple[Tuple[int, np.ndarray], ...]:
-        """``recv.items()`` in ascending source order."""
-        return tuple(sorted(self.recv.items()))
-
-    @cached_property
-    def send_concat_src(self) -> np.ndarray:
-        """All outgoing gather indices, concatenated in ascending
-        destination order — one fancy-gather through this vector packs
-        every departing element in a single pass, which is what lets a
-        zero-copy transport write them straight into its send window
-        (the executable face of the §4.3 fused pack)."""
-        if not self.send:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate([idx for _, idx in self.send_sorted])
-
-    @cached_property
-    def send_extents(self) -> Tuple[Tuple[int, int, int], ...]:
-        """``(destination, element offset, element count)`` per outgoing
-        message, aligned with :attr:`send_concat_src`: the slice
-        ``send_concat_src[offset : offset + count]`` gathers the message
-        bound for ``destination``."""
-        out = []
-        offset = 0
-        for q, idx in self.send_sorted:
-            out.append((q, offset, int(idx.size)))
-            offset += int(idx.size)
-        return tuple(out)
-
-    @cached_property
-    def recv_concat(self) -> np.ndarray:
-        """All incoming scatter indices, concatenated in ascending source
-        order — lets an executor place every arrival with one fancy-index
-        assignment once it concatenates the payloads in the same order."""
-        if not self.recv:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate([idx for _, idx in self.recv_sorted])
 
 
 def build_remap_plan(

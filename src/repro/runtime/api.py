@@ -16,20 +16,15 @@ paper's algorithms:
 * ``group_alltoallv(buckets, group)`` — ``alltoallv`` scoped to a
   communication group (Lemma 4: a remap only exchanges data within groups
   of ``2**N_BitsChanged`` ranks, so synchronization and descriptor work
-  need not span the world);
-* ``alltoallv_fused(data, plan, out, group)`` — the §4.3 fused
-  pack/transfer/unpack as one collective: gather straight from ``data``
-  through the plan's indices into the transport, scatter arrivals straight
-  into ``out`` — no intermediate bucket arrays on a backend's fast path.
+  need not span the world).
 
 An implementation over ``mpi4py`` maps each method to its MPI namesake
-(``group_alltoallv`` to an ``alltoallv`` on a split communicator,
-``alltoallv_fused`` to ``alltoallw`` with derived datatypes); the
+(``group_alltoallv`` to an ``alltoallv`` on a split communicator); the
 in-process :class:`~repro.runtime.threads.ThreadComm` implements them with
-shared memory and barriers.  The group/fused methods carry default
-implementations composed from :meth:`Comm.alltoallv`, so wrappers such as
-:class:`~repro.faults.transport.ReliableComm` stay correct automatically —
-they just do not get the zero-copy fast path.
+shared memory and barriers.  ``sendrecv`` and ``group_alltoallv`` carry
+default implementations composed from :meth:`Comm.alltoallv`, so wrappers
+such as :class:`~repro.faults.transport.ReliableComm` stay correct
+automatically.
 """
 
 from __future__ import annotations
@@ -40,7 +35,6 @@ from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover — avoid a runtime->trace import cycle
-    from repro.remap.plan import RemapPlan
     from repro.trace.recorder import Tracer
 
 __all__ = ["Comm"]
@@ -109,7 +103,7 @@ class Comm(ABC):
         received = self.alltoallv(buckets)
         return received[src]
 
-    # -- group-scoped and fused collectives ----------------------------
+    # -- group-scoped collectives --------------------------------------
 
     def _check_group(
         self, buckets: Sequence[Optional[np.ndarray]], group: Sequence[int]
@@ -142,7 +136,7 @@ class Comm(ABC):
                 raise CommunicationError(
                     f"rank {self.rank}: bucket addressed to rank {q}, "
                     f"outside its communication group {g} (Lemma 4 would "
-                    "be violated — the remap plan and group disagree)"
+                    "be violated — the remap masks and group disagree)"
                 )
         return g
 
@@ -171,54 +165,3 @@ class Comm(ABC):
         """
         self._check_group(buckets, group)
         return self.alltoallv(buckets)
-
-    def alltoallv_fused(
-        self,
-        data: np.ndarray,
-        plan: "RemapPlan",
-        out: np.ndarray,
-        group: Optional[Sequence[int]] = None,
-    ) -> None:
-        """Fused pack/transfer/unpack (§4.3) as one collective.
-
-        Gathers ``data[idx]`` for every outgoing message of ``plan`` into
-        the transport, exchanges within ``group`` (the world when
-        ``None``), and scatters each arrival straight into ``out`` through
-        the plan's receive indices.  The caller moves its kept elements
-        (``out[plan.keep_dst] = data[plan.keep_src]``) itself — that is
-        the fused surcharge that remains of the pack phase.
-
-        The threads backend overrides this with a zero-copy path (the
-        sender deposits its array with the plan's index vector and the
-        receiver gathers and scatters in one indexed assignment); this
-        default composes the same semantics from
-        :meth:`group_alltoallv` / :meth:`alltoallv`, so any communicator —
-        including wrappers like the fault-injection transport — supports
-        the fused call, just without the copy savings.
-        """
-        from repro.errors import CommunicationError
-
-        if self.tracer is not None:
-            self.tracer.add("coll.fused")
-        buckets: List[Optional[np.ndarray]] = [None] * self.size
-        for q, idx in plan.send_sorted:
-            buckets[q] = data[idx]
-        if group is not None and len(group) < self.size:
-            received = self.group_alltoallv(buckets, group)
-        else:
-            received = self.alltoallv(buckets)
-        for p, slots in plan.recv_sorted:
-            payload = received[p]
-            if payload is None or payload.size != slots.size:
-                raise CommunicationError(
-                    f"rank {self.rank}: expected {slots.size} keys from "
-                    f"rank {p}, got "
-                    f"{0 if payload is None else payload.size}"
-                )
-            out[slots] = payload
-        for p, payload in enumerate(received):
-            if p != self.rank and payload is not None and p not in plan.recv:
-                raise CommunicationError(
-                    f"rank {self.rank}: unexpected payload of "
-                    f"{payload.size} keys from rank {p}"
-                )

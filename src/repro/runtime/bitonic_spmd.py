@@ -4,12 +4,15 @@ This is how a user would implement the paper's sort on a real machine: each
 rank owns its ``n`` keys, derives the smart remap schedule from ``(N, P)``
 (pure index algebra — every rank computes the same schedule, no
 coordination needed), and alternates merge-based local phases with
-``alltoallv`` exchanges whose buckets come straight from the remap plan's
-pack indices.
+``alltoallv`` exchanges.  Each remap runs as the paper's pack and unpack
+masks (§3.3.1): the old and new partitions are reshaped to one axis per
+bit field, each message is a strided view picked by the pack mask, and
+each arrival lands through the unpack mask
+(:func:`~repro.remap.masks.remap_masks`).  No index vector is built.
 
 It deliberately shares *no execution machinery* with the simulator version
 (:class:`~repro.sorts.smart.SmartBitonicSort`): no ``Machine``, no
-``perform_remap`` — only the layout algebra and a
+``perform_remap``, no ``RemapPlan`` — only the layout algebra and a
 :class:`~repro.runtime.api.Comm`.  Every local phase runs ``np.sort``, the
 fastest local sort this host has (the paper's Chapter 4 argument; its
 1996 answer was radix sort, which the simulator still charges): each
@@ -22,7 +25,7 @@ races would surface.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
@@ -33,8 +36,8 @@ if TYPE_CHECKING:  # pragma: no cover — avoid a runtime->faults import cycle
 from repro.layouts.base import BitFieldLayout
 from repro.layouts.schedule import smart_schedule
 from repro.layouts.smart import SmartParams, smart_params
-from repro.remap.cache import cached_remap_plan
 from repro.remap.groups import remap_group
+from repro.remap.masks import RemapMasks, remap_masks
 from repro.runtime.api import Comm
 from repro.trace.recorder import trace_span
 from repro.utils.bits import bit_of, ilog2
@@ -64,18 +67,14 @@ def spmd_bitonic_sort(
     are phase-labelled via their ``set_phase`` hook so errors and injected
     faults can name the sort phase they hit.
 
-    ``fused`` (the default) routes each remap through
-    :meth:`~repro.runtime.api.Comm.alltoallv_fused` — pack, transfer and
-    unpack collapse into one collective whose fast path gathers straight
-    into the transport and scatters straight into the destination buffer
-    (the executable §4.3 fusion); the ``pack`` span shrinks to the fused
-    surcharge (moving the kept elements) and the ``unpack`` span
-    disappears.  ``grouped`` (the default) scopes every remap exchange to
-    its Lemma-4 communication group of ``2**N_BitsChanged`` ranks, so
-    synchronization fan-in no longer spans the world.  Both flags degrade
-    gracefully: communicators without a native fast path (e.g. the
-    fault-injection transport) run the same semantics via their composed
-    defaults.
+    Every remap is one exchange.  ``fused`` (the default, §4.3) deposits
+    the pack mask's strided views of the partition, and each receiver
+    writes every key once, into its final slot, inside ``transfer``: no
+    ``unpack`` span, and ``pack`` only moves the kept block.  Unfused,
+    each message is packed into a copy and unpacked in its own span.
+    ``grouped`` (the default) scopes every exchange to its Lemma-4 group
+    of ``2**N_BitsChanged`` ranks, so synchronization fan-in no longer
+    spans the world.  No rank mutates an array it has deposited.
 
     When ``comm.tracer`` carries a :class:`~repro.trace.recorder.Tracer`,
     the sort records its phase spans (``local_sort`` and per-remap
@@ -127,7 +126,7 @@ def spmd_bitonic_sort(
         with trace_span(tracer, "local_sort"):
             data = np.sort(data)
             if r % 2:
-                data = data[::-1].copy()
+                data = data[::-1]  # a reversed view; the remap reads it as is
         if checkpoint is not None:
             checkpoint.save(r, 0, data)
 
@@ -143,55 +142,35 @@ def spmd_bitonic_sort(
         if tracer is not None:
             tracer.add("remaps")
         with trace_span(tracer, "address", stage):
-            plan = cached_remap_plan(layout, phase.layout, r)
+            masks = remap_masks(layout, phase.layout, r)
             # Lemma 4: this remap only exchanges within a group of
             # 2**N_BitsChanged ranks — pure bit algebra, no coordination.
             group = remap_group(layout, phase.layout, r) if grouped else None
-        if fused:
-            # Fused pack/transfer/unpack (§4.3): the surviving pack work
-            # is moving the kept elements; the collective gathers the
-            # departing ones straight from ``data`` and scatters arrivals
-            # straight into ``fresh`` — no buckets, no concatenate.
-            with trace_span(tracer, "pack", stage):
-                fresh = np.empty_like(data)
-                fresh[plan.keep_dst] = data[plan.keep_src]
-            with trace_span(tracer, "transfer", stage):
-                comm.alltoallv_fused(data, plan, fresh, group=group)
-        else:
-            # Pack: one bucket per destination, by the plan's indices.
-            with trace_span(tracer, "pack", stage):
-                buckets: List[Optional[np.ndarray]] = [None] * P
-                for q, idx in plan.send_sorted:
-                    buckets[q] = data[idx]
-                fresh = np.empty_like(data)
-                fresh[plan.keep_dst] = data[plan.keep_src]
-            # Transfer.
-            with trace_span(tracer, "transfer", stage):
-                if group is not None and len(group) < P:
-                    received = comm.group_alltoallv(buckets, group)
-                else:
-                    received = comm.alltoallv(buckets)
-            # Unpack: payloads concatenated in ascending source order land
-            # in one scatter through the plan's precomputed index vector.
+        with trace_span(tracer, "pack", stage):
+            src = data.reshape(masks.src_dims)
+            fresh = np.empty(n, dtype=data.dtype)
+            dst = fresh.reshape(masks.dst_dims)
+            if masks.keep is not None:
+                keep_src, keep_dst = masks.keep
+                dst[keep_dst] = src[keep_src].transpose(masks.perm)
+            # Fused (§4.3): the strided view itself travels and the
+            # receiver writes each key once, into its final slot.
+            # Unfused: the packed long message.
+            buckets: List[Optional[np.ndarray]] = [None] * P
+            for q, idx in masks.send:
+                buckets[q] = src[idx] if fused else src[idx].copy()
+        with trace_span(tracer, "transfer", stage):
+            if group is not None and len(group) < P:
+                received = comm.group_alltoallv(buckets, group)
+            else:
+                received = comm.alltoallv(buckets)
+            if fused:
+                _unpack(dst, masks, received, r)
+        if not fused:
             with trace_span(tracer, "unpack", stage):
-                payloads: List[np.ndarray] = []
-                for p, slots in plan.recv_sorted:
-                    payload = received[p]
-                    if payload is None or payload.size != slots.size:
-                        raise CommunicationError(
-                            f"rank {r}: expected {slots.size} keys from "
-                            f"rank {p}, "
-                            f"got {0 if payload is None else payload.size}"
-                        )
-                    payloads.append(payload)
-                for p, payload in enumerate(received):
-                    if p != r and payload is not None and p not in plan.recv:
-                        raise CommunicationError(
-                            f"rank {r}: unexpected payload of "
-                            f"{payload.size} keys from rank {p}"
-                        )
-                if payloads:
-                    fresh[plan.recv_concat] = np.concatenate(payloads)
+                _unpack(dst, masks, received, r)
+        # Drop the old partition and the peers' views before the merge.
+        del src, buckets, received
         data = fresh
         layout = phase.layout
         # Local computation (Theorems 2/3).
@@ -201,6 +180,32 @@ def spmd_bitonic_sort(
         if checkpoint is not None:
             checkpoint.save(r, stage, data)
     return data
+
+
+def _unpack(
+    dst: np.ndarray,
+    masks: RemapMasks,
+    received: Sequence[Optional[np.ndarray]],
+    rank: int,
+) -> None:
+    """Place every arrival through the unpack mask; exactly the mask's
+    senders must have sent, each one message of its shape."""
+    senders = dict(masks.recv)
+    for p, payload in enumerate(received):
+        if p != rank and payload is not None and p not in senders:
+            raise CommunicationError(
+                f"rank {rank}: unexpected payload of "
+                f"{np.size(payload)} keys from rank {p}"
+            )
+    for p, idx in masks.recv:
+        payload = received[p]
+        if payload is None or np.shape(payload) != masks.msg_shape:
+            raise CommunicationError(
+                f"rank {rank}: expected a message of shape "
+                f"{masks.msg_shape} from rank {p}, got "
+                f"{None if payload is None else np.shape(payload)}"
+            )
+        dst[idx] = payload.transpose(masks.perm)
 
 
 def _merge_phase(
@@ -215,27 +220,29 @@ def _merge_phase(
     The simulator's :meth:`~repro.sorts.smart.SmartBitonicSort._merge_local`
     runs the same phase as bitonic merges; each merge sorts a bitonic
     sequence, so a sort of the same slice in the same direction yields the
-    same keys.
+    same keys.  ``data`` is the partition the remap just built, so it is
+    sorted in place; a descending result is a reversed view of it.
     """
     if params.is_last:
         # Final blocked phase: the partition ends ascending.
-        return np.sort(data)
+        data.sort()
+        return data
     stage = lgn + params.k
     base_abs = int(layout.to_absolute(rank, 0))
     if not params.is_crossing:
         # Inside phase: one bitonic sequence, fully sorted in the stage's
         # direction, which is fixed across the processor (Theorem 2).
-        out = np.sort(data)
-        return out[::-1].copy() if bit_of(base_abs, stage) else out
+        data.sort()
+        return data[::-1] if bit_of(base_abs, stage) else data
     # Crossing phase (Theorem 3): rows finish stage lg n + k, columns open
     # stage lg n + k + 1.  A row's direction is the stage's direction bit,
     # the top bit of the row index, so the upper half of the rows descends.
-    m = np.sort(data.reshape(1 << params.b, 1 << params.a), axis=1)
+    m = data.reshape(1 << params.b, 1 << params.a)
+    m.sort(axis=1)
     half = 1 << (params.b - 1)
     m[half:] = m[half:, ::-1]
     # The column direction is bit lg n + k + 1 of the absolute address,
-    # fixed across the processor (it lives in the A field).
-    m = np.sort(m, axis=0)
-    if bit_of(base_abs, stage + 1):
-        m = m[::-1]
-    return m.reshape(-1)
+    # fixed across the processor (it lives in the A field).  Sorting the
+    # row-reversed view ascending leaves the columns descending in place.
+    (m[::-1] if bit_of(base_abs, stage + 1) else m).sort(axis=0)
+    return data

@@ -43,10 +43,11 @@ class BackendOptions:
     Attributes
     ----------
     fused:
-        Route each remap through the fused pack/transfer/unpack
-        collective (:meth:`repro.runtime.api.Comm.alltoallv_fused`) —
-        zero-copy on the backend's raw-ndarray fast path, compatibility
-        fallback elsewhere.
+        Fuse each remap's pack and unpack into the exchange (§4.3):
+        senders deposit strided views of their partition and each
+        receiver writes every key once, straight into its final slot.
+        Off, senders pack each long message into a contiguous copy and
+        receivers unpack it in a separate pass.
     grouped:
         Scope each remap exchange to its Lemma-4 communication group of
         ``2**N_BitsChanged`` ranks instead of the world.

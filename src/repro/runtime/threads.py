@@ -5,8 +5,9 @@ a shared mailbox matrix plus a reusable barrier: a phase's senders deposit
 references, everyone synchronizes, receivers pick up, everyone synchronizes
 again (so the mailbox can be reused).  NumPy array payloads are passed by
 reference — callers must not mutate a sent buffer afterwards, same as with
-a zero-copy MPI transport; the SPMD algorithms here always send freshly
-gathered arrays.
+a zero-copy MPI transport.  The fused bitonic sort deposits strided views
+of its partition itself; it builds each phase's partition in a fresh
+buffer, so no rank ever mutates an array it has deposited.
 
 NumPy kernels drop the GIL, so ranks' local phases genuinely overlap on
 multicore hosts, but this backend's purpose is *correct concurrent
@@ -191,79 +192,6 @@ class ThreadComm(Comm):
             self._state.mailbox[p][self.rank] = None
         self._group_barrier(g)  # group pickups done; slots reusable
         return received
-
-    def alltoallv_fused(
-        self,
-        data: np.ndarray,
-        plan,
-        out: np.ndarray,
-        group: Optional[Sequence[int]] = None,
-    ) -> None:
-        """Zero-copy fused pack/transfer/unpack.
-
-        The sender deposits *references* — ``(data, gather indices)`` per
-        destination — and each receiver gathers straight from the peer's
-        source array into its own fresh partition (``out[slots] =
-        peer_data[idx]``): every transferred element is written exactly
-        once into its final slot, with no per-destination bucket arrays
-        and no concatenate pass (the executable analogue of ``fused=True``
-        in :func:`repro.remap.exchange.perform_remap`).  Senders must not
-        mutate ``data`` until the collective returns — the SPMD sort
-        builds its new partition in a fresh buffer, so it never does.
-        """
-        me, P = self.rank, self.size
-        g = tuple(group) if group is not None else tuple(range(P))
-        tr = self.tracer
-        if tr is not None:
-            tr.add("coll.fused")
-            tr.add("coll.fused_direct")
-            if group is not None and len(g) < P:
-                tr.add("coll.group_alltoallv")
-                tr.add("coll.group_size", len(g))
-            tr.add("coll.slots", len(g))
-            for q, idx in plan.send_sorted:
-                tr.add("messages")
-                tr.add("bytes_sent", int(idx.size * data.dtype.itemsize))
-        row = self._state.mailbox[me]
-        for q in g:
-            row[q] = None
-        for q, idx in plan.send_sorted:
-            if q not in g or q == me:
-                raise CommunicationError(
-                    f"rank {me}: fused plan sends to rank {q}, outside its "
-                    f"communication group {g}"
-                )
-            row[q] = (data, idx)
-        self._group_barrier(g)  # deposits visible
-        expected = dict(plan.recv_sorted)
-        for p in g:
-            if p == me:
-                continue
-            entry = self._state.mailbox[p][me]
-            self._state.mailbox[p][me] = None
-            slots = expected.pop(p, None)
-            if entry is None:
-                if slots is not None:
-                    raise CommunicationError(
-                        f"rank {me}: expected {slots.size} keys from rank "
-                        f"{p}, got none"
-                    )
-                continue
-            src_data, src_idx = entry
-            if slots is None or src_idx.size != slots.size:
-                raise CommunicationError(
-                    f"rank {me}: rank {p} sent {src_idx.size} keys, "
-                    f"expected {0 if slots is None else slots.size}"
-                )
-            # The fused write: gather from the peer's partition, scatter
-            # into the final slots, one pass, no intermediate buffer.
-            out[slots] = src_data[src_idx]
-        self._group_barrier(g)  # pickups done; slots and data reusable
-        if expected:
-            raise CommunicationError(
-                f"rank {me}: no payload arrived from rank(s) "
-                f"{sorted(expected)}"
-            )
 
     def allgather(self, value: Any) -> List[Any]:
         if self.tracer is not None:

@@ -50,8 +50,6 @@ COUNTERS = (
     "coll.bcast",
     "coll.group_alltoallv",  # group-scoped collective calls (Lemma 4)
     "coll.group_size",  # summed member count of those groups
-    "coll.fused",       # fused pack/transfer/unpack collectives
-    "coll.fused_direct",  # ... of which took a backend zero-copy path
     "coll.slots",       # per-destination descriptor slots written/scanned
     "remaps",           # data remaps performed by the sort
     "retries",          # retransmission rounds (reliable transport)

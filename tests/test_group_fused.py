@@ -1,10 +1,10 @@
 """Group-scoped collectives (Lemma 4) and the fused zero-copy remap path.
 
 Covers the Lemma-4 group derivation (pure bit algebra), the
-``group_alltoallv`` / ``alltoallv_fused`` collectives on the threads
-backend, byte-equality of every fused × grouped combination against the
-plain world-wide path, the trace-counter contracts, and the
-compatibility fallback under the fault-injection transport.
+``group_alltoallv`` collective on the threads backend, byte-equality of
+every fused × grouped combination against the plain world-wide path, the
+trace-counter contracts, and the fused sort under the fault-injection
+transport.
 """
 
 import numpy as np
@@ -21,6 +21,7 @@ from repro.remap.groups import (
     remap_group_partition,
 )
 from repro.runtime import BackendOptions, run_spmd, spmd_bitonic_sort
+from repro.runtime.threads import ThreadComm
 from repro.trace import Tracer
 from repro.utils.rng import make_keys
 
@@ -156,16 +157,37 @@ class TestTraceContracts:
         assert grouped_slots < world_slots
 
     @pytest.mark.parametrize("backend", ["threads"])
-    def test_fused_takes_the_direct_path_every_remap(self, backend):
-        """On the threads backend the fused collective must never fall
-        back to the composed bucket path for plain integer keys — and the
-        per-remap unpack copy pass disappears outright."""
+    def test_fused_takes_the_direct_path_every_remap(self, backend,
+                                                     monkeypatch):
+        """The fused sort deposits the pack mask's views of its partition
+        (no packed copy), runs one exchange per remap, and records no
+        unpack pass; unfused, every message is a packed copy."""
+        owned = {True: [], False: []}
+        fused_now = [True]
+
+        def spy(method):
+            def wrapper(self, buckets, *rest):
+                owned[fused_now[0]].extend(
+                    b.flags.owndata for b in buckets if b is not None
+                )
+                return method(self, buckets, *rest)
+            return wrapper
+
+        monkeypatch.setattr(ThreadComm, "alltoallv",
+                            spy(ThreadComm.alltoallv))
+        monkeypatch.setattr(ThreadComm, "group_alltoallv",
+                            spy(ThreadComm.group_alltoallv))
         for tr in self._tracers(backend, fused=True, grouped=True):
-            remaps = tr.counters["remaps"]
-            assert tr.counters["coll.fused"] == remaps
-            assert tr.counters["coll.fused_direct"] == remaps
-            assert tr.counters.get("coll.alltoallv", 0) == 0
+            exchanges = tr.counters.get("coll.alltoallv", 0) + tr.counters.get(
+                "coll.group_alltoallv", 0
+            )
+            assert exchanges == tr.counters["remaps"]
             assert "unpack" not in tr.totals()
+        fused_now[0] = False
+        for tr in self._tracers(backend, fused=False, grouped=True):
+            assert "unpack" in tr.totals()
+        assert owned[True] and not any(owned[True])
+        assert owned[False] and all(owned[False])
 
     @pytest.mark.parametrize("backend", ["threads"])
     def test_fused_moves_fewer_bytes_of_copies(self, backend):
@@ -219,10 +241,11 @@ class TestGroupCollectiveProtocol:
         assert out[0] == "raised"
 
 
-class TestFaultTransportFallback:
-    def test_fused_sort_under_reliable_comm_falls_back_and_sorts(self):
-        """ReliableComm has no zero-copy path; the fused call must compose
-        through its (fault-injected) ``alltoallv`` and still sort."""
+class TestFaultTransport:
+    def test_fused_sort_sends_views_under_reliable_comm(self):
+        """ReliableComm frames, checksums and retransmits the fused sort's
+        strided views like any payload; dropped and duplicated messages
+        still end in the byte-identical sort, with no unpack pass."""
         from repro.faults.plan import FaultPlan
 
         keys = make_keys(2048, seed=31)
@@ -231,7 +254,7 @@ class TestFaultTransportFallback:
             faults=FaultPlan(seed=5, drop=0.05, duplicate=0.05),
         )
         assert rep.sorted_keys.tobytes() == np.sort(keys).tobytes()
-        fused = sum(t.counters.get("coll.fused", 0) for t in rep.tracers)
-        direct = sum(t.counters.get("coll.fused_direct", 0) for t in rep.tracers)
-        assert fused > 0  # the fused call was made...
-        assert direct == 0  # ...and composed, never claiming zero-copy
+        assert sum(t.counters.get("retries", 0) for t in rep.tracers) > 0
+        for tr in rep.tracers:
+            assert tr.counters["remaps"] > 0
+            assert "unpack" not in tr.totals()

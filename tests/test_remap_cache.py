@@ -1,4 +1,4 @@
-"""Tests for the remap-plan cache and the plan's precomputed views."""
+"""Tests for the simulator's remap-plan cache and the plan's sorted view."""
 
 import numpy as np
 import pytest
@@ -31,26 +31,24 @@ class TestPlanViews:
         for q, idx in plan.send_sorted:
             np.testing.assert_array_equal(idx, plan.send[q])
 
-    def test_recv_concat_is_sorted_sources_concatenated(self, layout_pair):
+    def test_kept_and_received_slots_tile_the_partition(self, layout_pair):
+        """Every slot of the new partition is filled exactly once: by the
+        kept block or by one sender's message."""
         old, new = layout_pair
         plan = build_remap_plan(old, new, 3)
-        expected = (
-            np.concatenate([plan.recv[q] for q in sorted(plan.recv)])
-            if plan.recv
-            else np.empty(0, dtype=np.int64)
-        )
-        np.testing.assert_array_equal(plan.recv_concat, expected)
+        slots = np.concatenate([plan.keep_dst, *plan.recv.values()])
+        np.testing.assert_array_equal(np.sort(slots), np.arange(old.n))
 
-    def test_recv_concat_empty_when_nothing_arrives(self):
+    def test_identity_remap_moves_nothing(self):
         layout = blocked_layout(64, 4)
         plan = build_remap_plan(layout, layout, 1)  # identity remap
-        assert plan.recv_concat.size == 0
+        assert plan.recv == {}
         assert plan.send_sorted == ()
+        np.testing.assert_array_equal(plan.keep_dst, np.arange(layout.n))
 
     def test_views_are_cached_per_plan(self, layout_pair):
         old, new = layout_pair
         plan = build_remap_plan(old, new, 0)
-        assert plan.recv_concat is plan.recv_concat
         assert plan.send_sorted is plan.send_sorted
 
 
