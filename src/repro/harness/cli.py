@@ -27,8 +27,9 @@ Python:
     baseline (``--baseline SOAK_BASELINE.json``), and fail on any leaked
     child process or spill directory (the CI ``service-soak`` job).
 ``repro-bitonic serve --listen 127.0.0.1:7070``
-    Run the networked sort service in the foreground: an asyncio frame
-    server (``repro.service.net``) over a warm world pool, until ^C.
+    Run the networked sort service in the foreground: a frame server
+    (``repro.service.net``, one thread per connection) over a warm world
+    pool, until ^C.
 ``repro-bitonic submit --keys 65536 [--procs 4]``
     Run one request through the sort service and print the planner's
     decision table alongside the measured latency.  With
@@ -41,8 +42,8 @@ Python:
     deterministic frame drop/corrupt/delay injection, and one shard
     killed mid-run.  Gates: every request is accounted (completed
     correctly — possibly after failover — or failed with a typed
-    error), zero silent losses, zero leaked processes or shm segments,
-    and p50/p99 within the committed baseline.
+    error), zero silent losses, zero leaked processes, shm segments or
+    server threads, and p50/p99 within the committed baseline.
 ``repro-bitonic trace --keys 262144 --procs 4``
     Run the real SPMD sort with the phase tracer armed, print the
     measured / simulated / predicted per-phase table
@@ -581,7 +582,7 @@ def _cmd_chaos_serve(args) -> int:
         SortService,
         WorldPool,
     )
-    from repro.service.net import shm_segments as _net_shm
+    from repro.service.net import server_threads, shm_segments as _net_shm
     from repro.utils.rng import make_keys
 
     try:
@@ -708,13 +709,15 @@ def _cmd_chaos_serve(args) -> int:
     print(f"  latency p50 {p50 * 1e3:.1f} ms   p99 {p99 * 1e3:.1f} ms")
     children = multiprocessing.active_children()
     shm_leaked = _net_shm() - shm_before
+    # Every server is closed, so none of its threads may be left.
+    threads = server_threads()
     slow = _gate_percentiles(
         p50, p99, _load_baseline(args.baseline, "chaos_serve"),
         "chaos-serve",
     )
     bad = (
-        lost or wrong or untyped or children or shm_leaked or slow
-        or not ok
+        lost or wrong or untyped or children or shm_leaked or threads
+        or slow or not ok
     )
     if children:
         print(f"LEAK: {len(children)} child processes: "
@@ -722,12 +725,15 @@ def _cmd_chaos_serve(args) -> int:
     if shm_leaked:
         print(f"LEAK: {len(shm_leaked)} shm segments: "
               f"{sorted(shm_leaked)[:8]}", file=sys.stderr)
+    if threads:
+        print(f"LEAK: {len(threads)} server threads: {threads[:8]}",
+              file=sys.stderr)
     if bad:
         print("chaos-serve FAILED: "
               f"{lost} unaccounted, {len(wrong)} wrong, "
               f"{len(untyped)} untyped, {len(children)} leaked procs, "
-              f"{len(shm_leaked)} leaked segments, {slow} latency "
-              "breaches", file=sys.stderr)
+              f"{len(shm_leaked)} leaked segments, {len(threads)} leaked "
+              f"server threads, {slow} latency breaches", file=sys.stderr)
         return 1
     print("chaos-serve ok: every request accounted (completed or typed), "
           "zero leaks")

@@ -1,4 +1,4 @@
-"""The wire front end: length-prefixed frames, asyncio server, retrying client.
+"""The wire front end: length-prefixed frames, threaded server, retrying client.
 
 This module puts a real socket in front of :class:`~repro.service.SortService`
 so the serving layer can take traffic from other processes and hosts.
@@ -37,10 +37,18 @@ owns the segment and unlinks it when the request resolves, success or
 not.
 
 **Idempotent requests**: every request carries a client-generated id.
-The server deduplicates: a retried id attaches to the in-flight run (or
-returns the cached result) instead of sorting twice, which makes the
-client's deadline-retry loop safe even when only the *response* was
-lost.
+The server deduplicates across its connections: a retried id waits on
+the in-flight run (or returns the cached reply, errors included)
+instead of sorting twice, which makes the client's deadline-retry loop
+safe even when only the *response* was lost.
+
+**Server model**: :class:`SortServer` serves each connection on one
+blocking thread of its own, as :class:`SortClient` does on its side: the
+thread reads a frame, answers it (a SORT waits for the service on that
+thread) and reads the next.  Connections beyond :data:`MAX_CONNECTIONS`
+get one typed ``AdmissionError(reason="connections")`` and are closed.
+``close(drain=True)`` stops reading but lets a reply already being
+computed go out; ``kill()`` resets every connection with no reply.
 
 **Fault injection**: a :class:`~repro.faults.NetFaultInjector` can be
 armed on the server; every inbound and outbound frame then gets a
@@ -51,7 +59,6 @@ retry/failover — never a silent loss.
 
 from __future__ import annotations
 
-import asyncio
 import functools
 import json
 import os
@@ -63,7 +70,8 @@ import threading
 import time
 import uuid
 import zlib
-from concurrent.futures import ThreadPoolExecutor
+from collections import OrderedDict
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple, Union
 
@@ -82,6 +90,7 @@ from repro.errors import (
     SpmdTimeoutError,
     VerificationError,
 )
+from repro.faults.plan import NO_FAULT
 from repro.trace.recorder import Tracer, trace_span
 
 __all__ = [
@@ -89,12 +98,16 @@ __all__ = [
     "MAGIC",
     "MIN_PROTO_VERSION",
     "PROTO_VERSION",
+    "MAX_CONNECTIONS",
+    "RESULT_TIMEOUT_S",
     "FrameType",
     "ClientOutcome",
     "SortClient",
     "SortServer",
     "encode_frame",
     "decode_frame",
+    "recv_frame",
+    "server_threads",
     "shm_segments",
 ]
 
@@ -113,6 +126,15 @@ assert HEADER_SIZE == 24
 #: corruption, not a real request.
 MAX_META = 1 << 20
 MAX_BODY = 1 << 31
+
+#: Connections one server serves at once.  Past it a new connection gets
+#: one ERROR frame carrying ``AdmissionError(reason="connections")`` and
+#: is closed.  ``chaos-serve``, the heaviest traffic here, peaks at 8.
+MAX_CONNECTIONS = 64
+
+#: How long a request with no budget of its own waits for the service's
+#: outcome, on a server or a local shard.
+RESULT_TIMEOUT_S = 120.0
 
 #: Same-host shm payload segments: /dev/shm/rsrtshm_<32 hex>.
 _SHM_DIR = "/dev/shm"
@@ -218,6 +240,41 @@ def decode_frame(data: bytes) -> Tuple[int, Dict[str, Any], bytes]:
     return ftype, meta, body
 
 
+def recv_frame(
+    sock: socket.socket, timeout_s: Optional[float] = None,
+    tracer: Optional[Tracer] = None,
+) -> Tuple[int, Dict[str, Any], bytes]:
+    """Read one frame off ``sock``: ``(ftype, meta, body)``, or a typed
+    :class:`~repro.errors.FrameCorruptError`, or :class:`ConnectionError`
+    when the peer closes.  ``timeout_s`` bounds the whole frame; ``None``
+    keeps the socket's own timeout.  ``tracer`` times the wait for the
+    header (``wait/inflight``) apart from the rest
+    (``transfer/frame-recv``)."""
+    until = None if timeout_s is None else time.monotonic() + timeout_s
+    with trace_span(tracer, "wait", "inflight"):
+        header = _recv_exact(sock, HEADER_SIZE, until)
+    ftype, _flags, _seq, meta_len, body_len, crc = parse_header(header)
+    with trace_span(tracer, "transfer", "frame-recv"):
+        payload = _recv_exact(sock, meta_len + body_len, until)
+    meta, body = validate_payload(ftype, payload, meta_len, crc)
+    return ftype, meta, body
+
+
+def _recv_exact(
+    sock: socket.socket, n: int, until: Optional[float]
+) -> bytes:
+    chunks = []
+    while n:
+        if until is not None:
+            sock.settimeout(max(1e-3, until - time.monotonic()))
+        chunk = sock.recv(n)
+        if not chunk:
+            raise ConnectionError("peer closed the connection")
+        chunks.append(chunk)
+        n -= len(chunk)
+    return b"".join(chunks)
+
+
 # -- typed errors over the wire ------------------------------------------
 
 #: Errors a server may report by name; anything else arrives as a plain
@@ -296,6 +353,15 @@ def shm_segments() -> set:
     }
 
 
+def server_threads() -> list:
+    """Names of the live :class:`SortServer` threads in this process
+    (leak gates)."""
+    return sorted(
+        t.name for t in threading.enumerate()
+        if t.name.startswith(("sortsrv-", "sort-server-"))
+    )
+
+
 def _shm_path(name: str) -> str:
     """Validated absolute path of a payload segment (reject traversal)."""
     if not _SHM_NAME_RE.match(name):
@@ -322,13 +388,27 @@ def _decode_keys(meta: Dict[str, Any], body: bytes) -> np.ndarray:
 # -- the server -----------------------------------------------------------
 
 
-class SortServer:
-    """An asyncio frame server fronting one :class:`SortService` shard.
+def _shutdown(sock: socket.socket, how: int, reset: bool = False) -> None:
+    """``sock.shutdown(how)``, tolerating a peer that already went away.
+    With ``reset``, closing the socket then sends a reset, not a FIN."""
+    try:
+        if reset:
+            sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+        sock.shutdown(how)
+    except OSError:
+        pass
 
-    Runs its event loop on a dedicated thread (the rest of the package is
-    synchronous); sort requests execute on a small thread pool so slow
-    sorts never stall the protocol plane.  ``faults`` arms deterministic
-    per-frame chaos (see the module docstring).
+
+class SortServer:
+    """A frame server fronting one :class:`SortService` shard, one
+    blocking thread per connection (the module docstring's server model).
+
+    :meth:`start` binds on the caller's thread, so a bind error raises
+    from it; an accept thread ``sort-server-<name>`` then gives each
+    connection a daemon thread ``sortsrv-<name>-<conn id>``.  ``faults``
+    arms deterministic per-frame chaos (see the module docstring).
 
     Parameters
     ----------
@@ -354,8 +434,6 @@ class SortServer:
         name: str = "shard0",
         faults=None,
         own_service: bool = False,
-        max_workers: int = 8,
-        result_timeout: float = 120.0,
     ):
         self.service = service
         self.name = name
@@ -363,198 +441,163 @@ class SortServer:
         self._host = host
         self._port = port
         self._own_service = own_service
-        self._result_timeout = result_timeout
-        self._executor = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix=f"sortsrv-{name}"
-        )
         self.address: Optional[Tuple[str, int]] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-        self._start_error: Optional[BaseException] = None
-        self._stop_event: Optional[asyncio.Event] = None
-        self._drain = True
-        self._abort = False
+        self._listener: Optional[socket.socket] = None
+        self._accepter: Optional[threading.Thread] = None
+        #: Guards every field below, and closing a connection's socket.
+        self._lock = threading.Lock()
         self._closed = False
+        self._reset = False
         self._conn_ids = 0
-        self._writers: set = set()
-        self._inflight: Dict[str, asyncio.Future] = {}
-        self._done_cache: Dict[str, Tuple[int, Dict[str, Any], bytes]] = {}
-        self._done_order: list = []
-        self.served = 0
-        self.errored = 0
+        self._conns: Dict[socket.socket, threading.Thread] = {}
+        self._inflight: Dict[str, Future] = {}
+        self._done: OrderedDict = OrderedDict()
 
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> Tuple[str, int]:
         """Bind and serve; returns ``(host, port)`` once accepting."""
-        self._thread = threading.Thread(
-            target=self._run_loop, name=f"sort-server-{self.name}",
-            daemon=True,
+        self._listener = socket.create_server((self._host, self._port))
+        self.address = self._listener.getsockname()[:2]
+        self._accepter = threading.Thread(
+            target=self._accept_loop, args=(self._listener,),
+            name=f"sort-server-{self.name}", daemon=True,
         )
-        self._thread.start()
-        if not self._started.wait(10.0):
-            raise ServiceError(f"server {self.name} failed to start in 10s")
-        if self._start_error is not None:
-            raise self._start_error
-        assert self.address is not None
+        self._accepter.start()
         return self.address
 
     def close(self, drain: bool = True) -> None:
-        """Stop accepting, optionally finish in-flight requests, stop the
-        loop.  Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        self._drain = drain
-        loop = self._loop
-        if loop is not None and loop.is_running():
-            loop.call_soon_threadsafe(self._request_stop)
-        if self._thread is not None:
-            self._thread.join(timeout=30.0)
-        self._executor.shutdown(wait=False)
-        if self._own_service:
-            self.service.close(drain=drain)
+        """Stop accepting and reading.  With ``drain``, a reply still
+        being computed goes out before its connection closes; without,
+        every connection drops and queued work fails typed.
+        Idempotent."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            threads = list(self._conns.values())
+            for sock in self._conns:
+                _shutdown(
+                    sock, socket.SHUT_RD if drain else socket.SHUT_RDWR,
+                    reset=self._reset,
+                )
+        if self._listener is not None:
+            _shutdown(self._listener, socket.SHUT_RDWR)
+            self._accepter.join()
+            self._listener.close()
+        if self._own_service and not drain:
+            self.service.close(drain=False)
+        # Join before closing the service: a drained request still needs
+        # it to finish.
+        for thread in threads:
+            thread.join(RESULT_TIMEOUT_S)
+        if self._own_service and drain:
+            self.service.close(drain=True)
 
     def kill(self) -> None:
-        """Chaos shutdown: abort every connection, drop in-flight work.
+        """Chaos shutdown: reset every connection, drop in-flight work.
         Clients observe a reset, never a reply — exactly what a crashed
         shard looks like from the wire."""
-        self._abort = True
+        self._reset = True
         self.close(drain=False)
-
-    def _request_stop(self) -> None:
-        if self._stop_event is not None:
-            self._stop_event.set()
-
-    def _run_loop(self) -> None:
-        loop = asyncio.new_event_loop()
-        self._loop = loop
-        try:
-            loop.run_until_complete(self._main())
-        except BaseException as exc:  # noqa: BLE001 — surfaced via start()
-            self._start_error = exc
-            self._started.set()
-        finally:
-            loop.close()
-
-    async def _main(self) -> None:
-        server = await asyncio.start_server(
-            self._handle_conn, self._host, self._port
-        )
-        self.address = server.sockets[0].getsockname()[:2]
-        self._stop_event = asyncio.Event()
-        self._started.set()
-        try:
-            await self._stop_event.wait()
-        finally:
-            server.close()
-            await server.wait_closed()
-            if self._drain and self._inflight:
-                await asyncio.gather(
-                    *list(self._inflight.values()), return_exceptions=True
-                )
-            for writer in list(self._writers):
-                try:
-                    if self._abort:
-                        writer.transport.abort()
-                    else:
-                        writer.close()
-                except Exception:  # noqa: BLE001 — teardown best effort
-                    pass
-            # Reap the per-connection handler tasks so the loop closes
-            # without "Task was destroyed but it is pending" noise.
-            tasks = [
-                t for t in asyncio.all_tasks()
-                if t is not asyncio.current_task()
-            ]
-            for t in tasks:
-                t.cancel()
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
 
     # -- the protocol plane ---------------------------------------------
 
-    async def _read_frame(self, reader) -> Tuple[int, Dict[str, Any], bytes]:
-        header = await reader.readexactly(HEADER_SIZE)
-        ftype, _flags, _seq, meta_len, body_len, crc = parse_header(header)
-        payload = await reader.readexactly(meta_len + body_len)
-        meta, body = validate_payload(ftype, payload, meta_len, crc)
-        return ftype, meta, body
+    def _accept_loop(self, listener: socket.socket) -> None:
+        while True:
+            try:
+                sock, _peer = listener.accept()
+            except OSError:
+                return  # close() shut the listener down
+            with self._lock:
+                if self._closed:
+                    sock.close()
+                    return
+                full = len(self._conns) >= MAX_CONNECTIONS
+                if not full:
+                    self._conn_ids += 1
+                    thread = threading.Thread(
+                        target=self._serve_conn,
+                        args=(sock, self._conn_ids),
+                        name=f"sortsrv-{self.name}-{self._conn_ids}",
+                        daemon=True,
+                    )
+                    self._conns[sock] = thread
+                    thread.start()
+            if full:
+                self._refuse(sock)
 
-    async def _send(self, writer, conn_id: int, out_seq: int,
-                    data: bytes) -> None:
+    def _refuse(self, sock: socket.socket) -> None:
+        """Answer a connection past the cap with one typed ERROR frame
+        (load, not sickness: a router fails over without a health
+        penalty), then close it."""
+        exc = AdmissionError(
+            f"server {self.name} already serves {MAX_CONNECTIONS} "
+            "connections", reason="connections",
+        )
+        with sock:
+            try:
+                sock.sendall(
+                    encode_frame(FrameType.ERROR, error_to_meta(exc), seq=1)
+                )
+            except OSError:
+                pass
+
+    def _send(self, sock: socket.socket, conn_id: int, out_seq: int,
+              data: bytes) -> None:
         """Write one response frame, via the fault injector when armed."""
         if self.faults is not None:
             data2, stall = self.faults.apply(data, "out", conn_id, out_seq)
             if stall > 0:
-                await asyncio.sleep(stall)
+                time.sleep(stall)
             if data2 is None:
                 return  # dropped: the client's deadline-retry recovers
             data = data2
-        writer.write(data)
-        await writer.drain()
+        sock.sendall(data)
 
-    async def _handle_conn(self, reader, writer) -> None:
-        self._conn_ids += 1
-        conn_id = self._conn_ids
-        self._writers.add(writer)
+    def _serve_conn(self, sock: socket.socket, conn_id: int) -> None:
         in_seq = out_seq = 0
         try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             while not self._closed:
                 try:
-                    ftype, meta, body = await self._read_frame(reader)
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    return  # peer went away
+                    ftype, meta, body = recv_frame(sock)
                 except FrameCorruptError as exc:
                     # A damaged request: tell the peer, typed, and keep
                     # the connection — the stream itself is still framed.
-                    out_seq += 1
-                    await self._send(
-                        writer, conn_id, out_seq,
-                        encode_frame(
-                            FrameType.ERROR, error_to_meta(exc), seq=out_seq
-                        ),
+                    reply = (FrameType.ERROR, error_to_meta(exc), b"")
+                else:
+                    in_seq += 1
+                    verdict = (
+                        NO_FAULT if self.faults is None
+                        else self.faults.decide("in", conn_id, in_seq)
                     )
-                    continue
-                in_seq += 1
-                if self.faults is not None:
-                    verdict = self.faults.decide("in", conn_id, in_seq)
                     if verdict.delay:
-                        await asyncio.sleep(self.faults.delay_s)
+                        time.sleep(self.faults.delay_s)
                     if verdict.drop:
                         continue  # lost on the wire: client retries
                     if verdict.corrupt:
                         # Modelled as checksum-detected wire damage.
-                        out_seq += 1
-                        await self._send(
-                            writer, conn_id, out_seq,
-                            encode_frame(
-                                FrameType.ERROR,
-                                error_to_meta(FrameCorruptError(
-                                    "request frame arrived corrupted "
-                                    "(injected)", detail="crc",
-                                )),
-                                seq=out_seq,
-                            ),
-                        )
-                        continue
+                        reply = (FrameType.ERROR, error_to_meta(
+                            FrameCorruptError(
+                                "request frame arrived corrupted "
+                                "(injected)", detail="crc",
+                            )), b"")
+                    else:
+                        reply = self._dispatch(ftype, meta, body)
                 out_seq += 1
-                reply = await self._dispatch(ftype, meta, body)
-                await self._send(
-                    writer, conn_id, out_seq,
-                    encode_frame(reply[0], reply[1], reply[2], seq=out_seq),
+                self._send(
+                    sock, conn_id, out_seq,
+                    encode_frame(*reply, seq=out_seq),
                 )
-        except (ConnectionError, asyncio.CancelledError):
-            pass
+        except OSError:
+            pass  # the peer went away, or close()/kill() shut the socket
         finally:
-            self._writers.discard(writer)
-            try:
-                writer.close()
-            except Exception:  # noqa: BLE001 — teardown best effort
-                pass
+            with self._lock:
+                del self._conns[sock]
+                sock.close()
 
-    async def _dispatch(
+    def _dispatch(
         self, ftype: int, meta: Dict[str, Any], body: bytes
     ) -> Tuple[int, Dict[str, Any], bytes]:
         if ftype == FrameType.HELLO:
@@ -583,7 +626,7 @@ class SortServer:
                 b"",
             )
         if ftype == FrameType.SORT:
-            return await self._handle_sort(meta, body)
+            return self._handle_sort(meta, body)
         return (
             FrameType.ERROR,
             error_to_meta(
@@ -592,9 +635,10 @@ class SortServer:
             b"",
         )
 
-    async def _handle_sort(
+    def _handle_sort(
         self, meta: Dict[str, Any], body: bytes
     ) -> Tuple[int, Dict[str, Any], bytes]:
+        received_at = time.monotonic()
         rid = meta.get("id")
         if not isinstance(rid, str) or not rid:
             return (
@@ -604,35 +648,26 @@ class SortServer:
                 ),
                 b"",
             )
-        # Idempotency: a retried id rides the first run, never a second.
-        cached = self._done_cache.get(rid)
-        if cached is not None:
-            return cached
-        fut = self._inflight.get(rid)
-        if fut is None:
-            fut = asyncio.get_running_loop().run_in_executor(
-                self._executor, self._run_request, meta, body,
-                time.monotonic(),
-            )
-            self._inflight[rid] = fut
-            fut.add_done_callback(
-                lambda f, rid=rid: self._finish_request(rid, f)
-            )
-        reply = await asyncio.shield(fut)
+        # Idempotency: a retried id rides the first run, never a second,
+        # whichever connection it arrives on.
+        with self._lock:
+            if rid in self._done:
+                return self._done[rid]
+            running = self._inflight.get(rid)
+            if running is None:
+                fut = self._inflight[rid] = Future()
+        if running is not None:
+            return running.result()
+        reply = self._run_request(meta, body, received_at)
+        with self._lock:
+            del self._inflight[rid]
+            self._done[rid] = reply
+            if len(self._done) > 512:  # the newest 512 replies stay
+                self._done.popitem(last=False)
+        fut.set_result(reply)
         return reply
 
-    def _finish_request(self, rid: str, fut: asyncio.Future) -> None:
-        self._inflight.pop(rid, None)
-        try:
-            reply = fut.result()
-        except BaseException:  # noqa: BLE001 — never cached, never raised here
-            return
-        self._done_cache[rid] = reply
-        self._done_order.append(rid)
-        while len(self._done_order) > 512:
-            self._done_cache.pop(self._done_order.pop(0), None)
-
-    # -- the worker plane (executor threads) ----------------------------
+    # -- the worker plane ------------------------------------------------
 
     def _run_request(
         self, meta: Dict[str, Any], body: bytes, received_at: float
@@ -642,8 +677,9 @@ class SortServer:
             keys = _decode_keys(meta, body)
             budget = meta.get("budget_s")
             if budget is not None:
-                # The remaining-time budget, net of our own queueing so
-                # far; admission and the world dispatch both honor it.
+                # The remaining-time budget, net of our own time with the
+                # request so far; admission and the world dispatch both
+                # honor it.
                 budget = float(budget) - (time.monotonic() - received_at)
                 if budget <= 0:
                     raise RequestTimeoutError(
@@ -666,7 +702,7 @@ class SortServer:
                 tenant=meta.get("tenant") or "default",
             )
             outcome = ticket.result(
-                budget if budget is not None else self._result_timeout
+                budget if budget is not None else RESULT_TIMEOUT_S
             )
             rmeta: Dict[str, Any] = {
                 "id": rid,
@@ -689,10 +725,8 @@ class SortServer:
                 rbody = b""
             else:
                 rbody = outcome.sorted_keys.tobytes()
-            self.served += 1
             return (FrameType.RESULT, rmeta, rbody)
         except BaseException as exc:  # noqa: BLE001 — typed over the wire
-            self.errored += 1
             emeta = error_to_meta(exc)
             emeta["id"] = rid
             return (FrameType.ERROR, emeta, b"")
@@ -803,15 +837,16 @@ class SortClient:
         with self._socks_lock:
             self._socks.add(sock)
         try:
-            self._send_bytes(
-                sock,
+            sock.sendall(
                 encode_frame(
                     FrameType.HELLO,
                     {"client": self.name, "pid": os.getpid()},
                     seq=self._next_seq(),
-                ),
+                )
             )
-            ftype, meta, _body = self._recv_frame(sock, deadline_at)
+            ftype, meta, _body = recv_frame(
+                sock, self._attempt_budget(deadline_at)
+            )
             if ftype == FrameType.ERROR:
                 raise error_from_meta(meta)
             if ftype != FrameType.WELCOME:
@@ -872,37 +907,6 @@ class SortClient:
             return self.timeout_s
         return max(1e-3, min(self.timeout_s, deadline_at - time.monotonic()))
 
-    def _send_bytes(self, sock: socket.socket, data: bytes) -> None:
-        sock.sendall(data)
-
-    def _recv_exact(
-        self, sock: socket.socket, n: int, deadline_at: Optional[float]
-    ) -> bytes:
-        chunks = []
-        got = 0
-        while got < n:
-            sock.settimeout(self._attempt_budget(deadline_at))
-            chunk = sock.recv(n - got)
-            if not chunk:
-                raise ConnectionError("server closed the connection")
-            chunks.append(chunk)
-            got += len(chunk)
-        return b"".join(chunks)
-
-    def _recv_frame(
-        self, sock: socket.socket, deadline_at: Optional[float],
-        tracer: Optional[Tracer] = None,
-    ) -> Tuple[int, Dict[str, Any], bytes]:
-        with trace_span(tracer, "wait", "inflight"):
-            header = self._recv_exact(sock, HEADER_SIZE, deadline_at)
-        ftype, _flags, _seq, meta_len, body_len, crc = parse_header(header)
-        with trace_span(tracer, "transfer", "frame-recv"):
-            payload = self._recv_exact(
-                sock, meta_len + body_len, deadline_at
-            )
-        meta, body = validate_payload(ftype, payload, meta_len, crc)
-        return ftype, meta, body
-
     # -- the RPCs --------------------------------------------------------
 
     def health(self, timeout_s: float = 5.0) -> Dict[str, Any]:
@@ -910,11 +914,12 @@ class SortClient:
         deadline_at = time.monotonic() + timeout_s
         try:
             sock = self._connect(deadline_at)
-            self._send_bytes(
-                sock,
-                encode_frame(FrameType.HEALTH, {}, seq=self._next_seq()),
+            sock.sendall(
+                encode_frame(FrameType.HEALTH, {}, seq=self._next_seq())
             )
-            ftype, meta, _body = self._recv_frame(sock, deadline_at)
+            ftype, meta, _body = recv_frame(
+                sock, self._attempt_budget(deadline_at)
+            )
         except (OSError, ConnectionError, FrameCorruptError,
                 TimeoutError) as exc:
             self._drop_connection()
@@ -1072,10 +1077,10 @@ class SortClient:
                 body = keys.tobytes()
         frame = encode_frame(FrameType.SORT, meta, body, seq=self._next_seq())
         with trace_span(tracer, "transfer", "frame-send"):
-            self._send_bytes(sock, frame)
+            sock.sendall(frame)
         while True:
-            ftype, rmeta, rbody = self._recv_frame(
-                sock, deadline_at, tracer
+            ftype, rmeta, rbody = recv_frame(
+                sock, self._attempt_budget(deadline_at), tracer
             )
             if rmeta.get("id") not in (None, rid):
                 continue  # a stale (delayed) reply for an earlier attempt

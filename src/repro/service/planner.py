@@ -10,7 +10,7 @@ engineered distributed sorters pick algorithms from machine parameters
 instead of hardcoding one.
 
 :meth:`Planner.plan` runs in passes: **clamp** (validate the request,
-apply the memory-budget and fault clamps) → **candidates** (every
+apply the memory-budget clamp) → **candidates** (every
 ``(algorithm, backend, P)`` the request may run) → **price** (each
 candidate's price from the profile's memo, so planning a shape
 seen before costs a few table lookups; a one-rank plan is priced without
@@ -21,14 +21,6 @@ Every choice has a **forced-override escape hatch**: pass
 ``algorithm=``, ``backend=``, ``P=``, ``fused=`` or ``grouped=`` to
 :meth:`Planner.plan` and the planner optimizes only the remaining free
 dimensions.
-
-One choice is a *safety clamp*, not an optimization: a request with an
-armed fault plan runs with ``fused=False`` / ``grouped=False`` — the
-:class:`~repro.faults.transport.ReliableComm` wrapper cannot fuse, and
-while the :class:`~repro.runtime.api.Comm` ABC would fall back
-transparently, the planner must never *select* a configuration it knows
-will fall back.  The clamp beats a forced override and is pinned by a
-property test.
 """
 
 from __future__ import annotations
@@ -69,11 +61,11 @@ class PlanDecision:
     ``est_seconds`` is the model's estimate for the chosen config;
     ``candidates`` maps every considered ``(backend, P)`` to its
     estimate, so callers (and the decision table in SERVING.md) can see
-    the margins.  ``clamped`` is True when fault safety or the memory
-    budget overrode a request's own flags; ``source`` records what the
-    choice rode on (``"model"``, ``"forced"`` or ``"budget"`` — the last
-    meaning the memory budget degraded the request to the out-of-core
-    external sort).
+    the margins.  ``clamped`` is True when the memory budget overrode a
+    request's forced algorithm, backend or ``P``; ``source`` records what
+    the choice rode on (``"model"``, ``"forced"`` or ``"budget"`` — the
+    last meaning the memory budget degraded the request to the
+    out-of-core external sort).
     """
 
     backend: str
@@ -99,11 +91,7 @@ class PlanDecision:
             f"plan: {self.algorithm} on {self.backend} x {self.P}, "
             f"fused={self.fused} grouped={self.grouped}"
             + f" (~{self.est_seconds * 1e3:.3f} ms, source={self.source}"
-            + (
-                ", budget-clamped"
-                if self.clamped and self.source == "budget"
-                else ", fault-clamped" if self.clamped else ""
-            )
+            + (", budget-clamped" if self.clamped else "")
             + ")"
         ]
         for name, est in ranked:
@@ -121,7 +109,7 @@ class _Request(NamedTuple):
     P: Optional[int]
     fused: bool
     grouped: bool
-    #: Fault safety or the memory budget overrode the request's flags.
+    #: The memory budget overrode the request's forced choices.
     clamped: bool
     #: The memory budget degraded the request to the external sort.
     budget: bool
@@ -158,9 +146,10 @@ class Planner:
         """Plan one sort request of ``N`` keys.
 
         Keyword arguments other than ``faults`` are forced overrides:
-        ``None`` means "planner chooses".  ``faults=True`` applies the
-        safety clamp described in the module docstring — it wins even
-        over forced ``fused``/``grouped``.
+        ``None`` means "planner chooses".  ``faults=True`` marks a request
+        with an armed fault plan: the plan is the same as without one,
+        but the out-of-core path, which has no fault transport, is
+        refused.
 
         With ``algorithm=None`` (or ``"auto"``) the planner prices both
         in-memory algorithms — smart bitonic and sample sort — against
@@ -229,7 +218,7 @@ class Planner:
         memory_budget: Optional[int],
     ) -> _Request:
         """The clamp pass: validate the request, then apply the memory
-        budget and fault clamps.  Raises
+        budget.  Raises
         :class:`~repro.errors.ConfigurationError` for a request no
         candidate can run."""
         if N < 1:
@@ -264,8 +253,8 @@ class Planner:
                     )
                 # Budget degradation: the working set does not fit, so
                 # the request runs out of core regardless of what was
-                # forced — like the fault clamp, the planner must never
-                # select a configuration it knows will OOM.
+                # forced — the planner must never select a configuration
+                # it knows will OOM.
                 budget = True
                 clamped = (
                     algorithm not in (None, "external")
@@ -296,14 +285,6 @@ class Planner:
                 f"the {EXTERNAL_BACKEND!r} pseudo-backend runs only "
                 f"algorithm='external'"
             )
-        if faults:
-            # Safety clamp: the fault transport cannot fuse or group
-            # (ReliableComm wraps every payload in checksummed frames;
-            # the transparent ABC fallback would engage on every remap).
-            # Never *plan* into a fallback.
-            if fused is not False or grouped is not False:
-                clamped = True
-            fused = grouped = False
         if P is not None:
             if P < 1 or N % P:
                 raise ConfigurationError(

@@ -50,7 +50,7 @@ from repro.errors import (
     ServiceClosedError,
     ShardUnavailableError,
 )
-from repro.service.net import ClientOutcome
+from repro.service.net import RESULT_TIMEOUT_S, ClientOutcome
 from repro.trace.recorder import Tracer, trace_span
 
 __all__ = ["LocalShard", "ShardRouter"]
@@ -69,11 +69,9 @@ class LocalShard:
     """An in-process :class:`~repro.service.SortService` wearing the
     shard interface, so routers can mix local and remote capacity."""
 
-    def __init__(self, service, name: str = "local0",
-                 result_timeout: float = 120.0):
+    def __init__(self, service, name: str = "local0"):
         self.service = service
         self.name = name
-        self._result_timeout = result_timeout
 
     def sort(
         self,
@@ -104,7 +102,7 @@ class LocalShard:
             tenant=tenant or "default",
         )
         outcome = ticket.result(
-            deadline_s if deadline_s is not None else self._result_timeout
+            deadline_s if deadline_s is not None else RESULT_TIMEOUT_S
         )
         return ClientOutcome(
             sorted_keys=outcome.sorted_keys,

@@ -454,16 +454,14 @@ class SortService:
 
     def sort(self, keys: np.ndarray, **kwargs: Any) -> SortOutcome:
         """Submit and wait: the synchronous convenience spelling."""
-        timeout = kwargs.pop("result_timeout", None)
-        return self.submit(keys, **kwargs).result(timeout)
+        return self.submit(keys, **kwargs).result()
 
     def map(
         self, arrays: Sequence[np.ndarray], **kwargs: Any
     ) -> List[SortOutcome]:
         """Submit many requests, wait for all, return outcomes in order."""
-        timeout = kwargs.pop("result_timeout", None)
         tickets = [self.submit(a, **kwargs) for a in arrays]
-        return [t.result(timeout) for t in tickets]
+        return [t.result() for t in tickets]
 
     # -- the dispatcher -------------------------------------------------
 

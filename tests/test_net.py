@@ -3,11 +3,14 @@
 Covers the frame codec (CRC, magic, truncation — damage is always a
 typed :class:`FrameCorruptError`), the typed-error wire round-trip, the
 server/client sort path (frame and shm payloads), request idempotency
-under retried ids, deadline propagation onto the wire, fault-injected
-corruption, and clean teardown with zero leaked shm segments.
+under retried ids (on one connection and across two), deadline
+propagation onto the wire, fault-injected corruption, the server's
+connection cap, drain-on-close, and clean teardown with zero leaked shm
+segments or server threads.
 """
 
 import socket
+import sys
 import threading
 import time
 
@@ -22,7 +25,7 @@ from repro.errors import (
     ShardUnavailableError,
 )
 from repro.faults import FaultPlan, NetFaultInjector, corrupt_frame_bytes
-from repro.service import SortClient, SortServer, SortService
+from repro.service import SortClient, SortServer, SortService, net
 from repro.service.net import (
     HEADER_SIZE,
     MAGIC,
@@ -35,6 +38,8 @@ from repro.service.net import (
     error_to_meta,
     host_token,
     parse_header,
+    recv_frame,
+    server_threads,
     shm_segments,
     validate_payload,
 )
@@ -185,16 +190,32 @@ def client(server):
         yield cli
 
 
-def _raw_recv_frame(sock):
-    buf = b""
-    while len(buf) < HEADER_SIZE:
-        buf += sock.recv(HEADER_SIZE - len(buf))
-    ftype, _flags, _seq, meta_len, body_len, crc = parse_header(buf)
-    payload = b""
-    while len(payload) < meta_len + body_len:
-        payload += sock.recv(meta_len + body_len - len(payload))
-    meta, body = validate_payload(ftype, payload, meta_len, crc)
-    return ftype, meta, body
+def _threads_of(name):
+    """The live threads of the server named ``name``."""
+    return [t for t in server_threads() if t == f"sort-server-{name}"
+            or t.startswith(f"sortsrv-{name}-")]
+
+
+class _GatedService:
+    """A service whose ``submit`` signals ``entered`` and then waits for
+    ``release``: it holds a request, already read off the wire, on its
+    connection thread until the test lets it go."""
+
+    def __init__(self, service):
+        self.service = service
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def submit(self, keys, **opts):
+        self.entered.set()
+        assert self.release.wait(30.0)
+        return self.service.submit(keys, **opts)
+
+    def report(self):
+        return self.service.report()
+
+    def close(self, drain=True):
+        self.service.close(drain=drain)
 
 
 class TestSortOverTheWire:
@@ -249,19 +270,162 @@ class TestSortOverTheWire:
         }
         with socket.create_connection(server.address, timeout=30.0) as s:
             s.sendall(encode_frame(FrameType.HELLO, {"client": "raw"}))
-            ftype, _m, _b = _raw_recv_frame(s)
+            ftype, _m, _b = recv_frame(s)
             assert ftype == FrameType.WELCOME
             frame = encode_frame(FrameType.SORT, meta, keys.tobytes())
             s.sendall(frame)
-            ftype1, meta1, body1 = _raw_recv_frame(s)
+            ftype1, meta1, body1 = recv_frame(s)
             s.sendall(frame)  # the retry, same id
-            ftype2, meta2, body2 = _raw_recv_frame(s)
+            ftype2, meta2, body2 = recv_frame(s)
         assert ftype1 == ftype2 == FrameType.RESULT
         assert body1 == body2
         assert np.array_equal(
             np.frombuffer(body1, dtype=keys.dtype), np.sort(keys)
         )
         assert server.service.report().served == served_before + 1
+
+    def test_inflight_id_is_shared_across_connections(self, monkeypatch):
+        """A second connection that sends an id still running on a first
+        waits for that run and gets the same reply bytes."""
+        waiting = threading.Event()
+
+        class SpyFuture(net.Future):
+            def result(self, timeout=None):
+                waiting.set()
+                return super().result(timeout)
+
+        monkeypatch.setattr(net, "Future", SpyFuture)
+        gate = _GatedService(SortService(queue_depth=4))
+        srv = SortServer(gate, name="dedupe", own_service=True)
+        addr = srv.start()
+        keys = make_keys(1024, seed=30)
+        frame = encode_frame(
+            FrameType.SORT,
+            {"id": "d" * 32, "dtype": str(keys.dtype.str)},
+            keys.tobytes(),
+        )
+        try:
+            with socket.create_connection(addr, timeout=30.0) as first, \
+                    socket.create_connection(addr, timeout=30.0) as second:
+                first.sendall(frame)
+                assert gate.entered.wait(30.0)
+                second.sendall(frame)
+                assert waiting.wait(30.0)  # the second rides the first
+                gate.release.set()
+                replies = [recv_frame(s) for s in (first, second)]
+        finally:
+            srv.close()
+        assert replies[0][0] == replies[1][0] == FrameType.RESULT
+        assert replies[0][2] == replies[1][2] == np.sort(keys).tobytes()
+        assert gate.service.report().served == 1
+
+    def test_close_drains_a_request_already_read(self, monkeypatch):
+        shut_rd = threading.Event()
+        real_shutdown = net._shutdown
+
+        def spy(sock, how, reset=False):
+            real_shutdown(sock, how, reset)
+            if how == socket.SHUT_RD:
+                shut_rd.set()
+
+        monkeypatch.setattr(net, "_shutdown", spy)
+        gate = _GatedService(SortService(queue_depth=4))
+        srv = SortServer(gate, name="drain", own_service=True)
+        addr = srv.start()
+        keys = make_keys(1024, seed=31)
+        got = []
+        with SortClient(addr, via_shm=False, retries=0,
+                        timeout_s=30.0) as cli:
+            caller = threading.Thread(
+                target=lambda: got.append(cli.sort(keys))
+            )
+            caller.start()
+            assert gate.entered.wait(30.0)
+            closer = threading.Thread(target=srv.close)
+            closer.start()
+            assert shut_rd.wait(30.0)  # no new frame will be read
+            gate.release.set()
+            caller.join(30.0)
+            closer.join(30.0)
+        assert not caller.is_alive() and not closer.is_alive()
+        [out] = got
+        assert out.sorted_keys.tobytes() == np.sort(keys).tobytes()
+        assert _threads_of("drain") == []
+
+    def test_connection_cap_refuses_typed(self, monkeypatch):
+        monkeypatch.setattr(net, "MAX_CONNECTIONS", 2)
+        srv = SortServer(SortService(queue_depth=4), name="capped",
+                         own_service=True)
+        addr = srv.start()
+        clients = [
+            SortClient(addr, via_shm=False, retries=0, timeout_s=10.0)
+            for _ in range(3)
+        ]
+        try:
+            for cli in clients[:2]:
+                cli.health()
+            with pytest.raises(AdmissionError) as exc:
+                clients[2].sort(make_keys(256, seed=32))
+            assert exc.value.reason == "connections"
+            [first] = [t for t in threading.enumerate()
+                       if t.name == "sortsrv-capped-1"]
+            clients[0].close()
+            first.join(10.0)
+            assert not first.is_alive()
+            keys = make_keys(256, seed=33)
+            out = clients[2].sort(keys)
+            assert out.sorted_keys.tobytes() == np.sort(keys).tobytes()
+        finally:
+            for cli in clients:
+                cli.close()
+            srv.close()
+
+    def test_concurrent_retries_sort_each_id_once(self):
+        """Stress: more connections than cores send the same four ids at
+        once under a short switch interval; each id is sorted once."""
+        svc = SortService(queue_depth=64)
+        srv = SortServer(svc, name="stress", own_service=True)
+        addr = srv.start()
+        keys = [make_keys(256, seed=40 + i) for i in range(4)]
+        frames = [
+            encode_frame(
+                FrameType.SORT,
+                {"id": f"{i:032x}", "dtype": str(k.dtype.str)},
+                k.tobytes(),
+            )
+            for i, k in enumerate(keys)
+        ]
+        replies, errors = [], []
+        start = threading.Barrier(8, timeout=30.0)
+
+        def work():
+            try:
+                with socket.create_connection(addr, timeout=30.0) as s:
+                    for frame in frames:
+                        start.wait()
+                        s.sendall(frame)
+                        replies.append(recv_frame(s))
+            except Exception as exc:  # noqa: BLE001 — collected
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+            srv.close()
+        assert not errors and not any(t.is_alive() for t in threads)
+        assert len(replies) == 32
+        assert {ftype for ftype, _meta, _body in replies} == {FrameType.RESULT}
+        assert {body for _ftype, _meta, body in replies} == {
+            np.sort(k).tobytes() for k in keys
+        }
+        assert svc.report().served == 4
 
     def test_v1_sort_frame_is_rejected(self, server):
         """A v1-era SORT frame reaching a live server is answered with a
@@ -278,7 +442,7 @@ class TestSortOverTheWire:
         frame[4] = 1
         with socket.create_connection(server.address, timeout=30.0) as s:
             s.sendall(bytes(frame))
-            ftype, emeta, _body = _raw_recv_frame(s)
+            ftype, emeta, _body = recv_frame(s)
         assert ftype == FrameType.ERROR
         err = error_from_meta(emeta)
         assert type(err) is FrameCorruptError
@@ -307,7 +471,7 @@ class TestSortOverTheWire:
         frame[HEADER_SIZE + 3] ^= 0x01  # damage the checksummed region
         with socket.create_connection(server.address, timeout=30.0) as s:
             s.sendall(bytes(frame))
-            ftype, meta, _body = _raw_recv_frame(s)
+            ftype, meta, _body = recv_frame(s)
         assert ftype == FrameType.ERROR
         assert type(error_from_meta(meta)) is FrameCorruptError
 
@@ -325,7 +489,7 @@ class TestSortOverTheWire:
         keys = make_keys(1024, seed=6)
         with socket.create_connection(server.address, timeout=30.0) as s:
             s.sendall(encode_frame(FrameType.SORT, meta, keys.tobytes()))
-            ftype, emeta, _body = _raw_recv_frame(s)
+            ftype, emeta, _body = recv_frame(s)
         assert ftype == FrameType.ERROR
         err = error_from_meta(emeta)
         assert type(err) is RequestTimeoutError
@@ -371,10 +535,21 @@ class TestFaultInjectedServer:
         out = cli.sort(make_keys(512, seed=10), backend="threads", P=2)
         assert np.all(np.diff(out.sorted_keys.astype(np.int64)) >= 0)
         srv.kill()
+        assert _threads_of("doomed") == []
         with pytest.raises((ShardUnavailableError, RequestTimeoutError)):
             cli.sort(make_keys(512, seed=11), deadline_s=3.0,
                      backend="threads", P=2)
         cli.close()
+
+    def test_close_leaves_no_server_thread(self):
+        srv = SortServer(SortService(queue_depth=8), name="tidy",
+                         own_service=True)
+        with SortClient(srv.start(), via_shm=False) as cli:
+            keys = make_keys(512, seed=14)
+            out = cli.sort(keys, backend="threads", P=2)
+            srv.close()  # the client's connection is still open
+        assert out.sorted_keys.tobytes() == np.sort(keys).tobytes()
+        assert _threads_of("tidy") == []
 
     def test_concurrent_clients_one_instance(self, server):
         """One SortClient is safe across threads (per-thread conns)."""

@@ -6,7 +6,9 @@ was rebuilt as passes (clamp, candidates, price, pick) and lost its
 bench-history correction.  Every planner here plans without bench
 history, so the rebuild must not move one decision: replaying each
 request must give the same algorithm, backend, P, flags, clamp, source
-and estimate, or the same error message.
+and estimate, or the same error message.  The rows of faulty requests
+that moved when faults stopped forcing the flags off were re-recorded
+(``data/README.md``).
 
 The requests vary the size (4 to 16 Mi keys), the key width, faults,
 auto and forced algorithm (external included), forced backend and P,

@@ -169,33 +169,36 @@ class TestPlanner:
         with pytest.raises(ConfigurationError, match="do not divide"):
             Planner().plan(1 << 12, P=3)
 
-    def test_fault_clamp_forces_threads_unfused(self):
+    def test_faulty_plan_keeps_the_default_flags(self):
         d = Planner().plan(1 << 12, faults=True)
         assert d.backend == "threads"
-        assert d.fused is False and d.grouped is False
-        assert d.clamped is True
+        assert d.fused is True and d.grouped is True
+        assert d.clamped is False
 
-    # Satellite (b): the safety property, pinned by hypothesis — over
-    # any size and any attempted override, an armed fault plan never
-    # yields a fused or grouped decision (ReliableComm cannot fuse; the
-    # planner must never *select* a config it knows will fall back).
+    # Fused views and group-scoped exchanges both travel through
+    # ReliableComm, so an armed fault plan changes nothing the planner
+    # decides: over any size and any attempted override, the faulty plan
+    # equals the fault-free one field for field.
     @given(
         log_n=st.integers(min_value=2, max_value=20),
         fused=st.sampled_from([None, True, False]),
         grouped=st.sampled_from([None, True, False]),
         forced_P=st.sampled_from([None, 1, 2, 4]),
     )
-    def test_property_faulty_plans_never_fuse(
+    def test_property_faults_do_not_change_the_plan(
         self, log_n, fused, grouped, forced_P
     ):
         N = 1 << log_n
         if forced_P is not None and (N % forced_P or 0 < N // forced_P < 2):
             forced_P = None
-        d = Planner().plan(
-            N, faults=True, fused=fused, grouped=grouped, P=forced_P
-        )
-        assert d.backend == "threads"
-        assert d.fused is False and d.grouped is False
+        planner = Planner()
+        plans = [
+            planner.plan(
+                N, faults=faults, fused=fused, grouped=grouped, P=forced_P
+            )
+            for faults in (True, False)
+        ]
+        assert plans[0] == plans[1]
 
     def test_decision_table_renders(self):
         table = Planner().decision_table(sizes=(1 << 10, 1 << 12))
@@ -464,12 +467,12 @@ class TestSortServiceRequests:
         out = service.sort(make_keys(1 << 10, seed=51), backend="threads", P=2)
         assert out.tracers is None
 
-    def test_faulty_request_runs_clamped_and_correct(self, service):
+    def test_faulty_request_runs_fused_and_correct(self, service):
         keys = make_keys(1 << 11, seed=52)
         out = service.sort(keys, faults=FaultPlan(seed=9, drop=0.05), P=2)
         assert out.sorted_keys.tobytes() == np.sort(keys).tobytes()
         assert out.decision.backend == "threads"
-        assert out.decision.fused is False and out.decision.clamped
+        assert out.decision.fused is True and not out.decision.clamped
         assert out.fault_stats.get("decisions", 0) > 0
 
     def test_non_power_of_two_rejected(self, service):
