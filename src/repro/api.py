@@ -20,26 +20,14 @@ substrate produced: the sorted keys and wall time always; simulated
 predicted per-phase time when ``trace=True``; fault and recovery counters
 when a :class:`~repro.faults.plan.FaultPlan` was armed.
 
-Capability matrix (a combination outside it raises
-:class:`~repro.errors.ConfigurationError` rather than silently ignoring
-an argument; the algorithm column is the single source of truth,
-:data:`BACKEND_ALGORITHMS`):
-
-===========  ==========================  =====  ======
-backend      algorithms                  trace  faults
-===========  ==========================  =====  ======
-simulated    smart, cyclic-blocked,      yes    yes
-             blocked-merge, radix,
-             sample, external*
-threads      smart, sample, external*    yes    yes
-===========  ==========================  =====  ======
-
-``external*`` is the out-of-core spill-to-disk sort
-(:mod:`repro.extsort`): it runs in-process on the calling host whatever
-``backend`` says (the report's backend reads ``"local"``), and it is
-also what ``memory_budget=`` degrades to automatically when the
-estimated in-memory working set does not fit.  Fault plans cannot ride
-it — there is no transport to inject into.
+What each substrate runs, and which requests each door accepts, is the
+admission contract's one table (:mod:`repro.admit`); a request outside
+it is refused with a typed error before any work starts, never run with
+an argument silently ignored.  ``external`` is the out-of-core
+spill-to-disk sort (:mod:`repro.extsort`): it runs in-process on the
+calling host whatever ``backend`` says (the report's backend reads
+``"local"``), and it is also what ``memory_budget=`` degrades to when
+the estimated in-memory working set does not fit.
 
 ``algorithm="auto"`` is a routing directive, not a seventh algorithm:
 with a ``service=`` attached (where it is the default) the service
@@ -55,44 +43,16 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.admit import SORT_ALGORITHMS, SORT_BACKENDS, admit_direct
 from repro.machine.metrics import RunStats
+from repro.utils.bits import is_power_of_two
 
 __all__ = [
     "SortReport",
     "sort",
     "SORT_BACKENDS",
     "SORT_ALGORITHMS",
-    "BACKEND_ALGORITHMS",
 ]
-
-#: Substrates :func:`sort` can run on.
-SORT_BACKENDS = ("simulated", "threads")
-
-#: Algorithm names accepted by :func:`sort` (each runs on the backends
-#: :data:`BACKEND_ALGORITHMS` lists for it).  ``"auto"`` — planner
-#: routing with a service attached — is deliberately not in this tuple:
-#: it names a dispatch policy, not an algorithm.
-SORT_ALGORITHMS = (
-    "smart", "cyclic-blocked", "blocked-merge", "radix", "sample", "external",
-)
-
-#: The capability table: which algorithms each backend executes.  The
-#: simulated machine runs every comparator of the paper's Ch. 5; the
-#: SPMD runtime implements the smart bitonic sort and the sample sort
-#: (the two the service planner prices against each other).  The
-#: out-of-core ``external`` sort is backend-independent — it runs
-#: in-process whatever backend the call named — so every row carries it.
-BACKEND_ALGORITHMS = {
-    "simulated": SORT_ALGORITHMS,
-    "threads": ("smart", "sample", "external"),
-}
-
-#: Algorithms with a closed-form predictor (fills the ``predicted`` column
-#: of a traced report).
-_PREDICTABLE = (
-    "smart", "cyclic-blocked", "blocked-merge", "radix", "sample", "external",
-)
 
 
 @dataclass
@@ -156,40 +116,6 @@ class SortReport:
         return "\n".join(lines)
 
 
-def _resolve_algorithm(
-    algorithm: Optional[str], backend: str, routed: bool
-) -> str:
-    """The one place algorithm names are validated.
-
-    ``None`` resolves to the context's default: ``"auto"`` on a
-    service-routed call (the planner picks), ``"smart"`` otherwise.
-    ``"auto"`` is only meaningful where a planner exists; every other
-    name must be in :data:`SORT_ALGORITHMS` and runnable on ``backend``
-    per the :data:`BACKEND_ALGORITHMS` capability table.
-    """
-    if algorithm is None:
-        return "auto" if routed else "smart"
-    if algorithm == "auto":
-        if not routed:
-            raise ConfigurationError(
-                "algorithm='auto' is planner routing — it needs a "
-                "service= attached; pick a concrete algorithm from "
-                f"{list(SORT_ALGORITHMS)} for a direct run"
-            )
-        return algorithm
-    if algorithm not in SORT_ALGORITHMS:
-        raise ConfigurationError(
-            f"unknown algorithm {algorithm!r}; choose from {list(SORT_ALGORITHMS)}"
-        )
-    supported = BACKEND_ALGORITHMS.get(backend, ())
-    if not routed and algorithm not in supported:
-        raise ConfigurationError(
-            f"backend {backend!r} implements {list(supported)}, not "
-            f"{algorithm!r}; run {algorithm!r} on backend='simulated'"
-        )
-    return algorithm
-
-
 def sort(
     keys: np.ndarray,
     P: Optional[int] = None,
@@ -209,13 +135,14 @@ def sort(
     Parameters
     ----------
     keys:
-        The global input array (power-of-two size divisible by ``P``).
+        The global input array: 1-D and non-empty; which sizes each
+        backend and algorithm take is :mod:`repro.admit`'s table.
     P:
         Number of simulated processors or real ranks.  Optional when a
         ``service`` routes the call — its planner then chooses ``P``.
     algorithm:
         One of :data:`SORT_ALGORITHMS`, constrained per backend by the
-        :data:`BACKEND_ALGORITHMS` capability table, or ``"auto"`` on a
+        capability table of :mod:`repro.admit`, or ``"auto"`` on a
         service-routed call — the planner then prices smart bitonic
         against sample sort and runs the winner.  Default: ``"auto"``
         with a service, ``"smart"`` without.
@@ -261,41 +188,17 @@ def sort(
     """
     if service is not None:
         return _sort_service(
-            keys, P, algorithm, backend, trace, faults, verify,
+            np.asarray(keys), P, algorithm, backend, trace, faults, verify,
             options, service, memory_budget,
         )
-    if backend not in SORT_BACKENDS:
-        raise ConfigurationError(
-            f"unknown sort backend {backend!r}; choose from {list(SORT_BACKENDS)}"
-        )
-    keys = np.asarray(keys)
-    degraded = False
-    if memory_budget is not None and algorithm != "external":
-        from repro.extsort import inmem_working_set_bytes
-
-        degraded = (
-            inmem_working_set_bytes(keys.size, keys.dtype.itemsize)
-            > memory_budget
-        )
-    if algorithm == "external" or degraded:
-        # The out-of-core path is backend-independent: it intercepts
-        # before any substrate dispatch and runs in-process.
-        return _sort_external(
-            keys, P, trace, faults, verify, options, memory_budget,
-            degraded=degraded,
-        )
-    if P is None:
-        raise ConfigurationError(
-            "P is required unless a service= routes the request "
-            "(only the service's planner can choose P)"
-        )
-    algorithm = _resolve_algorithm(algorithm, backend, routed=False)
+    keys, algorithm = admit_direct(
+        keys, P, algorithm, backend, faults, options, memory_budget
+    )
+    if algorithm == "external":
+        # The out-of-core path is backend-independent: it runs
+        # in-process, before any substrate dispatch.
+        return _sort_external(keys, trace, verify, memory_budget)
     if backend == "simulated":
-        if options is not None:
-            raise ConfigurationError(
-                "backend options tune the SPMD sorts; the simulated "
-                "machine takes none"
-            )
         return _sort_simulated(keys, P, algorithm, trace, faults, verify)
     return _sort_spmd(
         keys, P, algorithm, backend, trace, faults, timeout, verify, options
@@ -320,48 +223,29 @@ def _sorter(algorithm: str):
     }[algorithm]()
 
 
-def _predicted(algorithm: str, N: int, P: int):
-    if algorithm not in _PREDICTABLE:
-        return None
+def _columns(algorithm: str, keys: np.ndarray, P: int):
+    """The simulated and predicted columns of a traced run: the LogGP
+    machine's run of the same (N, P) and the closed form.  The paper's
+    model covers powers of two only, and the out-of-core sort has no
+    simulated twin."""
     from repro.theory.predict import predict
 
-    return predict(algorithm, N, P)
+    if algorithm == "external":
+        return None, predict("external", keys.size, 1)
+    if not is_power_of_two(keys.size):
+        return None, None
+    return _sorter(algorithm).run(keys, P).stats, predict(
+        algorithm, keys.size, P
+    )
 
 
-def _sort_external(
-    keys, P, trace, faults, verify, options, memory_budget,
-    degraded=False,
-) -> SortReport:
-    """Run the out-of-core spill-to-disk sort in-process.
-
-    Reached two ways: ``algorithm="external"`` forced, or
-    ``memory_budget=`` degradation when the in-memory working set does
-    not fit.  Single-host by construction: a forced-external call must
-    not name a multi-rank ``P`` or SPMD options (rejected rather than
-    ignored), while a *degraded* call's ``P``/options targeted the
-    in-memory plan the budget just overrode — they are clamped away,
-    exactly as the service planner clamps them.  Fault plans are an
-    error on both routes: there is no transport to inject into.
-    """
+def _sort_external(keys, trace, verify, memory_budget) -> SortReport:
+    """Run the out-of-core spill-to-disk sort in-process: forced with
+    ``algorithm="external"``, or degraded to when the in-memory working
+    set does not fit ``memory_budget``."""
     from repro.extsort import external_sort
     from repro.sorts.base import verify_sorted
 
-    if faults is not None and not getattr(faults, "is_null", False):
-        raise ConfigurationError(
-            "the external sort runs in-process with no fault transport; "
-            "drop the fault plan or raise the memory budget"
-        )
-    if not degraded:
-        if P is not None and P != 1:
-            raise ConfigurationError(
-                f"the external sort is single-host: P must be 1 (or "
-                f"None), got {P}"
-            )
-        if options is not None:
-            raise ConfigurationError(
-                "backend options tune the SPMD sorts; the external "
-                "sort takes none"
-            )
     budget = memory_budget if memory_budget is not None else 64 << 20
     tracer = None
     if trace:
@@ -416,25 +300,12 @@ def _sort_service(
     """
     from repro.sorts.base import verify_sorted
 
-    algorithm = _resolve_algorithm(algorithm, backend, routed=True)
-    if algorithm not in ("auto",) + BACKEND_ALGORITHMS["threads"]:
-        raise ConfigurationError(
-            f"the sort service runs only the SPMD algorithms "
-            f"{list(BACKEND_ALGORITHMS['threads'])}; run {algorithm!r} on "
-            f"backend='simulated' without a service"
-        )
-    forced_algorithm = None if algorithm == "auto" else algorithm
-    forced_backend = None if backend == "simulated" else backend
-    if forced_backend is not None and forced_backend not in SORT_BACKENDS:
-        raise ConfigurationError(
-            f"unknown sort backend {backend!r}; choose from {list(SORT_BACKENDS)}"
-        )
     fused = options.fused if options is not None else None
     grouped = options.grouped if options is not None else None
     outcome = service.sort(
         keys,
-        algorithm=forced_algorithm,
-        backend=forced_backend,
+        algorithm=algorithm,
+        backend=None if backend == "simulated" else backend,
         P=P,
         fused=fused,
         grouped=grouped,
@@ -454,15 +325,11 @@ def _sort_service(
 
         # The last tracer is the service lane (queue wait); the phase
         # table aligns the rank tracers against simulation + theory.
-        # The out-of-core sort has no simulated twin — predicted only.
-        sim_stats = (
-            None if d.algorithm == "external"
-            else _sorter(d.algorithm).run(keys, d.P).stats
-        )
+        sim_stats, predicted = _columns(d.algorithm, keys, d.P)
         phases = build_phase_report(
             tracers=outcome.tracers[: d.P],
             stats=sim_stats,
-            predicted=_predicted(d.algorithm, keys.size, d.P),
+            predicted=predicted,
             P=d.P,
             n=keys.size // d.P,
         )
@@ -490,9 +357,10 @@ def _sort_simulated(keys, P, algorithm, trace, faults, verify) -> SortReport:
     wall = time.perf_counter() - start
     phases = None
     if trace:
+        from repro.theory.predict import predict
+
         phases = build_phase_report(
-            stats=result.stats,
-            predicted=_predicted(algorithm, keys.size, P),
+            stats=result.stats, predicted=predict(algorithm, keys.size, P),
         )
     return SortReport(
         algorithm=algorithm,
@@ -522,13 +390,7 @@ def _sort_spmd(
     from repro.sorts.base import verify_sorted
     from repro.trace.recorder import Tracer
     from repro.trace.report import build_phase_report
-    from repro.utils.validation import require_integer_keys
 
-    require_integer_keys(keys)
-    if keys.size % P:
-        raise ConfigurationError(
-            f"{keys.size} keys do not divide over {P} ranks"
-        )
     n = keys.size // P
     injector = None
     if faults is not None and not faults.is_null:
@@ -565,11 +427,11 @@ def _sort_spmd(
         # the LogGP machine's simulation of the same (N, P), and the
         # closed-form prediction.
         tracers = [tr for _, tr in parts]
-        sim = _sorter(algorithm).run(keys, P)
+        sim_stats, predicted = _columns(algorithm, keys, P)
         phases = build_phase_report(
             tracers=tracers,
-            stats=sim.stats,
-            predicted=_predicted(algorithm, keys.size, P),
+            stats=sim_stats,
+            predicted=predicted,
             P=P,
             n=n,
         )

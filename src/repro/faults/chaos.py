@@ -23,6 +23,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.admit import admit_direct
 from repro.errors import PeerFailedError
 from repro.faults.checkpoint import CheckpointStore
 from repro.faults.plan import FaultInjector, FaultPlan, InjectedCrash
@@ -30,7 +31,6 @@ from repro.faults.transport import ReliableComm
 from repro.runtime.bitonic_spmd import spmd_bitonic_sort
 from repro.runtime.driver import run_spmd
 from repro.sorts.base import verify_sorted
-from repro.utils.validation import require_integer_keys
 
 __all__ = ["ChaosReport", "run_chaos_sort"]
 
@@ -89,9 +89,10 @@ def run_chaos_sort(
     ``checkpoint`` is on.  Raises the transport's typed error
     (:class:`~repro.errors.PeerFailedError` et al.) when the budget is
     exhausted; on success the output has been verified element-exactly.
+    A request the threads smart row of :mod:`repro.admit` refuses is
+    refused before any rank starts.
     """
-    keys = np.asarray(keys)
-    require_integer_keys(keys)
+    keys, _ = admit_direct(keys, P, "smart", "threads")
     n = keys.size // P
     injector = FaultInjector(plan)
     store = CheckpointStore() if checkpoint else None

@@ -77,16 +77,19 @@ from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.admit import admit_keys
 from repro.errors import (
     AdmissionError,
     CommunicationError,
     ConfigurationError,
     FrameCorruptError,
+    MemoryBudgetError,
     ReproError,
     RequestTimeoutError,
     ServiceClosedError,
     ServiceError,
     ShardUnavailableError,
+    SizeError,
     SpmdTimeoutError,
     VerificationError,
 )
@@ -100,6 +103,7 @@ __all__ = [
     "PROTO_VERSION",
     "MAX_CONNECTIONS",
     "RESULT_TIMEOUT_S",
+    "BACKOFF_MAX_S",
     "FrameType",
     "ClientOutcome",
     "SortClient",
@@ -135,6 +139,9 @@ MAX_CONNECTIONS = 64
 #: How long a request with no budget of its own waits for the service's
 #: outcome, on a server or a local shard.
 RESULT_TIMEOUT_S = 120.0
+
+#: The cap on a client's backoff between attempts, in seconds.
+BACKOFF_MAX_S = 1.0
 
 #: Same-host shm payload segments: /dev/shm/rsrtshm_<32 hex>.
 _SHM_DIR = "/dev/shm"
@@ -207,7 +214,8 @@ def parse_header(header: bytes) -> Tuple[int, int, int, int, int, int]:
 def validate_payload(
     ftype: int, payload: bytes, meta_len: int, crc: int
 ) -> Tuple[Dict[str, Any], bytes]:
-    """CRC-check and split a frame payload into ``(meta, body)``."""
+    """CRC-check and split a frame payload into ``(meta, body)``; the
+    meta must be a JSON object."""
     if zlib.crc32(payload) != crc:
         raise FrameCorruptError(
             "frame payload failed its CRC-32 check", frame_type=ftype,
@@ -220,6 +228,11 @@ def validate_payload(
             f"frame meta is not valid JSON: {exc}", frame_type=ftype,
             detail="meta",
         ) from exc
+    if not isinstance(meta, dict):
+        raise FrameCorruptError(
+            f"frame meta is a JSON {type(meta).__name__}, not an object",
+            frame_type=ftype, detail="meta",
+        )
     return meta, payload[meta_len:]
 
 
@@ -286,10 +299,12 @@ _WIRE_ERRORS = {
         CommunicationError,
         ConfigurationError,
         FrameCorruptError,
+        MemoryBudgetError,
         RequestTimeoutError,
         ServiceClosedError,
         ServiceError,
         ShardUnavailableError,
+        SizeError,
         SpmdTimeoutError,
         VerificationError,
     )
@@ -301,7 +316,8 @@ def error_to_meta(exc: BaseException) -> Dict[str, Any]:
         "error": type(exc).__name__,
         "message": str(exc),
     }
-    for attr in ("reason", "stage", "deadline_s", "elapsed_s", "detail"):
+    for attr in ("reason", "stage", "deadline_s", "elapsed_s", "detail",
+                 "required_bytes", "budget_bytes"):
         value = getattr(exc, attr, None)
         if value not in (None, ""):
             meta[attr] = value
@@ -323,6 +339,12 @@ def error_from_meta(meta: Dict[str, Any]) -> ReproError:
         )
     if cls is FrameCorruptError:
         return FrameCorruptError(message, detail=meta.get("detail", ""))
+    if cls is MemoryBudgetError:
+        return MemoryBudgetError(
+            message,
+            required_bytes=int(meta.get("required_bytes", 0)),
+            budget_bytes=int(meta.get("budget_bytes", 0)),
+        )
     if cls is None:
         return ServiceError(f"{name}: {message}")
     return cls(message)
@@ -371,9 +393,43 @@ def _shm_path(name: str) -> str:
     return os.path.join(_SHM_DIR, name)
 
 
+#: A SORT frame's meta fields and the JSON types each may take; ``null``
+#: reads as absent, and ``bool`` does not count as a number.
+_SORT_FIELDS = {
+    "id": (str,), "dtype": (str,), "shape": (list,), "P": (int,),
+    "fused": (bool,), "grouped": (bool,), "algorithm": (str,),
+    "backend": (str,), "budget_s": (int, float), "tenant": (str,),
+    "shm": (str,),
+}
+
+
+def _check_sort_meta(meta: Dict[str, Any]) -> str:
+    """Type-check a SORT frame's meta, once, field by field: the request
+    id, or a :class:`ConfigurationError` naming the field."""
+    for name, kinds in _SORT_FIELDS.items():
+        value = meta.get(name)
+        if value is not None and (
+            type(value) not in kinds
+            or name == "shape" and any(type(d) is not int for d in value)
+        ):
+            raise ConfigurationError(
+                f"SORT meta field {name!r} has the wrong type: {value!r}"
+            )
+    for name in ("id", "dtype"):
+        if not meta.get(name):
+            raise ConfigurationError(f"SORT meta field {name!r} is required")
+    return meta["id"]
+
+
 def _decode_keys(meta: Dict[str, Any], body: bytes) -> np.ndarray:
-    """The request's key array, from the frame body or its shm segment."""
-    dtype = np.dtype(meta["dtype"])
+    """The request's key array, from the frame body or its shm segment;
+    a ``shape`` in the meta must match the keys decoded."""
+    try:
+        dtype = np.dtype(meta["dtype"])
+        if dtype.hasobject or not dtype.itemsize:
+            raise TypeError(f"{dtype} keys cannot travel as bytes")
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"SORT meta field 'dtype': {exc}") from exc
     if meta.get("shm"):
         with open(_shm_path(meta["shm"]), "rb") as fh:
             body = fh.read()
@@ -382,7 +438,14 @@ def _decode_keys(meta: Dict[str, Any], body: bytes) -> np.ndarray:
             f"body length {len(body)} not a multiple of itemsize "
             f"{dtype.itemsize}", detail="truncated",
         )
-    return np.frombuffer(body, dtype=dtype).copy()
+    keys = np.frombuffer(body, dtype=dtype).copy()
+    shape = meta.get("shape")
+    if shape is not None and shape != [keys.size]:
+        raise ConfigurationError(
+            f"SORT meta field 'shape' {shape} does not match the "
+            f"{keys.size} keys in the payload"
+        )
+    return keys
 
 
 # -- the server -----------------------------------------------------------
@@ -639,15 +702,10 @@ class SortServer:
         self, meta: Dict[str, Any], body: bytes
     ) -> Tuple[int, Dict[str, Any], bytes]:
         received_at = time.monotonic()
-        rid = meta.get("id")
-        if not isinstance(rid, str) or not rid:
-            return (
-                FrameType.ERROR,
-                error_to_meta(
-                    ConfigurationError("sort request carries no id")
-                ),
-                b"",
-            )
+        try:
+            rid = _check_sort_meta(meta)
+        except ConfigurationError as exc:
+            return (FrameType.ERROR, error_to_meta(exc), b"")
         # Idempotency: a retried id rides the first run, never a second,
         # whichever connection it arrives on.
         with self._lock:
@@ -688,12 +746,11 @@ class SortServer:
                         elapsed_s=float(meta["budget_s"]) - budget,
                         stage="admission",
                     )
-            # Absent when the client left it unset: the smart bitonic
-            # sort; "auto" opts into planner routing.
-            algorithm = meta.get("algorithm", "smart")
             ticket = self.service.submit(
                 keys,
-                algorithm=None if algorithm == "auto" else algorithm,
+                # Absent when the client left it unset: the smart
+                # bitonic sort; "auto" opts into planner routing.
+                algorithm=meta.get("algorithm", "smart"),
                 backend=meta.get("backend"),
                 P=meta.get("P"),
                 fused=meta.get("fused"),
@@ -781,13 +838,17 @@ class SortClient:
     retries:
         Extra attempts after the first (wire failures only; typed
         server verdicts are never retried here — that is router policy).
-    backoff_s / backoff_max_s:
-        Exponential backoff base and cap between attempts (full jitter).
+    backoff_s:
+        Exponential backoff base between attempts (full jitter, capped
+        at :data:`BACKOFF_MAX_S`).
     via_shm:
         ``"auto"`` ships payloads through /dev/shm when the handshake
         proves the server is on this host and the payload is at least
-        ``shm_min_bytes``; ``True`` forces it; ``False`` disables.
+        :attr:`shm_min_bytes`; ``True`` forces it; ``False`` disables.
     """
+
+    #: The smallest payload ``via_shm="auto"`` ships through /dev/shm.
+    shm_min_bytes = 1 << 16
 
     def __init__(
         self,
@@ -796,9 +857,7 @@ class SortClient:
         timeout_s: float = 30.0,
         retries: int = 3,
         backoff_s: float = 0.05,
-        backoff_max_s: float = 1.0,
         via_shm: Union[bool, str] = "auto",
-        shm_min_bytes: int = 1 << 16,
         name: str = "client",
     ):
         if isinstance(address, str):
@@ -809,9 +868,7 @@ class SortClient:
         self.timeout_s = timeout_s
         self.retries = retries
         self.backoff_s = backoff_s
-        self.backoff_max_s = backoff_max_s
         self.via_shm = via_shm
-        self.shm_min_bytes = shm_min_bytes
         self._tls = threading.local()
         self._server_info: Dict[str, Any] = {}
         #: Whether the server shares this host's kernel and /dev/shm,
@@ -967,8 +1024,11 @@ class SortClient:
         Wire failures (reset, timeout, corrupt frames) retry with
         jittered backoff inside the remaining budget; typed server
         verdicts (admission, timeout, configuration) raise immediately.
+        Keys no server could take (not 1-D, empty, or of an object
+        dtype: :func:`repro.admit.admit_keys`) are refused before any
+        send.
         """
-        keys = np.ascontiguousarray(np.asarray(keys))
+        keys = np.ascontiguousarray(admit_keys(keys))
         rid = uuid.uuid4().hex
         started = time.monotonic()
         deadline_at = None if deadline_s is None else started + deadline_s
@@ -1025,8 +1085,7 @@ class SortClient:
                             attempts=attempts,
                         ) from exc
                     delay = _jittered(
-                        self.backoff_s, self.backoff_max_s, attempts,
-                        self._rng,
+                        self.backoff_s, BACKOFF_MAX_S, attempts, self._rng,
                     )
                     if deadline_at is not None:
                         delay = min(

@@ -9,13 +9,13 @@ paper's closed forms priced with the host's calibrated
 engineered distributed sorters pick algorithms from machine parameters
 instead of hardcoding one.
 
-:meth:`Planner.plan` runs in passes: **clamp** (validate the request,
-apply the memory-budget clamp) → **candidates** (every
-``(algorithm, backend, P)`` the request may run) → **price** (each
-candidate's price from the profile's memo, so planning a shape
-seen before costs a few table lookups; a one-rank plan is priced without
-world dispatch, since the service runs it in its dispatcher thread) →
-**pick** (the first minimum).
+:meth:`Planner.plan` runs in passes: **admit** (the admission contract
+:func:`repro.admit.admit`, memory-budget clamp included) →
+**candidates** (every ``(algorithm, backend, P)`` the contract admits)
+→ **price** (each candidate's price from the profile's memo, so
+planning a shape seen before costs a few table lookups; a one-rank plan
+is priced without world dispatch, since the service runs it in its
+dispatcher thread) → **pick** (the first minimum).
 
 Every choice has a **forced-override escape hatch**: pass
 ``algorithm=``, ``backend=``, ``P=``, ``fused=`` or ``grouped=`` to
@@ -26,8 +26,15 @@ dimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.admit import (
+    EXTERNAL_BACKEND,
+    SPMD_ALGORITHMS,
+    Request,
+    admit,
+    spmd_refusal,
+)
 from repro.errors import ConfigurationError
 from repro.runtime.driver import BACKENDS
 from repro.service.profile import HostProfile
@@ -36,22 +43,6 @@ __all__ = ["PlanDecision", "Planner", "EXTERNAL_BACKEND"]
 
 #: Candidate world sizes considered when ``P`` is not forced.
 _DEFAULT_CANDIDATE_P = (1, 2, 4, 8)
-
-#: Algorithms the planner prices against each other when ``algorithm``
-#: is not forced: the two the SPMD runtime implements in memory, plus
-#: the out-of-core external sort (auto-considered only once the profile
-#: carries measured disk evidence; always available forced or
-#: budget-degraded).
-PLANNABLE_ALGORITHMS = ("smart", "sample", "external")
-
-#: The in-memory subset — what competes when the profile has no disk
-#: evidence and no budget forces the request out of core.
-_INMEM_ALGORITHMS = ("smart", "sample")
-
-#: The external regime's pseudo-backend name: the request runs
-#: in-process on the serving host, not on an SPMD world — the world
-#: pool must never try to spawn it.
-EXTERNAL_BACKEND = "local"
 
 
 @dataclass(frozen=True)
@@ -98,21 +89,6 @@ class PlanDecision:
             marker = "*" if name == chosen else " "
             lines.append(f"  {marker} {name:<18} ~{est * 1e3:8.3f} ms")
         return "\n".join(lines)
-
-
-class _Request(NamedTuple):
-    """What the clamp pass lets take effect; ``None`` leaves the choice
-    to the planner."""
-
-    algorithm: Optional[str]
-    backend: Optional[str]
-    P: Optional[int]
-    fused: bool
-    grouped: bool
-    #: The memory budget overrode the request's forced choices.
-    clamped: bool
-    #: The memory budget degraded the request to the external sort.
-    budget: bool
 
 
 class Planner:
@@ -172,16 +148,24 @@ class Planner:
         (:attr:`~repro.service.profile.HostProfile.has_disk_evidence`)
         — never chosen on conservative defaults alone.
         """
-        req = self._clamp(N, dtype_size, faults, algorithm, backend, P,
-                          fused, grouped, memory_budget)
+        return self.decide(admit(
+            N, dtype_size, faults=faults, algorithm=algorithm,
+            backend=backend, P=P, fused=fused, grouped=grouped,
+            memory_budget=memory_budget,
+        ))
+
+    def decide(self, req: Request) -> PlanDecision:
+        """Plan a request the admission contract
+        (:func:`repro.admit.admit`) already admitted: the candidate,
+        price and pick passes."""
         candidates: Dict[str, float] = {}
         best: Optional[Tuple[float, str, str, int]] = None
-        for algo, b, p in self._candidates(N, req):
+        for algo, b, p in self._candidates(req):
             name = ("" if algo == "smart" else f"{algo}:") + f"{b}x{p}"
             est = self.profile.estimate(
-                N, p, b, algorithm=algo, fused=req.fused,
-                grouped=req.grouped, dtype_size=dtype_size,
-                memory_budget=memory_budget,
+                req.N, p, b, algorithm=algo, fused=req.fused,
+                grouped=req.grouped, dtype_size=req.dtype_size,
+                memory_budget=req.memory_budget,
             )
             candidates[name] = est
             if best is None or est < best[0]:
@@ -205,138 +189,32 @@ class Planner:
             candidates=candidates,
         )
 
-    def _clamp(
-        self,
-        N: int,
-        dtype_size: int,
-        faults: bool,
-        algorithm: Optional[str],
-        backend: Optional[str],
-        P: Optional[int],
-        fused: Optional[bool],
-        grouped: Optional[bool],
-        memory_budget: Optional[int],
-    ) -> _Request:
-        """The clamp pass: validate the request, then apply the memory
-        budget.  Raises
-        :class:`~repro.errors.ConfigurationError` for a request no
-        candidate can run."""
-        if N < 1:
-            raise ConfigurationError(f"cannot plan a sort of {N} keys")
-        if backend not in (None, EXTERNAL_BACKEND) + BACKENDS:
-            raise ConfigurationError(
-                f"unknown backend {backend!r}; choose from {list(BACKENDS)}"
-            )
-        if algorithm == "auto":
-            algorithm = None
-        if algorithm is not None and algorithm not in PLANNABLE_ALGORITHMS:
-            raise ConfigurationError(
-                f"the planner cannot schedule algorithm {algorithm!r}; "
-                f"choose from {PLANNABLE_ALGORITHMS} (or None for auto)"
-            )
-        if memory_budget is not None and memory_budget < 1:
-            raise ConfigurationError(
-                f"memory_budget must be >= 1 byte, got {memory_budget}"
-            )
-        clamped = budget = False
-        if memory_budget is not None:
-            from repro.extsort import inmem_working_set_bytes
-
-            if inmem_working_set_bytes(N, dtype_size) > memory_budget:
-                if faults:
-                    raise ConfigurationError(
-                        f"request of {N} keys exceeds the "
-                        f"{memory_budget}-byte memory budget but carries "
-                        f"an armed fault plan; the out-of-core path has "
-                        f"no fault transport — raise the budget or drop "
-                        f"the fault plan"
-                    )
-                # Budget degradation: the working set does not fit, so
-                # the request runs out of core regardless of what was
-                # forced — the planner must never select a configuration
-                # it knows will OOM.
-                budget = True
-                clamped = (
-                    algorithm not in (None, "external")
-                    or backend not in (None, EXTERNAL_BACKEND)
-                    or (P is not None and P != 1)
-                )
-                algorithm, backend, P = "external", None, None
-        if algorithm == "external":
-            if faults:
-                raise ConfigurationError(
-                    "the external sort runs in-process with no fault "
-                    "transport; fault injection needs an SPMD algorithm"
-                )
-            if backend not in (None, EXTERNAL_BACKEND):
-                raise ConfigurationError(
-                    f"algorithm 'external' runs on the "
-                    f"{EXTERNAL_BACKEND!r} pseudo-backend, not "
-                    f"{backend!r}"
-                )
-            if P is not None and P != 1:
-                raise ConfigurationError(
-                    f"the external sort is single-host: P must be 1, "
-                    f"got {P}"
-                )
-            backend, P = None, None
-        if backend == EXTERNAL_BACKEND:
-            raise ConfigurationError(
-                f"the {EXTERNAL_BACKEND!r} pseudo-backend runs only "
-                f"algorithm='external'"
-            )
-        if P is not None:
-            if P < 1 or N % P:
-                raise ConfigurationError(
-                    f"{N} keys do not divide over P={P} ranks"
-                )
-            if P > 1 and N // P < 2:
-                raise ConfigurationError(
-                    f"P={P} leaves {N // P} key(s) per rank; the smart "
-                    f"schedule needs at least 2"
-                )
-        return _Request(
-            algorithm=algorithm,
-            backend=backend,
-            P=P,
-            fused=True if fused is None else fused,
-            grouped=True if grouped is None else grouped,
-            clamped=clamped,
-            budget=budget,
-        )
-
-    def _candidates(
-        self, N: int, req: _Request
-    ) -> List[Tuple[str, str, int]]:
+    def _candidates(self, req: Request) -> List[Tuple[str, str, int]]:
         """The candidate pass: every ``(algorithm, backend, P)`` the
         request may run, in pricing order — smart, then sample, then
-        external.  The external sort is the single candidate
-        ``("external", "local", 1)``: it runs in-process on the serving
-        host, and it joins only when forced (or budget-degraded) or when
-        the profile carries measured disk evidence — conservative
-        defaults must never win an auto race."""
+        external — each SPMD pair one the contract's rows admit
+        (:func:`repro.admit.spmd_refusal`).  The external sort is the
+        single candidate ``("external", "local", 1)``: it runs
+        in-process on the serving host, and it joins only when forced
+        (or budget-degraded) or when the profile carries measured disk
+        evidence — conservative defaults must never win an auto race."""
         if req.algorithm is not None:
             algos: Tuple[str, ...] = (req.algorithm,)
         elif self.profile.has_disk_evidence:
-            algos = PLANNABLE_ALGORITHMS
+            algos = SPMD_ALGORITHMS + ("external",)
         else:
-            algos = _INMEM_ALGORITHMS
-        if req.P is not None:
-            ps: Tuple[int, ...] = (req.P,)
-        else:
-            # Smart schedules need >= 2 keys per rank (P=1 is the
-            # degenerate local sort and always valid).
-            ps = tuple(
-                p for p in _DEFAULT_CANDIDATE_P
-                if p == 1 or (N % p == 0 and N // p >= 2)
-            ) or (1,)
+            algos = SPMD_ALGORITHMS
+        ps = _DEFAULT_CANDIDATE_P if req.P is None else (req.P,)
         backends = BACKENDS if req.backend is None else (req.backend,)
         out: List[Tuple[str, str, int]] = []
         for algo in algos:
             if algo == "external":
                 out.append((algo, EXTERNAL_BACKEND, 1))
             else:
-                out.extend((algo, b, p) for b in backends for p in ps)
+                out.extend(
+                    (algo, b, p) for b in backends for p in ps
+                    if spmd_refusal(algo, req.N, p) is None
+                )
         return out
 
     # -- reporting ------------------------------------------------------

@@ -258,6 +258,8 @@ class HostProfile:
         from repro.theory.counts import counts_for
         from repro.theory.predict import predict
 
+        # The closed forms take powers of two: price the next one up.
+        N = 1 << (N - 1).bit_length()
         costs = self.backends.get(backend)
         if costs is None:
             raise ConfigurationError(

@@ -53,7 +53,10 @@ from repro.errors import (
 from repro.service.net import RESULT_TIMEOUT_S, ClientOutcome
 from repro.trace.recorder import Tracer, trace_span
 
-__all__ = ["LocalShard", "ShardRouter"]
+__all__ = ["LocalShard", "ShardRouter", "HEALTH_TIMEOUT_S"]
+
+#: How long one health probe of a shard may take, in seconds.
+HEALTH_TIMEOUT_S = 2.0
 
 #: Failures that mean "this shard, right now" rather than "this request":
 #: they trigger failover to another shard and count against health.
@@ -91,9 +94,7 @@ class LocalShard:
             np.asarray(keys),
             # The wire defaults an absent algorithm to "smart"; the local
             # shard mirrors that so mixed deployments behave alike.
-            algorithm=(
-                None if algorithm == "auto" else (algorithm or "smart")
-            ),
+            algorithm=algorithm or "smart",
             backend=backend,
             P=P,
             fused=fused,
@@ -174,11 +175,9 @@ class ShardRouter:
         Probe period for the background health thread (started by
         :meth:`start_health_checks`; routing works without it, learning
         about dead shards from request failures only).
-    health_timeout_s:
-        Per-probe budget.
-    max_failovers:
-        Cap on re-sends per request; ``None`` means "every other shard
-        once".
+
+    A probe waits at most :data:`HEALTH_TIMEOUT_S`, and a request fails
+    over to every other shard once.
     """
 
     def __init__(
@@ -188,8 +187,6 @@ class ShardRouter:
         eject_after: int = 3,
         cooldown_s: float = 2.0,
         health_interval_s: float = 0.5,
-        health_timeout_s: float = 2.0,
-        max_failovers: Optional[int] = None,
     ):
         if not shards:
             raise ShardUnavailableError(
@@ -202,8 +199,6 @@ class ShardRouter:
         self.eject_after = eject_after
         self.cooldown_s = cooldown_s
         self.health_interval_s = health_interval_s
-        self.health_timeout_s = health_timeout_s
-        self.max_failovers = max_failovers
         self._lock = threading.Lock()
         self._rr = 0
         self._closed = False
@@ -252,7 +247,7 @@ class ShardRouter:
         results: Dict[str, bool] = {}
         for name, st in list(self._states.items()):
             try:
-                answer = st.shard.health(timeout_s=self.health_timeout_s)
+                answer = st.shard.health(timeout_s=HEALTH_TIMEOUT_S)
             except Exception:  # noqa: BLE001 — any probe failure counts
                 self._record_failure(name)
                 results[name] = False
@@ -343,9 +338,7 @@ class ShardRouter:
         started = time.monotonic()
         deadline_at = None if deadline_s is None else started + deadline_s
         tracer = Tracer(0) if trace else None
-        budget = self.max_failovers
-        if budget is None:
-            budget = len(self._states) - 1
+        budget = len(self._states) - 1  # every other shard once
         tried: set = set()
         failovers = 0
         hard_failures = 0

@@ -46,19 +46,14 @@ from repro.errors import (
     ServiceClosedError,
     SpmdTimeoutError,
 )
-from repro.extsort import (
-    estimate_spill_bytes,
-    external_sort,
-    inmem_working_set_bytes,
-    sweep_orphaned_spill_dirs,
-)
+from repro.admit import admit, admit_keys
+from repro.extsort import external_sort, sweep_orphaned_spill_dirs
 from repro.runtime.threads import ThreadComm, _SharedState
 from repro.service.admission import DEFAULT_TENANT, TenantAdmission
 from repro.service.jobs import sort_shards_job
 from repro.service.planner import EXTERNAL_BACKEND, PlanDecision, Planner
 from repro.service.pool import WorldPool
 from repro.trace.recorder import Tracer
-from repro.utils.validation import require_integer_keys
 
 __all__ = ["SortService", "SortOutcome", "ServiceReport", "Ticket",
            "REQUEST_LOG"]
@@ -345,58 +340,27 @@ class SortService:
         budget the request is rejected with
         :class:`~repro.errors.MemoryBudgetError`.
 
-        Non-integer keys planned onto a world are rejected with
-        :class:`~repro.errors.ConfigurationError`
-        (:func:`~repro.utils.validation.require_integer_keys`); the
-        out-of-core path sorts them as before.
+        Every refusal is the admission contract's (:mod:`repro.admit`),
+        made before the request is queued.
         """
-        keys = np.asarray(keys)
-        if keys.ndim != 1 or keys.size < 1:
-            raise ConfigurationError(
-                f"service sorts 1-D non-empty arrays, got shape {keys.shape}"
-            )
+        keys = admit_keys(keys)
         budget = (
             memory_budget if memory_budget is not None
             else self._memory_budget
         )
-        # The external path streams runs of any length; only the SPMD
-        # network paths need the power-of-two shape.
-        will_external = algorithm == "external" or (
-            budget is not None
-            and inmem_working_set_bytes(keys.size, keys.dtype.itemsize)
-            > budget
-        )
-        if not will_external and keys.size & (keys.size - 1):
-            raise ConfigurationError(
-                f"the bitonic network needs a power-of-two input, "
-                f"got {keys.size} keys"
-            )
-        if will_external and self._disk_budget is not None:
-            spill = estimate_spill_bytes(keys.nbytes)
-            if spill > self._disk_budget:
-                with self._report_lock:
-                    self._report.rejected_memory += 1
-                raise MemoryBudgetError(
-                    f"request of {keys.size} keys needs ~{spill} spill "
-                    f"bytes, over the {self._disk_budget}-byte disk "
-                    f"budget; too big even for the out-of-core path",
-                    required_bytes=spill,
-                    budget_bytes=self._disk_budget,
-                )
         have_faults = faults is not None and not getattr(faults, "is_null", False)
-        decision = self.planner.plan(
-            keys.size,
-            dtype_size=keys.dtype.itemsize,
-            faults=have_faults,
-            algorithm=algorithm,
-            backend=backend,
-            P=P,
-            fused=fused,
-            grouped=grouped,
-            memory_budget=budget,
-        )
-        if decision.backend != EXTERNAL_BACKEND:
-            require_integer_keys(keys)
+        try:
+            request = admit(
+                keys.size, keys.dtype.itemsize, dtype=keys.dtype,
+                faults=have_faults, algorithm=algorithm, backend=backend,
+                P=P, fused=fused, grouped=grouped, memory_budget=budget,
+                disk_budget=self._disk_budget,
+            )
+        except MemoryBudgetError:
+            with self._report_lock:
+                self._report.rejected_memory += 1
+            raise
+        decision = self.planner.decide(request)
         if decision.source == "budget":
             with self._report_lock:
                 self._report.degraded_external += 1

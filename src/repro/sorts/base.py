@@ -44,14 +44,16 @@ def verify_sorted(original: np.ndarray, result: np.ndarray, label: str) -> None:
 
     The reference uses the default sort kind: ``array_equal`` treats keys
     that compare equal as equal, so a stable reference would add cost
-    without changing the verdict."""
+    without changing the verdict.  A NaN counts as equal to a NaN:
+    ``np.sort`` puts them last, and so must the output."""
     expect = np.sort(np.asarray(original))
     got = np.asarray(result)
     if got.shape != expect.shape:
         raise VerificationError(
             f"{label}: output has shape {got.shape}, expected {expect.shape}"
         )
-    if not np.array_equal(got, expect):
+    nan = np.issubdtype(expect.dtype, np.inexact)
+    if not np.array_equal(got, expect, equal_nan=nan):
         bad = int(np.argmax(got != expect))
         raise VerificationError(
             f"{label}: output is not the sorted input (first mismatch at "

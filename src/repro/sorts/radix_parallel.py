@@ -57,7 +57,11 @@ class ParallelRadixSort(ParallelSort):
 
         for p in range(passes):
             shift = p * self.radix_bits
-            digit_of = lambda a: (a >> shift) & a.dtype.type(radix - 1)
+            # In intp: a mask of ``radix - 1`` does not fit a narrow
+            # key dtype such as int8.
+            digit_of = lambda a: np.bitwise_and(
+                a >> shift, radix - 1, dtype=np.intp
+            )
 
             # Local histograms (one linear pass per processor).
             counts = np.zeros((P, radix), dtype=np.int64)

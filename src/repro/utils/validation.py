@@ -8,14 +8,11 @@ from __future__ import annotations
 
 from typing import Tuple
 
-import numpy as np
-
 from repro.errors import ConfigurationError, SizeError
 from repro.utils.bits import is_power_of_two
 
 __all__ = [
     "require",
-    "require_integer_keys",
     "require_power_of_two",
     "require_sizes",
 ]
@@ -51,17 +48,3 @@ def require_sizes(total_keys: int, nprocs: int) -> Tuple[int, int, int]:
             "per processor (P <= N)"
         )
     return N, P, N // P
-
-
-def require_integer_keys(keys: np.ndarray) -> None:
-    """Reject keys an SPMD world cannot sort byte-identically to ``np.sort``.
-
-    The SPMD sorts run ``np.sort`` phase by phase on slices of the input.
-    For integer keys, equal keys are equal bytes, so any correct sort
-    returns ``np.sort``'s bytes.  Floats are not: ``-0.0`` and ``0.0``
-    compare equal, and the phases can leave them in a different order.
-    """
-    if not np.issubdtype(keys.dtype, np.integer):
-        raise ConfigurationError(
-            f"the SPMD sorts take integer keys, got {keys.dtype}"
-        )

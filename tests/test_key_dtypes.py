@@ -1,10 +1,12 @@
-"""Key dtypes at every front door of the SPMD sorts.
+"""Key dtypes at every front door.
 
 Signed integer keys (negatives included) come back byte-identical to
 ``np.sort`` from ``sort()`` on the threads backend for both algorithms,
-from ``SortService`` and from ``SortClient``.  Non-integer keys get a
-typed :class:`ConfigurationError` before any world runs them; the
-out-of-core path still sorts them.
+from ``SortService`` and from ``SortClient``.  The simulated machine
+models 32-bit keys: it sorts any integer dtype whose values lie in
+[0, 2**32) and refuses others, typed, before a machine is built.
+Non-integer keys get a typed :class:`ConfigurationError` before any
+world runs them; the out-of-core path still sorts them, NaNs included.
 """
 
 import numpy as np
@@ -63,6 +65,21 @@ DTYPES = [np.int64, np.int32]
 ALGORITHMS = ["smart", "sample"]
 
 
+def wide_keys(dtype, seed):
+    """Keys the simulated machine cannot model: negatives, or values
+    at and above 2**32, among in-range ones."""
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(0, 100, N).astype(dtype)
+    if np.iinfo(dtype).min < 0:
+        keys[::3] = rng.integers(np.iinfo(dtype).min, 0, keys[::3].size)
+    else:
+        keys[::3] = rng.integers(1 << 32, 1 << 40, keys[::3].size)
+    return keys
+
+
+SIMULATED = ["smart", "cyclic-blocked", "blocked-merge", "radix", "sample"]
+
+
 class TestSignedKeys:
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -70,6 +87,34 @@ class TestSignedKeys:
     def test_front_door(self, backend, algorithm, dtype):
         keys = signed_keys(dtype, seed=1)
         report = sort(keys, 4, backend=backend, algorithm=algorithm)
+        assert_np_sorted(report.sorted_keys, keys)
+
+    @pytest.mark.parametrize(
+        "dtype", [np.int8, np.int16, np.int32, np.int64, np.uint64]
+    )
+    @pytest.mark.parametrize("algorithm", SIMULATED)
+    @pytest.mark.parametrize("verify", [True, False])
+    def test_simulated_refuses_keys_outside_32_bits(
+        self, monkeypatch, verify, algorithm, dtype
+    ):
+        from repro.machine.simulator import Machine
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a simulated machine was built")
+
+        monkeypatch.setattr(Machine, "__init__", refuse)
+        with pytest.raises(ConfigurationError, match=r"\[0, 2\*\*32\)"):
+            sort(wide_keys(dtype, seed=9), 4, algorithm=algorithm,
+                 verify=verify)
+
+    @pytest.mark.parametrize(
+        "dtype", [np.uint8, np.int8, np.int32, np.int64, np.uint64]
+    )
+    @pytest.mark.parametrize("algorithm", SIMULATED)
+    def test_simulated_sorts_any_integer_dtype_in_range(self, algorithm,
+                                                        dtype):
+        keys = np.random.default_rng(10).integers(0, 100, N).astype(dtype)
+        report = sort(keys, 4, algorithm=algorithm, verify=False)
         assert_np_sorted(report.sorted_keys, keys)
 
     @pytest.mark.parametrize("dtype", DTYPES)
@@ -110,6 +155,16 @@ class TestNonIntegerKeysRejected:
     def test_chaos_sort(self):
         with pytest.raises(ConfigurationError, match="integer keys"):
             run_chaos_sort(float_keys(7), 2, FaultPlan(seed=1))
+
+    def test_external_sort_of_nan_keys_verifies(self):
+        """``verify_sorted`` counts a NaN equal to a NaN, so the
+        verified external sort returns ``np.sort``'s bytes instead of
+        a false VerificationError."""
+        keys = float_keys(9)
+        keys[::7] = np.nan
+        report = sort(keys, algorithm="external")
+        assert report.verified
+        assert_np_sorted(report.sorted_keys, keys)
 
     def test_external_path_still_sorts_floats(self, service):
         keys = float_keys(8)

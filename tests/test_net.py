@@ -19,10 +19,13 @@ import pytest
 
 from repro.errors import (
     AdmissionError,
+    ConfigurationError,
     FrameCorruptError,
+    MemoryBudgetError,
     RequestTimeoutError,
     ServiceError,
     ShardUnavailableError,
+    SizeError,
 )
 from repro.faults import FaultPlan, NetFaultInjector, corrupt_frame_bytes
 from repro.service import SortClient, SortServer, SortService, net
@@ -507,6 +510,115 @@ class TestSortOverTheWire:
         with pytest.raises(ShardUnavailableError) as exc:
             cli.sort(make_keys(256, seed=8))
         assert exc.value.attempts == 2  # first try + one retry
+
+
+def _raw_sort(server, meta, body=b""):
+    """One raw SORT frame on a fresh connection: ``(ftype, meta, body)``
+    of the reply."""
+    with socket.create_connection(server.address, timeout=30.0) as s:
+        s.sendall(encode_frame(FrameType.SORT, meta, body))
+        return recv_frame(s)
+
+
+class TestSortMeta:
+    """A SORT frame's meta is checked once, by field type, before the
+    service sees it; every verdict comes back typed."""
+
+    KEYS = make_keys(1024, seed=30)
+
+    def _meta(self, **fields):
+        """A good meta with ``fields`` replaced (``...`` drops one); a
+        fresh id each, since the server caches replies by id."""
+        import uuid
+
+        meta = {"id": uuid.uuid4().hex, "dtype": "<u4",
+                "backend": "threads", "P": 2}
+        meta.update(fields)
+        return {k: v for k, v in meta.items() if v is not ...}
+
+    def _refusal(self, server, meta):
+        ftype, emeta, _body = _raw_sort(server, meta, self.KEYS.tobytes())
+        assert ftype == FrameType.ERROR
+        return error_from_meta(emeta)
+
+    def test_a_meta_that_is_not_an_object_keeps_the_connection(self, server):
+        """A JSON-list meta is a typed FrameCorruptError, and the same
+        connection then serves a good request."""
+        import json
+        import struct
+        import zlib
+
+        meta_bytes = json.dumps([1, 2]).encode()
+        header = net._HEADER.pack(
+            MAGIC, PROTO_VERSION, FrameType.SORT, 0, 1, len(meta_bytes), 0
+        )
+        bad = header + struct.pack("!I", zlib.crc32(meta_bytes)) + meta_bytes
+        good = encode_frame(FrameType.SORT, self._meta(),
+                            self.KEYS.tobytes())
+        with socket.create_connection(server.address, timeout=30.0) as s:
+            s.sendall(bad)
+            ftype, emeta, _body = recv_frame(s)
+            assert ftype == FrameType.ERROR
+            err = error_from_meta(emeta)
+            assert type(err) is FrameCorruptError and err.detail == "meta"
+            s.sendall(good)
+            ftype, _meta, body = recv_frame(s)
+        assert ftype == FrameType.RESULT
+        assert body == np.sort(self.KEYS).tobytes()
+
+    @pytest.mark.parametrize("field, value", [
+        ("P", "two"), ("P", True), ("P", 2.0), ("fused", "yes"),
+        ("grouped", 1), ("algorithm", 7), ("backend", ["threads"]),
+        ("budget_s", "soon"), ("budget_s", False), ("tenant", 3),
+        ("shape", 1024), ("shape", [True]), ("dtype", 4), ("id", 12),
+    ])
+    def test_a_field_of_the_wrong_type_is_named(self, server, field, value):
+        err = self._refusal(server, self._meta(**{field: value}))
+        assert type(err) is ConfigurationError
+        assert repr(field) in str(err)
+
+    @pytest.mark.parametrize("dtype", [..., "garbage", "O"])
+    def test_a_dtype_numpy_cannot_use_is_named(self, server, dtype):
+        err = self._refusal(server, self._meta(dtype=dtype))
+        assert type(err) is ConfigurationError
+        assert "'dtype'" in str(err)
+
+    @pytest.mark.parametrize("shape", [[999], [32, 32], []])
+    def test_a_shape_must_match_the_keys(self, server, shape):
+        err = self._refusal(server, self._meta(shape=shape))
+        assert type(err) is ConfigurationError
+        assert "'shape'" in str(err)
+
+    def test_size_errors_arrive_typed(self, server):
+        """Forced smart over two ranks of 1000 keys: the contract's
+        SizeError, by name, not a plain ServiceError."""
+        keys = make_keys(1000, seed=31)
+        ftype, emeta, _body = _raw_sort(
+            server, self._meta(algorithm="smart"), keys.tobytes()
+        )
+        assert ftype == FrameType.ERROR
+        assert type(error_from_meta(emeta)) is SizeError
+
+    def test_memory_budget_errors_keep_their_bytes(self):
+        back = error_from_meta(error_to_meta(MemoryBudgetError(
+            "too big", required_bytes=8192, budget_bytes=4096,
+        )))
+        assert type(back) is MemoryBudgetError
+        assert (back.required_bytes, back.budget_bytes) == (8192, 4096)
+
+    def test_a_disk_budget_refusal_arrives_typed(self):
+        svc = SortService(memory_budget=1024, disk_budget=1024)
+        srv = SortServer(svc, name="disk-shard", own_service=True)
+        srv.start()
+        try:
+            ftype, emeta, _body = _raw_sort(
+                srv, self._meta(backend=..., P=...), self.KEYS.tobytes()
+            )
+        finally:
+            srv.close()
+        err = error_from_meta(emeta)
+        assert type(err) is MemoryBudgetError
+        assert (err.required_bytes, err.budget_bytes) == (8192, 1024)
 
 
 class TestFaultInjectedServer:

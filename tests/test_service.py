@@ -25,6 +25,7 @@ from repro.errors import (
     RequestTimeoutError,
     ServiceClosedError,
     ServiceError,
+    SizeError,
 )
 from repro.faults import FaultPlan
 from repro.runtime.driver import BACKENDS, spawn_world
@@ -475,9 +476,15 @@ class TestSortServiceRequests:
         assert out.decision.fused is True and not out.decision.clamped
         assert out.fault_stats.get("decisions", 0) > 0
 
-    def test_non_power_of_two_rejected(self, service):
-        with pytest.raises(ConfigurationError, match="power-of-two"):
-            service.submit(np.arange(1000, dtype=np.uint32))
+    def test_non_power_of_two_sorts_unless_smart_is_forced(self, service):
+        """The planner's candidates are the (algorithm, P) pairs the
+        admission contract admits: 1000 keys plan onto one rank or
+        sample sort, while forced smart above one rank is refused."""
+        keys = make_keys(1000, seed=53)
+        out = service.sort(keys)
+        assert out.sorted_keys.tobytes() == np.sort(keys).tobytes()
+        with pytest.raises(SizeError, match="power-of-two"):
+            service.submit(keys, algorithm="smart", backend="threads", P=2)
 
     def test_report_accumulates(self, service):
         report = service.report()
