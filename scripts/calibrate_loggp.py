@@ -20,12 +20,11 @@ Measures, on the machine actually running the sorts:
   granularity, and the closed forms price long messages by ``o`` + ``G``
   anyway);
 * **serving fixed cost** — warm job dispatch/collect overhead;
-* **disk lane** — sequential write and read bandwidth plus fsync
-  latency, measured through the same temp-file path the out-of-core
-  external sort spills through.  These fields are the planner's
-  *evidence* that the external regime can be priced: without them the
-  planner never auto-chooses it (forced or budget-degraded requests
-  still run, priced with conservative defaults).
+* **disk lane** — sequential write and read bandwidth, measured
+  through the same temp-file path and ``tofile``/``fromfile`` idiom the
+  out-of-core external sort spills through.  They price forced and
+  budget-degraded external requests; without them those requests price
+  with conservative defaults.
 
 The result is persisted as JSON (schema ``repro-bitonic-profile/3``) and
 loaded with :meth:`repro.service.HostProfile.load`; hand it to the CLI
@@ -93,10 +92,10 @@ def calibrate_compute(n, reps):
 
 
 def calibrate_disk(nbytes, reps):
-    """Sequential disk write/read bandwidth (bytes/s) and fsync latency
-    (s), measured through the spill tier's own directory and file idiom
-    (``tofile``/``fromfile`` on the external sort's default spill root's
-    parent, so the numbers reflect the filesystem spills actually hit)."""
+    """Sequential disk write/read bandwidth (bytes/s), measured through
+    the spill tier's own directory and file idiom (``tofile``/``fromfile``
+    on the external sort's default spill root's parent, so the numbers
+    reflect the filesystem spills actually hit)."""
     import os
     import tempfile
 
@@ -107,34 +106,15 @@ def calibrate_disk(nbytes, reps):
     fd, path = tempfile.mkstemp(prefix="rxcal_", suffix=".bin", dir=root)
     os.close(fd)
     try:
-        def write():
-            payload.tofile(path)
-            # Count the flush: spilled runs are durably on disk before
-            # the merge reads them back, so the priced bandwidth must be
-            # through-the-page-cache, not into it.
-            fd = os.open(path, os.O_WRONLY)
-            try:
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-
-        write_s = _best_of(write, reps)
+        # Spilled runs are raw ``tofile`` writes, never synced, and the
+        # merge reads them back from the page cache: time the same.
+        write_s = _best_of(lambda: payload.tofile(path), reps)
         read_s = _best_of(lambda: np.fromfile(path, dtype=np.uint32), reps)
-
-        def fsync_only():
-            fd = os.open(path, os.O_WRONLY)
-            try:
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-
-        fsync_s = _best_of(fsync_only, reps)
     finally:
         os.unlink(path)
     return {
         "disk_write_bytes_per_s": round(payload.nbytes / max(write_s, 1e-9), 0),
         "disk_read_bytes_per_s": round(payload.nbytes / max(read_s, 1e-9), 0),
-        "fsync_s": round(fsync_s, 7),
     }
 
 
@@ -203,8 +183,7 @@ def main(argv=None):
     print(f"calibrating disk lane ({disk_bytes >> 20} MiB sequential) ...")
     disk = calibrate_disk(disk_bytes, args.reps)
     print(f"  write={disk['disk_write_bytes_per_s'] / 1e6:.0f} MB/s  "
-          f"read={disk['disk_read_bytes_per_s'] / 1e6:.0f} MB/s  "
-          f"fsync={disk['fsync_s'] * 1e3:.2f} ms")
+          f"read={disk['disk_read_bytes_per_s'] / 1e6:.0f} MB/s")
 
     print("calibrating threads backend ...")
     costs = calibrate_threads(args.rounds, args.reps)

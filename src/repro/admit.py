@@ -21,12 +21,14 @@ threads, sample       integer dtype; P a power of two, at    as above
                       most :data:`MAX_RANKS`, dividing N;
                       N/P >= 2 when P > 1
 auto, with a planner  integer dtype, any N >= 1              —
-external              any dtype the first row allows; P in   ConfigurationError
-                      {None, 1}; no fault plan; on a         or
-                      service, an estimated spill within     MemoryBudgetError
-                      the disk budget
-over memory_budget    degrades to external, with             with a fault plan:
-                      ``clamped=True``                       ConfigurationError
+external              any dtype the first row allows; no     ConfigurationError
+                      backend, or "local", or sort()'s       or
+                      default "simulated"; P in {None, 1};   MemoryBudgetError
+                      no fault plan; on a service, an
+                      estimated spill within the disk
+                      budget
+over memory_budget    degrades to external, whatever the     with a fault plan:
+                      backend, with ``clamped=True``         ConfigurationError
 ====================  =====================================  ==================
 
 ``auto``'s candidates are exactly the (algorithm, P) pairs the smart and
@@ -34,7 +36,8 @@ sample rows admit.  ``np.sort`` phases on slices are byte-exact only for
 integer keys (``-0.0`` and ``0.0`` can trade places).  The value range is
 the one check that reads keys: simulated backend, wide dtypes only.  The
 simulated algorithms keep their own schedule rules (smart N/P >= 2,
-cyclic-blocked N >= P**2) and ScheduleErrors.
+cyclic-blocked N >= P**2) and raise their ScheduleErrors from N and P
+before their machine is built.
 """
 
 from __future__ import annotations
@@ -56,16 +59,17 @@ __all__ = ["CAPABILITIES", "EXTERNAL_BACKEND", "MAX_RANKS", "Request",
 #: The most ranks one world may have (the planner's candidates stop at 8).
 MAX_RANKS = 64
 
-#: The capability table: the algorithms each backend runs.
+#: The capability table: the algorithms each backend runs.  The external
+#: sort runs on neither: it runs in-process, on the :data:`EXTERNAL_BACKEND`
+#: pseudo-backend, which ``sort()``'s default backend stands in for.
 CAPABILITIES = {
     "simulated": (
         "smart", "cyclic-blocked", "blocked-merge", "radix", "sample",
-        "external",
     ),
-    "threads": ("smart", "sample", "external"),
+    "threads": ("smart", "sample"),
 }
 SORT_BACKENDS = tuple(CAPABILITIES)
-SORT_ALGORITHMS = CAPABILITIES["simulated"]
+SORT_ALGORITHMS = CAPABILITIES["simulated"] + ("external",)
 #: What ``auto`` prices: the SPMD runtime's in-memory sorts.
 SPMD_ALGORITHMS = ("smart", "sample")
 #: The external sort's pseudo-backend: in-process, never a world.
@@ -231,15 +235,16 @@ def admit_direct(keys, P, algorithm, backend, faults=None, options=None,
     if algorithm not in SORT_ALGORITHMS:
         raise ConfigurationError(f"unknown algorithm {algorithm!r}; "
                                  f"choose from {list(SORT_ALGORITHMS)}")
-    if algorithm not in CAPABILITIES[backend]:
+    if algorithm != "external" and algorithm not in CAPABILITIES[backend]:
         raise ConfigurationError(
             f"backend {backend!r} implements {list(CAPABILITIES[backend])}, "
             f"not {algorithm!r}; run {algorithm!r} on backend='simulated'"
         )
     armed = faults is not None and not faults.is_null
+    # The default backend names none, as it does at sort(service=).
     algorithm, *_, degraded = _route_memory(
-        keys.size, keys.dtype.itemsize, armed, algorithm, None, P,
-        memory_budget, None,
+        keys.size, keys.dtype.itemsize, armed, algorithm,
+        None if backend == "simulated" else backend, P, memory_budget, None,
     )
     if options is not None and not degraded and (
             algorithm == "external" or backend == "simulated"):

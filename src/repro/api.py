@@ -25,14 +25,15 @@ admission contract's one table (:mod:`repro.admit`); a request outside
 it is refused with a typed error before any work starts, never run with
 an argument silently ignored.  ``external`` is the out-of-core
 spill-to-disk sort (:mod:`repro.extsort`): it runs in-process on the
-calling host whatever ``backend`` says (the report's backend reads
-``"local"``), and it is also what ``memory_budget=`` degrades to when
-the estimated in-memory working set does not fit.
+calling host under the default backend (the report's backend reads
+``"local"``); ``backend="threads"`` refuses it, as every door with a
+planner does.  It is also what ``memory_budget=`` degrades to when the
+estimated in-memory working set does not fit, whatever the backend.
 
 ``algorithm="auto"`` is a routing directive, not a seventh algorithm:
 with a ``service=`` attached (where it is the default) the service
-planner prices smart bitonic against sample sort (and, with measured
-disk evidence, the external sort) per request and runs the winner.
+planner prices smart bitonic against sample sort per request and runs
+the winner.
 """
 
 from __future__ import annotations

@@ -160,16 +160,21 @@ class ServiceError(ReproError, RuntimeError):
 class AdmissionError(ServiceError):
     """Admission control turned a request away at the door.
 
-    Raised by :meth:`repro.service.SortService.submit` when the bounded
-    queue is full (``reason="queue-full"``) or the estimated completion
-    time exceeds the request's deadline (``reason="deadline"``).  The
+    Load admission is the bounded queue and the caller's own deadline:
+    :meth:`repro.service.SortService.submit` raises this when the queue
+    is full (``reason="queue-full"``) or the estimated completion time
+    exceeds the request's ``deadline_s`` (``reason="deadline"``).  A
+    :class:`~repro.service.SortServer` at its connection cap refuses a
+    new connection with ``reason="connections"``, and
+    :class:`MemoryBudgetError` is the ``"memory-budget"`` case.  The
     request was *not* enqueued; the caller may retry later, shrink the
     request, or relax the deadline.
 
     Attributes
     ----------
     reason:
-        ``"queue-full"`` or ``"deadline"``.
+        ``"queue-full"``, ``"deadline"``, ``"connections"`` or
+        ``"memory-budget"``.
     est_seconds:
         Planner-estimated completion time (queue wait included) at the
         moment of rejection; 0.0 for queue-full rejections.

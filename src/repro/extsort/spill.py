@@ -1,9 +1,10 @@
 """Pid-guarded spill directories for the out-of-core sort.
 
 A :class:`SpillDir` is one request's scratch space on disk: sorted runs
-land in it as raw little-endian ndarray files next to a JSON manifest
-describing them (dtype, per-run lengths), and the whole directory is
-deleted when the request completes.  The discipline:
+land in it as raw ndarray files (plain ``tofile`` writes, never synced),
+the run list and dtype live in the :class:`SpillDir` object alone, and
+the whole directory is deleted when the request completes.  The
+discipline:
 
 * **naming is pid-guarded** — every directory is
   ``rxspill_<pid>_<token>`` under the spill root, so ownership is
@@ -19,16 +20,15 @@ deleted when the request completes.  The discipline:
   sweep runs at service start and from this module's atexit hook, which
   importing :mod:`repro` registers.
 
-The manifest is written atomically (temp file + ``rename``) and fsynced,
-so a directory either describes its runs completely or is recognizably
-mid-write garbage the orphan sweep will reclaim.
+A crash needs nothing from the directory: no reader ever reopens a
+spill directory, the request that owned it died with its process, and
+the pid sweep reclaims the directory whole, however far its runs got.
 """
 
 from __future__ import annotations
 
 import atexit
 import errno
-import json
 import os
 import shutil
 import tempfile
@@ -48,8 +48,6 @@ __all__ = [
 #: Directory-name prefix every spill dir carries; the orphan sweep
 #: matches on it, so nothing outside this namespace is ever touched.
 _SPILL_PREFIX = "rxspill_"
-
-_MANIFEST = "manifest.json"
 
 
 def default_spill_root() -> str:
@@ -137,7 +135,7 @@ def live_spill_dirs(root: Optional[str] = None) -> List[str]:
 
 
 class SpillDir:
-    """One request's spill directory: run files plus a manifest.
+    """One request's spill directory: its run files, listed in memory.
 
     Use as a context manager; the directory is removed on exit (and by
     the atexit sweep if the process dies first, and by the orphan sweep
@@ -176,7 +174,6 @@ class SpillDir:
         arr.tofile(os.path.join(self.path, name))
         self._runs.append({"file": name, "length": int(arr.size)})
         self.bytes_written += int(arr.nbytes)
-        self._write_manifest()
         return name
 
     def open_run_writer(self) -> "_RunWriter":
@@ -196,7 +193,6 @@ class SpillDir:
             )
         self._runs.append({"file": name, "length": int(length)})
         self.bytes_written += int(nbytes)
-        self._write_manifest()
 
     def remove_runs(self, names: List[str]) -> None:
         """Drop merged-away input runs (frees disk between passes)."""
@@ -208,7 +204,6 @@ class SpillDir:
                 except OSError:
                     pass
         self._runs = [r for r in self._runs if r["file"] not in drop]
-        self._write_manifest()
 
     @property
     def runs(self) -> List[Dict[str, Any]]:
@@ -241,22 +236,6 @@ class SpillDir:
             fh.seek(int(start) * itemsize)
             return np.fromfile(fh, dtype=self.dtype, count=count)
 
-    # -- manifest ------------------------------------------------------
-
-    def _write_manifest(self) -> None:
-        doc = {
-            "schema": "repro-bitonic-spill/1",
-            "pid": os.getpid(),
-            "dtype": self._dtype,
-            "runs": self._runs,
-        }
-        tmp = os.path.join(self.path, f".{_MANIFEST}.tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, os.path.join(self.path, _MANIFEST))
-
     # -- lifecycle -----------------------------------------------------
 
     def cleanup(self) -> None:
@@ -277,8 +256,8 @@ class SpillDir:
 
 
 class _RunWriter:
-    """Streams one run file; registered in the manifest only at
-    :meth:`close`, so a crash mid-stream leaves an unreferenced file the
+    """Streams one run file; registered in the run list only at
+    :meth:`close`, so a crash mid-stream leaves an unlisted file the
     directory teardown (or orphan sweep) reclaims wholesale."""
 
     def __init__(self, spill: SpillDir, name: str):

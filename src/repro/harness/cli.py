@@ -34,12 +34,11 @@ Python:
     Run one request through the sort service and print the planner's
     decision table alongside the measured latency.  With
     ``--connect HOST:PORT`` the request travels the wire to a running
-    ``serve --listen`` server instead (deadline, tenant and retries
-    apply).
+    ``serve --listen`` server instead (deadline and retries apply).
 ``repro-bitonic chaos-serve --shards 2 --clients 8 --requests 200``
     The serving layer's adversarial soak: several networked shards
-    behind a health-checked router, concurrent multi-tenant clients,
-    deterministic frame drop/corrupt/delay injection, and one shard
+    behind a health-checked router, concurrent clients, deterministic
+    frame drop/corrupt/delay injection, and one shard
     killed mid-run.  Gates: every request is accounted (completed
     correctly — possibly after failover — or failed with a typed
     error), zero silent losses, zero leaked processes, shm segments or
@@ -534,7 +533,6 @@ def _submit_remote(args, keys) -> int:
             out = client.sort(
                 keys,
                 deadline_s=args.deadline,
-                tenant=args.tenant,
                 algorithm=args.algorithm,
                 P=args.procs,
                 trace=args.trace is not None,
@@ -563,8 +561,7 @@ def _submit_remote(args, keys) -> int:
 def _cmd_chaos_serve(args) -> int:
     """The serving layer's adversarial soak (the CI ``chaos-serve`` job):
     several networked shards behind a health-checked router, concurrent
-    multi-tenant clients, deterministic frame faults, and one shard
-    killed mid-run.  Every request must end accounted — sorted
+    clients, deterministic frame faults, and one shard killed mid-run.  Every request must end accounted — sorted
     correctly (failover allowed) or failed with a typed error — with
     zero leaks and p50/p99 inside the committed baseline."""
     import multiprocessing
@@ -617,7 +614,6 @@ def _cmd_chaos_serve(args) -> int:
     router.start_health_checks()
 
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    tenants = [f"tenant{t}" for t in range(max(1, args.tenants))]
     total = args.requests
     per_worker = [total // args.clients] * args.clients
     for i in range(total % args.clients):
@@ -635,7 +631,6 @@ def _cmd_chaos_serve(args) -> int:
                 out = router.sort(
                     keys,
                     deadline_s=args.deadline,
-                    tenant=tenants[wid % len(tenants)],
                     backend="threads",
                     P=2,
                 )
@@ -699,8 +694,8 @@ def _cmd_chaos_serve(args) -> int:
     by_error = {}
     for r in typed:
         by_error[r[0]] = by_error.get(r[0], 0) + 1
-    print(f"chaos-serve: {total} requests via {args.clients} clients x "
-          f"{len(tenants)} tenants over {args.shards} shards"
+    print(f"chaos-serve: {total} requests via {args.clients} clients "
+          f"over {args.shards} shards"
           + (f" (killed {killed})" if killed else ""))
     print(f"  completed {len(ok)} ({failovers} failovers), typed "
           f"failures {len(typed)} {by_error or ''}, wrong {len(wrong)}, "
@@ -885,8 +880,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="concurrent client threads")
     p_cserve.add_argument("--requests", type=int, default=200,
                           help="total requests across all clients")
-    p_cserve.add_argument("--tenants", type=int, default=2,
-                          help="distinct tenants the clients cycle")
     p_cserve.add_argument("--sizes", default="2048,8192",
                           help="comma-separated request key counts")
     p_cserve.add_argument("--drop", type=float, default=0.05,
@@ -939,9 +932,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="end-to-end deadline for --connect "
                                "(propagates to shard admission and "
                                "dispatch)")
-    p_submit.add_argument("--tenant", default=None,
-                          help="tenant label for --connect (admission "
-                               "fairness)")
     p_submit.add_argument("--memory-budget", type=int, default=None,
                           metavar="BYTES",
                           help="in-memory working-set budget; requests "

@@ -46,17 +46,56 @@ def _payload_nbytes(payload: Any) -> int:
     return int(arr.nbytes) if arr.dtype != object else 0
 
 
+class _Barrier:
+    """A reusable barrier that counts generations.
+
+    ``threading.Barrier.abort()`` also breaks the waiters that the last
+    arrival has already released but that have not yet re-taken the
+    barrier's lock: they raise from a wait that completed.  Here a waiter
+    whose generation has advanced returns normally, whatever happens
+    after; :meth:`abort` fails only the waits still pending, and every
+    later one.
+    """
+
+    def __init__(self, parties: int):
+        self.parties = parties
+        #: Set by :meth:`abort`, for good; ``sendrecv`` polls it.
+        self.broken = False
+        self._count = 0
+        self._generation = 0
+        self._cond = threading.Condition(threading.Lock())
+
+    def wait(self) -> None:
+        with self._cond:
+            if self.broken:
+                raise threading.BrokenBarrierError
+            generation = self._generation
+            self._count += 1
+            if self._count == self.parties:
+                self._count = 0
+                self._generation += 1
+                self._cond.notify_all()
+                return
+            while self._generation == generation:
+                if self.broken:
+                    raise threading.BrokenBarrierError
+                self._cond.wait()
+
+    def abort(self) -> None:
+        with self._cond:
+            self.broken = True
+            self._cond.notify_all()
+
+
 class _SharedState:
     """State shared by the ``P`` ThreadComm instances of one world."""
 
     def __init__(self, size: int):
         self.size = size
-        self.barrier = threading.Barrier(size)
+        self.barrier = _Barrier(size)
         # mailbox[src][dst] — written by src, read by dst, between barriers.
         self.mailbox: List[List[Any]] = [[None] * size for _ in range(size)]
         self.gather_slots: List[Any] = [None] * size
-        self.failures: List[BaseException] = []
-        self.failure_lock = threading.Lock()
         # Pairwise sendrecv channels, created on first use: (src, dst) ->
         # FIFO queue.  Unlike the mailbox they need no barrier — a pair
         # exchanging data does not synchronize the rest of the world.
@@ -66,7 +105,7 @@ class _SharedState:
         # created on first use per distinct member tuple.  A group barrier
         # only synchronizes the group's members, so disjoint groups cross
         # their exchanges concurrently instead of waiting world-wide.
-        self.group_barriers: Dict[Tuple[int, ...], threading.Barrier] = {}
+        self.group_barriers: Dict[Tuple[int, ...], _Barrier] = {}
         self.group_lock = threading.Lock()
         self.aborted = False
 
@@ -77,7 +116,7 @@ class _SharedState:
                 ch = self.channels.setdefault((src, dst), SimpleQueue())
         return ch
 
-    def group_barrier_for(self, group: Tuple[int, ...]) -> threading.Barrier:
+    def group_barrier_for(self, group: Tuple[int, ...]) -> _Barrier:
         bar = self.group_barriers.get(group)
         if bar is None:
             with self.group_lock:
@@ -86,7 +125,7 @@ class _SharedState:
                     # hang forever waiting for the dead.
                     raise threading.BrokenBarrierError
                 bar = self.group_barriers.setdefault(
-                    group, threading.Barrier(len(group))
+                    group, _Barrier(len(group))
                 )
         return bar
 

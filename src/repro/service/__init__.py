@@ -4,18 +4,15 @@ A serving layer over the SPMD runtime: a warm :class:`WorldPool` keeps
 spawned worlds alive between requests, a LogGP-driven :class:`Planner`
 prices each request with the paper's closed forms calibrated to the host
 (:class:`HostProfile`), and :class:`SortService` fronts it all with a
-bounded queue, admission control and per-request tracing.
+bounded queue, deadline admission and per-request tracing.
 
 Over the network, :mod:`repro.service.net` frames requests over TCP
 (:class:`SortServer` / :class:`SortClient`, with same-host shm payloads
-and idempotent retries), :mod:`repro.service.router` spreads them across
-shards with health-checked circuit breaking and failover
-(:class:`ShardRouter`), and :mod:`repro.service.admission` arbitrates
-tenants at the queue door (:class:`TenantAdmission`).  See
-``docs/SERVING.md``.
+and idempotent retries), and :mod:`repro.service.router` spreads them
+across shards with health-checked circuit breaking and failover
+(:class:`ShardRouter`).  See ``docs/SERVING.md``.
 """
 
-from repro.service.admission import DEFAULT_TENANT, TenantAdmission, TenantPolicy
 from repro.service.net import ClientOutcome, SortClient, SortServer
 from repro.service.planner import PlanDecision, Planner
 from repro.service.pool import WorldPool
@@ -26,7 +23,6 @@ from repro.service.service import ServiceReport, SortOutcome, SortService, Ticke
 __all__ = [
     "BackendCosts",
     "ClientOutcome",
-    "DEFAULT_TENANT",
     "HostProfile",
     "LocalShard",
     "PROFILE_SCHEMA",
@@ -38,8 +34,6 @@ __all__ = [
     "SortServer",
     "SortOutcome",
     "SortService",
-    "TenantAdmission",
-    "TenantPolicy",
     "Ticket",
     "WorldPool",
 ]

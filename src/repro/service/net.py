@@ -394,12 +394,13 @@ def _shm_path(name: str) -> str:
 
 
 #: A SORT frame's meta fields and the JSON types each may take; ``null``
-#: reads as absent, and ``bool`` does not count as a number.
+#: reads as absent, and ``bool`` does not count as a number.  A field not
+#: listed is ignored, so one that an older client still sends does not
+#: refuse its request.
 _SORT_FIELDS = {
     "id": (str,), "dtype": (str,), "shape": (list,), "P": (int,),
     "fused": (bool,), "grouped": (bool,), "algorithm": (str,),
-    "backend": (str,), "budget_s": (int, float), "tenant": (str,),
-    "shm": (str,),
+    "backend": (str,), "budget_s": (int, float), "shm": (str,),
 }
 
 
@@ -756,7 +757,6 @@ class SortServer:
                 fused=meta.get("fused"),
                 grouped=meta.get("grouped"),
                 deadline_s=budget,
-                tenant=meta.get("tenant") or "default",
             )
             outcome = ticket.result(
                 budget if budget is not None else RESULT_TIMEOUT_S
@@ -1006,7 +1006,6 @@ class SortClient:
         keys: np.ndarray,
         *,
         deadline_s: Optional[float] = None,
-        tenant: Optional[str] = None,
         algorithm: Optional[str] = None,
         backend: Optional[str] = None,
         P: Optional[int] = None,
@@ -1052,7 +1051,6 @@ class SortClient:
                 try:
                     outcome, shm_name = self._attempt_sort(
                         rid, keys, shm_name, deadline_at, tracer,
-                        deadline_s=deadline_s, tenant=tenant,
                         algorithm=algorithm, backend=backend, P=P,
                         fused=fused, grouped=grouped,
                     )
@@ -1116,8 +1114,7 @@ class SortClient:
             "dtype": str(keys.dtype.str),
             "shape": [int(keys.size)],
         }
-        for key in ("tenant", "algorithm", "backend", "P", "fused",
-                    "grouped"):
+        for key in ("algorithm", "backend", "P", "fused", "grouped"):
             if opts.get(key) is not None:
                 meta[key] = opts[key]
         if deadline_at is not None:

@@ -2,8 +2,9 @@
 
 Given a request's ``(N, dtype, faults)`` the planner chooses the cheapest
 execution: **algorithm** (smart bitonic vs sample sort — the Figure
-5.7/5.8 crossover, priced live — or the out-of-core external sort),
-world size ``P``, and the fused/grouped communication flags — using the
+5.7/5.8 crossover, priced live; the out-of-core external sort only when
+forced or when the memory budget degrades the request), world size
+``P``, and the fused/grouped communication flags — using the
 paper's closed forms priced with the host's calibrated
 :class:`~repro.service.profile.HostProfile`.  This mirrors how
 engineered distributed sorters pick algorithms from machine parameters
@@ -143,10 +144,9 @@ class Planner:
         ``source="budget"``).  A budget-degraded *fault* request is a
         contradiction (the external path has no fault transport) and
         raises :class:`~repro.errors.ConfigurationError`.  Within
-        budget, external competes in the auto-priced table only when the
-        profile carries measured disk evidence
-        (:attr:`~repro.service.profile.HostProfile.has_disk_evidence`)
-        — never chosen on conservative defaults alone.
+        budget, external never joins the auto-priced table: it pays the
+        same ``np.sort`` for run formation as an in-memory plan, plus a
+        merge sweep and the disk I/O, so it cannot win.
         """
         return self.decide(admit(
             N, dtype_size, faults=faults, algorithm=algorithm,
@@ -191,19 +191,15 @@ class Planner:
 
     def _candidates(self, req: Request) -> List[Tuple[str, str, int]]:
         """The candidate pass: every ``(algorithm, backend, P)`` the
-        request may run, in pricing order — smart, then sample, then
-        external — each SPMD pair one the contract's rows admit
-        (:func:`repro.admit.spmd_refusal`).  The external sort is the
-        single candidate ``("external", "local", 1)``: it runs
-        in-process on the serving host, and it joins only when forced
-        (or budget-degraded) or when the profile carries measured disk
-        evidence — conservative defaults must never win an auto race."""
-        if req.algorithm is not None:
-            algos: Tuple[str, ...] = (req.algorithm,)
-        elif self.profile.has_disk_evidence:
-            algos = SPMD_ALGORITHMS + ("external",)
-        else:
-            algos = SPMD_ALGORITHMS
+        request may run, in pricing order — smart, then sample — each
+        pair one the contract's rows admit
+        (:func:`repro.admit.spmd_refusal`).  A forced or budget-degraded
+        external request has the single candidate
+        ``("external", "local", 1)``: it runs in-process on the serving
+        host."""
+        algos = SPMD_ALGORITHMS if req.algorithm is None else (
+            req.algorithm,
+        )
         ps = _DEFAULT_CANDIDATE_P if req.P is None else (req.P,)
         backends = BACKENDS if req.backend is None else (req.backend,)
         out: List[Tuple[str, str, int]] = []

@@ -46,12 +46,12 @@ __all__ = ["BackendCosts", "HostProfile", "PROFILE_SCHEMA"]
 #: Schema string embedded in persisted profiles; bump on layout changes.
 #: History: /1 = calibrated LogGP + serving fixed costs; /2 adds an
 #: optional ``adapt`` blob (the online adapter's state, since removed);
-#: /3 adds measured sequential disk read/write bandwidth and fsync
-#: latency, which price the out-of-core external-sort regime.  Older
-#: files are rejected: re-run the calibration.  A /3 file written before
-#: the procs backend's or the adapter's removal still loads: its ``procs``
-#: lane, the fields only that backend used and its ``adapt`` blob are
-#: ignored.
+#: /3 adds measured sequential disk read/write bandwidth, which prices
+#: the out-of-core external-sort regime.  Older files are rejected:
+#: re-run the calibration.  A /3 file written before the procs
+#: backend's, the adapter's or the spill fsync's removal still loads:
+#: its ``procs`` lane, the fields only that backend used, its ``adapt``
+#: blob and its ``fsync_s`` are ignored.
 PROFILE_SCHEMA = "repro-bitonic-profile/3"
 
 #: ``np.sort`` ns per 4-byte key when a profile carries no measurement:
@@ -117,14 +117,13 @@ class HostProfile:
     #: phase, which all run ``np.sort`` on the real backend.
     np_sort_ns_per_key: float = DEFAULT_NP_SORT_NS_PER_KEY
     backends: Dict[str, BackendCosts] = field(default_factory=dict)
-    #: Measured sequential disk bandwidths (bytes/s) and fsync latency
-    #: (s) from ``scripts/calibrate_loggp.py``; ``None`` = unmeasured —
-    #: :meth:`estimate_external` then prices with conservative defaults
-    #: and the planner never auto-chooses the external regime
-    #: (:attr:`has_disk_evidence`).
+    #: Measured sequential disk bandwidths (bytes/s) from
+    #: ``scripts/calibrate_loggp.py``; ``None`` = unmeasured —
+    #: :meth:`estimate_external` then prices with conservative defaults.
+    #: They price forced and budget-degraded external requests; the
+    #: planner never puts the external sort in an auto race.
     disk_read_bytes_per_s: Optional[float] = None
     disk_write_bytes_per_s: Optional[float] = None
-    fsync_s: Optional[float] = None
     #: ``"default"`` for the built-in guess, ``"calibrated"`` after
     #: ``scripts/calibrate_loggp.py`` measured this host.
     source: str = "default"
@@ -295,16 +294,6 @@ class HostProfile:
             wall += costs.job_overhead_s
         return wall
 
-    @property
-    def has_disk_evidence(self) -> bool:
-        """True once calibration measured this host's disk — the gate on
-        the planner *auto-choosing* the external regime (a forced or
-        budget-degraded external request runs either way)."""
-        return (
-            self.disk_read_bytes_per_s is not None
-            and self.disk_write_bytes_per_s is not None
-        )
-
     def estimate_external(
         self,
         N: int,
@@ -319,7 +308,7 @@ class HostProfile:
         (:func:`repro.theory.predict.predict_external`) priced with this
         host's measured disk rates and compute kernels; unmeasured disk
         falls back to the conservative defaults, which keeps an
-        evidence-free external estimate pessimistic.
+        unmeasured external estimate pessimistic.
         """
         from repro.theory.predict import predict_external
 
@@ -331,7 +320,6 @@ class HostProfile:
             dtype_size=dtype_size,
             disk_read_bytes_per_s=self.disk_read_bytes_per_s,
             disk_write_bytes_per_s=self.disk_write_bytes_per_s,
-            fsync_s=self.fsync_s,
         )
         return pt.total / 1e6
 

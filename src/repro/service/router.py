@@ -29,9 +29,12 @@ Typed-outcome guarantee, same as everywhere in this package: a routed
 request either returns a :class:`~repro.service.net.ClientOutcome` or
 raises one of :class:`~repro.errors.RequestTimeoutError` (the caller's
 budget died, ``stage="router"``), :class:`~repro.errors.AdmissionError`
-(every live shard turned it away), or
-:class:`~repro.errors.ShardUnavailableError` (no live shard, with a
-per-shard status snapshot attached).  Nothing is lost silently.
+(every live shard turned it away),
+:class:`~repro.errors.ConfigurationError` (the admission contract,
+:mod:`repro.admit`, refused the request itself; it is raised at once and
+counts against no shard), or :class:`~repro.errors.ShardUnavailableError`
+(no live shard, with a per-shard status snapshot attached).  Nothing is
+lost silently.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ import numpy as np
 
 from repro.errors import (
     AdmissionError,
+    ConfigurationError,
     FrameCorruptError,
     RequestTimeoutError,
     ServiceClosedError,
@@ -81,7 +85,6 @@ class LocalShard:
         keys: np.ndarray,
         *,
         deadline_s: Optional[float] = None,
-        tenant: Optional[str] = None,
         algorithm: Optional[str] = None,
         backend: Optional[str] = None,
         P: Optional[int] = None,
@@ -100,7 +103,6 @@ class LocalShard:
             fused=fused,
             grouped=grouped,
             deadline_s=deadline_s,
-            tenant=tenant or "default",
         )
         outcome = ticket.result(
             deadline_s if deadline_s is not None else RESULT_TIMEOUT_S
@@ -322,7 +324,6 @@ class ShardRouter:
         keys: np.ndarray,
         *,
         deadline_s: Optional[float] = None,
-        tenant: Optional[str] = None,
         algorithm: Optional[str] = None,
         backend: Optional[str] = None,
         P: Optional[int] = None,
@@ -364,7 +365,6 @@ class ShardRouter:
                 out = st.shard.sort(
                     keys,
                     deadline_s=remaining,
-                    tenant=tenant,
                     algorithm=algorithm,
                     backend=backend,
                     P=P,
@@ -372,9 +372,11 @@ class ShardRouter:
                     grouped=grouped,
                     trace=trace,
                 )
-            except RequestTimeoutError:
-                # The budget is the caller's, not the shard's: re-sending
-                # elsewhere cannot conjure time back.
+            except (RequestTimeoutError, ConfigurationError):
+                # Neither is the shard's failure, and no other shard would
+                # do better: the budget is the caller's (re-sending
+                # elsewhere cannot conjure time back), and the admission
+                # contract refuses the same request at every shard.
                 with self._lock:
                     st.inflight -= 1
                 raise

@@ -7,11 +7,12 @@ for a one-rank plan without a fault plan, on a one-rank communicator in
 the dispatcher thread, with no world at all.  The dispatcher runs one
 request at a time, in submission order:
 
-* **bounded queue + admission control** — a full queue rejects
+* **bounded queue + the caller's deadline** — the whole load
+  admission: a full queue rejects
   (:class:`~repro.errors.AdmissionError`, ``reason="queue-full"``), and
-  when a deadline is configured a request whose estimated completion
-  time (queued work + its own planner estimate) exceeds it is shed at
-  the door (``reason="deadline"``) rather than timing out after queuing;
+  a request whose estimated completion time (queued work + its own
+  planner estimate) exceeds its caller's deadline is shed at the door
+  (``reason="deadline"``) rather than timing out after queuing;
 * **crash replacement** — a request whose world dies mid-job is retried
   once on a fresh world (the pool replaces the dead one) before the
   failure is surfaced; fault-armed requests therefore always run on a
@@ -49,7 +50,6 @@ from repro.errors import (
 from repro.admit import admit, admit_keys
 from repro.extsort import external_sort, sweep_orphaned_spill_dirs
 from repro.runtime.threads import ThreadComm, _SharedState
-from repro.service.admission import DEFAULT_TENANT, TenantAdmission
 from repro.service.jobs import sort_shards_job
 from repro.service.planner import EXTERNAL_BACKEND, PlanDecision, Planner
 from repro.service.pool import WorldPool
@@ -123,7 +123,6 @@ class _Pending:
     faults: Optional[Any]  # FaultPlan
     trace: bool
     enqueued_at: float
-    tenant: str = DEFAULT_TENANT
     #: The memory budget (bytes) this request was planned under; carried
     #: so the out-of-core path spills at the budget admission priced.
     memory_budget: Optional[int] = None
@@ -152,11 +151,8 @@ class ServiceReport:
     expired: int = 0
     world_retries: int = 0
     pool: Dict[str, Any] = field(default_factory=dict)
-    #: Per-tenant admission counters (queued/admitted/rejections) when a
-    #: TenantAdmission controller is attached.
-    tenants: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: One dict per served request — id, keys, backend, P, flags,
-    #: est/queue/run/wall seconds, tenant — for the last
+    #: est/queue/run/wall seconds — for the last
     #: :data:`REQUEST_LOG` requests served.
     requests: List[Dict[str, Any]] = field(default_factory=list)
 
@@ -183,12 +179,6 @@ class ServiceReport:
                 1,
                 f"  memory budget: {self.degraded_external} degraded to "
                 f"external, {self.rejected_memory} rejected (disk budget)",
-            )
-        for tenant, st in sorted(self.tenants.items()):
-            lines.append(
-                f"  tenant {tenant}: {st['admitted']:.0f} admitted, "
-                f"{st['rejected_rate']:.0f} rate-limited, "
-                f"{st['rejected_share']:.0f} share-limited"
             )
         if self.requests:
             lines.append(
@@ -222,24 +212,12 @@ class SortService:
         Warm world pool; defaults to a fresh :class:`WorldPool`.
     queue_depth:
         Bounded-queue capacity; submissions beyond it are rejected.
-    deadline_s:
-        Default admission deadline: a request whose estimated completion
-        (queued estimates + its own) exceeds this is shed.  ``None``
-        disables deadline shedding (per-request ``deadline_s`` still
-        applies).
-    trace:
-        Default per-request tracing (overridable per request).
     verify:
         Element-exact output verification against ``np.sort`` per
         request (off by default: the service is the hot path; the bench
         and tests verify independently).
     timeout:
         Wall-clock budget per world dispatch.
-    admission:
-        Optional per-tenant :class:`~repro.service.admission.TenantAdmission`
-        controller layered on the bounded queue; when attached,
-        ``submit(tenant=...)`` is rate-limited and fair-share-bounded per
-        tenant and :meth:`report` carries per-tenant counters.
     memory_budget:
         Default per-request memory budget in bytes.  A request whose
         estimated in-memory working set exceeds it is degraded to the
@@ -261,11 +239,8 @@ class SortService:
         planner: Optional[Planner] = None,
         pool: Optional[WorldPool] = None,
         queue_depth: int = 32,
-        deadline_s: Optional[float] = None,
-        trace: bool = False,
         verify: bool = False,
         timeout: float = 120.0,
-        admission: Optional[TenantAdmission] = None,
         memory_budget: Optional[int] = None,
         disk_budget: Optional[int] = None,
         spill_root: Optional[str] = None,
@@ -277,11 +252,8 @@ class SortService:
         self.planner = planner or Planner()
         self.pool = pool or WorldPool()
         self._queue_depth = queue_depth
-        self._deadline_s = deadline_s
-        self._trace = trace
         self._verify = verify
         self._timeout = timeout
-        self._admission = admission
         self._memory_budget = memory_budget
         self._disk_budget = disk_budget
         self._spill_root = spill_root
@@ -313,8 +285,7 @@ class SortService:
         grouped: Optional[bool] = None,
         faults: Optional[Any] = None,
         deadline_s: Optional[float] = None,
-        trace: Optional[bool] = None,
-        tenant: str = DEFAULT_TENANT,
+        trace: bool = False,
         memory_budget: Optional[int] = None,
     ) -> Ticket:
         """Enqueue one sort request; returns its :class:`Ticket`.
@@ -322,10 +293,10 @@ class SortService:
         ``algorithm``/``backend``/``P``/``fused``/``grouped`` are forced
         overrides for the planner (``None`` = planner chooses, including
         the smart-bitonic-vs-sample algorithm routing).  Raises
-        :class:`~repro.errors.AdmissionError` when the queue is full, the
-        deadline estimate says the request cannot finish in time, or the
-        tenant is over its rate/fair-share entitlement — admission
-        failures never enqueue.
+        :class:`~repro.errors.AdmissionError` when the queue is full or the
+        deadline estimate says the request cannot finish within
+        ``deadline_s`` — admission failures never enqueue.  Without a
+        ``deadline_s`` only the queue bound applies.
 
         ``deadline_s`` is also the request's *absolute* remaining-time
         budget: if it is still queued when the budget runs out, it fails
@@ -365,7 +336,6 @@ class SortService:
             with self._report_lock:
                 self._report.degraded_external += 1
         ticket = Ticket(next(self._ids))
-        deadline = deadline_s if deadline_s is not None else self._deadline_s
         with self._cond:
             if self._closed:
                 raise ServiceClosedError("service is closed")
@@ -377,26 +347,20 @@ class SortService:
                     "rejected",
                     reason="queue-full",
                 )
-            if deadline is not None:
+            if deadline_s is not None:
                 est_completion = decision.est_seconds + sum(
                     p.decision.est_seconds for p in self._queue
                 )
-                if est_completion > deadline:
+                if est_completion > deadline_s:
                     with self._report_lock:
                         self._report.shed_deadline += 1
                     raise AdmissionError(
                         f"estimated completion {est_completion:.3f}s exceeds "
-                        f"the {deadline}s deadline "
+                        f"the {deadline_s}s deadline "
                         f"({len(self._queue)} requests queued); request shed",
                         reason="deadline",
                         est_seconds=est_completion,
                     )
-            if self._admission is not None:
-                # Tenant checks last: their ledger increments on success,
-                # so earlier rejections need no unwind.
-                self._admission.admit(
-                    tenant, len(self._queue), self._queue_depth
-                )
             now = time.perf_counter()
             self._queue.append(
                 _Pending(
@@ -404,11 +368,10 @@ class SortService:
                     keys=keys,
                     decision=decision,
                     faults=faults if have_faults else None,
-                    trace=self._trace if trace is None else trace,
+                    trace=trace,
                     enqueued_at=now,
-                    tenant=tenant,
                     deadline_at=(
-                        None if deadline is None else now + deadline
+                        None if deadline_s is None else now + deadline_s
                     ),
                     memory_budget=budget,
                 )
@@ -445,14 +408,9 @@ class SortService:
             try:
                 self._run_request(p)
             except BaseException as exc:  # noqa: BLE001 — fail the request, not the service
-                self._release_tenant(p)
                 p.ticket._fail(exc)
                 with self._report_lock:
                     self._report.failed += 1
-
-    def _release_tenant(self, p: _Pending) -> None:
-        if self._admission is not None:
-            self._admission.release(p.tenant)
 
     def _expire_overdue(self, p: _Pending) -> bool:
         """Fail (typed, never silent) a request whose caller's budget ran
@@ -460,7 +418,6 @@ class SortService:
         now = time.perf_counter()
         if p.deadline_at is None or now < p.deadline_at:
             return False
-        self._release_tenant(p)
         p.ticket._fail(
             RequestTimeoutError(
                 f"request {p.ticket.request_id} spent its "
@@ -564,11 +521,9 @@ class SortService:
                     "queue_wait_s": outcome.queue_wait_s,
                     "run_s": outcome.run_s,
                     "wall_s": outcome.wall_s,
-                    "tenant": p.tenant,
                     **record,
                 }
             )
-        self._release_tenant(p)
         p.ticket._resolve(outcome)
 
     def _run_on_world(
@@ -665,11 +620,6 @@ class SortService:
                 expired=self._report.expired,
                 world_retries=self._report.world_retries,
                 pool=self.pool.stats(),
-                tenants=(
-                    self._admission.stats()
-                    if self._admission is not None
-                    else {}
-                ),
                 requests=list(self._requests),
             )
         return snap
@@ -685,7 +635,6 @@ class SortService:
                 abandoned = list(self._queue)
                 self._queue.clear()
                 for p in abandoned:
-                    self._release_tenant(p)
                     p.ticket._fail(
                         ServiceClosedError(
                             "service closed before the request ran"

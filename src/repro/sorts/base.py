@@ -66,7 +66,8 @@ class ParallelSort(ABC):
 
     Subclasses implement :meth:`_run_parts`, which receives the machine and
     the blocked initial partitions and must return the final partitions in
-    blocked (globally sorted) order.
+    blocked (globally sorted) order, and override :meth:`_check_schedule`
+    when their schedule does not fit every size.
     """
 
     #: Short name used in tables and figures.
@@ -89,6 +90,7 @@ class ParallelSort(ABC):
         """
         keys = np.asarray(keys)
         require_sizes(keys.size, P)
+        self._check_schedule(keys.size, P)
         machine = Machine(P, self.spec, trace=trace, injector=injector)
         parts = machine.partition(keys)
         parts = self._run_parts(machine, parts)
@@ -102,6 +104,11 @@ class ParallelSort(ABC):
         if verify:
             result.verify(keys)
         return result
+
+    def _check_schedule(self, N: int, P: int) -> None:
+        """Raise the algorithm's :class:`~repro.errors.ScheduleError` when
+        its schedule cannot sort ``N`` keys on ``P`` processors, from the
+        sizes alone: :meth:`run` asks before it builds any machine."""
 
     @abstractmethod
     def _run_parts(

@@ -55,6 +55,19 @@ class ColumnSort(ParallelSort):
         self.key_bits = key_bits
         self.radix_bits = radix_bits
 
+    def _check_schedule(self, N: int, P: int) -> None:
+        if P == 1:
+            return
+        r = N // P  # rows per column
+        if r < 2 * (P - 1) ** 2:
+            raise ScheduleError(
+                f"column sort needs r >= 2(s-1)**2 rows per column: "
+                f"r={r}, s={P} (approximately N >= 2 P**3) — use the smart "
+                "bitonic sort instead"
+            )
+        if r % 2:
+            raise ScheduleError("column sort needs an even column length")
+
     def _run_parts(self, machine: Machine, parts: List[np.ndarray]) -> List[np.ndarray]:
         P = machine.P
         r = parts[0].size  # rows per column
@@ -71,14 +84,6 @@ class ColumnSort(ParallelSort):
         if P == 1:
             local_sorts()
             return parts
-        if r < 2 * (P - 1) ** 2:
-            raise ScheduleError(
-                f"column sort needs r >= 2(s-1)**2 rows per column: "
-                f"r={r}, s={P} (approximately N >= 2 P**3) — use the smart "
-                "bitonic sort instead"
-            )
-        if r % 2:
-            raise ScheduleError("column sort needs an even column length")
 
         N = P * r
         blocked = blocked_layout(N, P)

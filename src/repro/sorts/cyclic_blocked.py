@@ -51,6 +51,10 @@ class CyclicBlockedBitonicSort(ParallelSort):
         if mode != "long":
             self.name = f"cyclic-blocked[{mode}-msg]"
 
+    def _check_schedule(self, N: int, P: int) -> None:
+        if P > 1:
+            cyclic_blocked_schedule(N, P)
+
     def _run_parts(self, machine: Machine, parts: List[np.ndarray]) -> List[np.ndarray]:
         P = machine.P
         n = parts[0].size

@@ -107,6 +107,10 @@ class SmartBitonicSort(ParallelSort):
 
     # -- the algorithm ----------------------------------------------------
 
+    def _check_schedule(self, N: int, P: int) -> None:
+        if P > 1:
+            build_schedule(N, P, strategy=self.strategy)
+
     def _run_parts(self, machine: Machine, parts: List[np.ndarray]) -> List[np.ndarray]:
         P = machine.P
         n = parts[0].size

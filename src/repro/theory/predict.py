@@ -266,10 +266,9 @@ def predict_blocked_merge(
 
 #: Conservative disk rates used when a caller supplies none — slow
 #: spinning-rust numbers, so an unmeasured external estimate is
-#: pessimistic and the planner never wanders out of core on optimism.
+#: pessimistic.
 CONSERVATIVE_DISK_READ_BPS = 200e6
 CONSERVATIVE_DISK_WRITE_BPS = 120e6
-CONSERVATIVE_FSYNC_S = 0.005
 
 
 def external_merge_passes(
@@ -301,7 +300,6 @@ def predict_external(
     dtype_size: int = 4,
     disk_read_bytes_per_s: float = None,
     disk_write_bytes_per_s: float = None,
-    fsync_s: float = None,
     key_bits: int = 32,
     radix_bits: int = 8,
 ) -> PredictedTime:
@@ -323,8 +321,7 @@ def predict_external(
         )
     read_bps = disk_read_bytes_per_s or CONSERVATIVE_DISK_READ_BPS
     write_bps = disk_write_bytes_per_s or CONSERVATIVE_DISK_WRITE_BPS
-    sync_s = CONSERVATIVE_FSYNC_S if fsync_s is None else fsync_s
-    runs, passes = external_merge_passes(N, memory_budget, dtype_size, fan_in)
+    passes = external_merge_passes(N, memory_budget, dtype_size, fan_in)[1]
     nbytes = N * dtype_size
     pt = PredictedTime("external", N, 1)
     pt._add(
@@ -333,8 +330,6 @@ def predict_external(
     )
     pt._add("merge", passes * N * spec.compute.merge)
     io_s = passes * (nbytes / write_bps + nbytes / read_bps)
-    # One manifest fsync per run file written across the cascade.
-    io_s += sync_s * runs
     pt._add("spill", io_s * 1e6)
     return pt
 

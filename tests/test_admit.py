@@ -7,8 +7,9 @@ two and not) × key distribution × (backend, algorithm, P).  Every
 request either comes back byte-identical to ``np.sort`` with its dtype,
 or is refused with the same exception type at every door that can carry
 it, and a refused request starts no rank thread, simulator machine or
-spill directory: spies count all three.  Whether a request sorts is
-checked against the contract's table, restated here.
+spill directory: spies count all three, and a simulated algorithm's
+own schedule refusal counts too.  Whether a request sorts is checked
+against the contract's table, restated here.
 
 Spawning is stubbed throughout: a world of more than :data:`SPAWN_LIMIT`
 ranks raises at once, so a door that let a capped ``P`` through fails
@@ -191,6 +192,10 @@ def doors(keys, backend, algorithm, P, service, client):
          backend="threads", algorithm="external", P=None, seed=1)
 @example(dtype=object, N=4, distribution="uniform", backend="threads",
          algorithm="external", P=1, seed=1)
+@example(dtype=np.uint32, N=8, distribution="uniform", backend="simulated",
+         algorithm="smart", P=8, seed=1)
+@example(dtype=np.uint32, N=16, distribution="uniform",
+         backend="simulated", algorithm="cyclic-blocked", P=8, seed=1)
 def test_one_verdict_at_every_door(spies, service, client, dtype, N,
                                    distribution, backend, algorithm, P,
                                    seed):
@@ -204,11 +209,7 @@ def test_one_verdict_at_every_door(spies, service, client, dtype, N,
         except Exception as exc:  # noqa: BLE001 — the verdict is the type
             verdicts[name] = type(exc)
             assert isinstance(exc, ConfigurationError), (name, exc)
-            # The simulated algorithms' own schedule rules (smart's
-            # N/P >= 2, cyclic-blocked's N >= P**2) stay in the
-            # algorithms, after their machine is built.
-            if not isinstance(exc, ScheduleError):
-                assert dict(spies) == before, f"{name} started work: {exc}"
+            assert dict(spies) == before, f"{name} started work: {exc}"
         else:
             assert out.dtype == keys.dtype, name
             assert out.tobytes() == np.sort(keys).tobytes(), name
@@ -219,6 +220,50 @@ def test_one_verdict_at_every_door(spies, service, client, dtype, N,
         assert (verdict in ("sorted", ScheduleError)) == sorts(
             keys, backend, algorithm, P
         ), verdicts
+
+
+@pytest.mark.parametrize("N, algorithm", [(8, "smart"),
+                                          (16, "cyclic-blocked")])
+def test_a_schedule_refusal_builds_no_machine(spies, N, algorithm):
+    """Smart's N/P >= 2 and cyclic-blocked's N >= P**2 are decided from N
+    and P before the simulated machine is built."""
+    before = dict(spies)
+    with pytest.raises(ScheduleError):
+        sort(np.arange(N, dtype=np.uint32), 8, algorithm=algorithm)
+    assert dict(spies) == before
+
+
+def test_external_on_threads_is_one_refusal(service, client, spies):
+    """``algorithm="external", backend="threads"`` gets the planned doors'
+    refusal at ``sort()`` too, before any spill directory; over its
+    memory budget a threads request still degrades to external."""
+    keys = make_request_keys(np.uint32, 4096, "uniform", 1)
+    kw = dict(algorithm="external", backend="threads")
+    calls = {
+        "sort()": lambda: sort(keys, **kw),
+        "sort(service=)": lambda: sort(keys, service=service, **kw),
+        "SortService": lambda: service.sort(keys, **kw),
+        "SortClient": lambda: client.sort(keys, **kw),
+    }
+    refusals = {}
+    for name, call in calls.items():
+        before = dict(spies)
+        with pytest.raises(ConfigurationError) as exc:
+            call()
+        assert dict(spies) == before, name
+        refusals[name] = (type(exc.value), str(exc.value))
+    assert set(refusals.values()) == {(
+        ConfigurationError,
+        "algorithm 'external' runs on the 'local' pseudo-backend, "
+        "not 'threads'",
+    )}, refusals
+    for report in (
+        sort(keys, 2, backend="threads", memory_budget=keys.nbytes),
+        sort(keys, memory_budget=keys.nbytes, **kw),
+        sort(keys, service=service, memory_budget=keys.nbytes, **kw),
+    ):
+        assert (report.algorithm, report.backend) == ("external", "local")
+        assert report.sorted_keys.tobytes() == np.sort(keys).tobytes()
 
 
 class TestRankCap:

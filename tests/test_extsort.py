@@ -312,7 +312,6 @@ class TestPlannerRegime:
         return replace(
             HostProfile.default(), source="calibrated",
             disk_read_bytes_per_s=1e9, disk_write_bytes_per_s=5e8,
-            fsync_s=1e-4,
         )
 
     def test_budget_degradation(self):
@@ -355,17 +354,24 @@ class TestPlannerRegime:
         from repro.service import Planner
 
         # The default profile has no measured disk; even absurd sizes
-        # must not route to the unpriceable external regime unforced.
+        # must not route to the external regime unforced.
         d = Planner().plan(1 << 20)
         assert d.algorithm != "external"
+        assert "external:localx1" not in d.candidates
 
-    def test_external_competes_with_disk_evidence(self):
+    def test_external_never_joins_the_auto_race(self):
+        """Measured disk rates price a forced external request, but the
+        external sort never enters an auto race: it pays the in-memory
+        plan's ``np.sort`` plus a merge sweep and the I/O."""
         from repro.service import Planner
 
-        planner = Planner(profile=self._disk_profile())
-        assert planner.profile.has_disk_evidence
-        d = planner.plan(1 << 16)
-        assert "external:localx1" in d.candidates
+        measured = Planner(profile=self._disk_profile())
+        for N in (1 << 4, 1 << 16, 1 << 24):
+            assert "external:localx1" not in measured.plan(N).candidates
+        forced = measured.plan(1 << 16, algorithm="external")
+        assert forced.est_seconds < Planner().plan(
+            1 << 16, algorithm="external"
+        ).est_seconds
 
     def test_forced_external_runs_without_evidence(self):
         from repro.service import Planner

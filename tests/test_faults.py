@@ -236,6 +236,23 @@ class TestCrashRecovery:
         assert report.restarts == 1
         assert report.resumed_stage >= 0  # resumed, not from scratch
 
+    @pytest.mark.parametrize("N, faults, stage", [
+        (1024, dict(drop=0.0, crash_rank=1, crash_phase=2), 1),
+        (2048, dict(drop=0.05, crash_rank=2, crash_phase=3), 2),
+    ])
+    def test_resume_stage_is_the_same_every_run(self, N, faults, stage):
+        """The crash breaks the world's barriers, but never a rank that a
+        barrier had already released: every peer saves the stage it
+        finished, so over 30 inputs the restart resumes from one stage,
+        whatever the thread timing."""
+        resumed = [
+            run_chaos_sort(make_keys(N, seed=s), 4,
+                           FaultPlan(seed=1, **faults),
+                           timeout=30).resumed_stage
+            for s in range(30)
+        ]
+        assert set(resumed) == {stage}, resumed
+
     def test_crash_without_restart_budget_raises_peer_failed(self):
         keys = make_keys(4 * 64, seed=14)
         plan = FaultPlan(seed=14, crash_rank=2, crash_phase=1)

@@ -41,7 +41,7 @@ def assert_np_sorted(out, keys):
 
 @pytest.fixture(scope="module")
 def service():
-    svc = SortService(trace=False)
+    svc = SortService()
     yield svc
     svc.close()
 

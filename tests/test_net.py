@@ -166,9 +166,9 @@ class TestWireErrors:
         assert back.stage == "admission"
         assert back.deadline_s == 1.5
         back = error_from_meta(error_to_meta(
-            AdmissionError("no", reason="tenant-rate")
+            AdmissionError("no", reason="connections")
         ))
-        assert back.reason == "tenant-rate"
+        assert back.reason == "connections"
 
     def test_unknown_error_degrades_to_service_error(self):
         back = error_from_meta({"error": "WeirdError", "message": "hm"})
@@ -569,13 +569,24 @@ class TestSortMeta:
     @pytest.mark.parametrize("field, value", [
         ("P", "two"), ("P", True), ("P", 2.0), ("fused", "yes"),
         ("grouped", 1), ("algorithm", 7), ("backend", ["threads"]),
-        ("budget_s", "soon"), ("budget_s", False), ("tenant", 3),
+        ("budget_s", "soon"), ("budget_s", False), ("shm", 5),
         ("shape", 1024), ("shape", [True]), ("dtype", 4), ("id", 12),
     ])
     def test_a_field_of_the_wrong_type_is_named(self, server, field, value):
         err = self._refusal(server, self._meta(**{field: value}))
         assert type(err) is ConfigurationError
         assert repr(field) in str(err)
+
+    @pytest.mark.parametrize("value", ["acme", 3])
+    def test_a_field_not_listed_is_ignored(self, server, value):
+        """An older client's ``tenant`` label, whatever its type, is
+        served: the protocol stays at version 2."""
+        assert PROTO_VERSION == 2
+        ftype, rmeta, body = _raw_sort(
+            server, self._meta(tenant=value), self.KEYS.tobytes()
+        )
+        assert ftype == FrameType.RESULT, rmeta
+        assert body == np.sort(self.KEYS).tobytes()
 
     @pytest.mark.parametrize("dtype", [..., "garbage", "O"])
     def test_a_dtype_numpy_cannot_use_is_named(self, server, dtype):

@@ -7,14 +7,15 @@ bench-history correction.  Every planner here plans without bench
 history, so the rebuild must not move one decision: replaying each
 request must give the same algorithm, backend, P, flags, clamp, source
 and estimate, or the same error message.  The rows of faulty requests
-that moved when faults stopped forcing the flags off were re-recorded
-(``data/README.md``).
+that moved when faults stopped forcing the flags off, and the estimates
+of the external rows when the spill fsync left their price, were
+re-recorded (``data/README.md``).
 
 The requests vary the size (4 to 16 Mi keys), the key width, faults,
 auto and forced algorithm (external included), forced backend and P,
 ``fused``/``grouped=False`` and a 64 KiB memory budget.  The planners
 are fixed-core profiles with 2 and 8 cores and a profile with measured
-disk evidence.
+disk rates.
 """
 
 import json
@@ -36,7 +37,7 @@ def _profile(cpus, disk=False):
     if disk:
         profile = replace(
             profile, disk_read_bytes_per_s=1.5e9,
-            disk_write_bytes_per_s=8e8, fsync_s=0.002,
+            disk_write_bytes_per_s=8e8,
         )
     return profile
 

@@ -3,7 +3,8 @@
 Routing policy is tested against scripted fake shards (deterministic,
 no sockets): least-loaded spreading, hard-failure failover, circuit
 breaking with half-open recovery, the admission-is-load-not-sickness
-rule, and the typed-outcome guarantee.  A final integration test drives
+rule, the refused-request-is-no-shard-failure rule, and the
+typed-outcome guarantee.  A final integration test drives
 a router over two real networked shards and kills one mid-stream.
 """
 
@@ -15,6 +16,7 @@ import pytest
 
 from repro.errors import (
     AdmissionError,
+    ConfigurationError,
     RequestTimeoutError,
     ServiceClosedError,
     ShardUnavailableError,
@@ -175,6 +177,55 @@ class TestFailover:
         })
         with pytest.raises(AdmissionError):
             router.sort(make_keys(64, seed=0))
+
+
+class TestRefusalIsNoShardFailure:
+    """A request the admission contract refuses raises its
+    ConfigurationError at once and counts against no shard; a hard
+    failure still counts and still trips the breaker."""
+
+    @staticmethod
+    def _assert_untouched(router, name):
+        st = router.status()[name]
+        assert (st["failed"], st["consecutive_failures"], st["inflight"],
+                st["served"], st["state"]) == (0, 0, 0, 0, "healthy"), st
+
+    def test_local_shard_refusals(self):
+        with SortService() as svc:
+            router = ShardRouter({"a": LocalShard(svc, name="a")})
+            for i in range(3):
+                with pytest.raises(ConfigurationError):
+                    router.sort(make_keys(16, seed=i).reshape(4, 4))
+            self._assert_untouched(router, "a")
+
+    def test_wire_refusals(self):
+        """One refused by the client before any send (2-D keys), one by
+        the server and decoded from its ERROR frame (float keys)."""
+        server = SortServer(SortService(), name="refusing", own_service=True)
+        server.start()
+        try:
+            with SortClient(server.address, retries=0,
+                            timeout_s=30.0) as client:
+                router = ShardRouter({"a": client})
+                for keys in (make_keys(16, seed=1).reshape(4, 4),
+                             np.linspace(1.0, 0.0, 64)):
+                    with pytest.raises(ConfigurationError):
+                        router.sort(keys)
+                self._assert_untouched(router, "a")
+        finally:
+            server.close()
+
+    def test_a_hard_failure_still_counts(self):
+        shard = FakeShard("a", script=(ConfigurationError("refused"),
+                                       _down("a")))
+        router = ShardRouter({"a": shard}, eject_after=1, cooldown_s=30.0)
+        with pytest.raises(ConfigurationError):
+            router.sort(make_keys(64, seed=0))
+        self._assert_untouched(router, "a")
+        with pytest.raises(ShardUnavailableError):
+            router.sort(make_keys(64, seed=1))
+        st = router.status()["a"]
+        assert (st["failed"], st["state"]) == (1, "ejected")
 
 
 class TestCircuitBreaker:

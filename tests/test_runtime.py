@@ -1,6 +1,7 @@
 """Tests for the SPMD runtime: primitives under real concurrency, and the
 message-passing implementation of Algorithm 1."""
 
+import sys
 import threading
 import time
 
@@ -9,7 +10,7 @@ import pytest
 
 from repro.errors import CommunicationError, ConfigurationError, SpmdTimeoutError
 from repro.runtime import run_spmd, spmd_bitonic_sort
-from repro.runtime.threads import ThreadComm, _SharedState
+from repro.runtime.threads import ThreadComm, _Barrier, _SharedState
 from repro.sorts import SmartBitonicSort
 from repro.utils.rng import make_keys
 
@@ -99,6 +100,87 @@ class TestFailurePaths:
         with pytest.raises(CommunicationError) as err:
             comm.barrier()
         assert isinstance(err.value.__cause__, threading.BrokenBarrierError)
+
+    def test_abort_spares_waiters_already_released(self):
+        """The last arrival releases a round; an abort right after it
+        fails only the waits still pending and every later one."""
+        bar = _Barrier(3)
+        verdicts = []
+
+        def waiter():
+            try:
+                bar.wait()
+            except threading.BrokenBarrierError:
+                verdicts.append("broken")
+            else:
+                verdicts.append("released")
+
+        waiters = [threading.Thread(target=waiter) for _ in range(2)]
+        for t in waiters:
+            t.start()
+        while True:  # both parked in the round
+            with bar._cond:
+                if bar._count == 2:
+                    break
+        bar.wait()
+        bar.abort()
+        for t in waiters:
+            t.join(30)
+        assert verdicts == ["released", "released"]
+        pending = threading.Thread(target=waiter)
+        pending.start()
+        pending.join(30)
+        assert verdicts[-1] == "broken" and bar.broken
+
+    def test_barrier_holds_every_round_under_contention(self):
+        """More ranks than cores and a tiny switch interval: no rank
+        leaves a round before every rank has arrived in it."""
+        parties, rounds = 8, 200
+        bar = _Barrier(parties)
+        arrived = [0] * rounds
+        lock = threading.Lock()
+        early = []
+
+        def rank():
+            for r in range(rounds):
+                with lock:
+                    arrived[r] += 1
+                bar.wait()
+                if arrived[r] != parties:
+                    early.append(r)
+
+        ranks = [threading.Thread(target=rank, daemon=True)
+                 for _ in range(parties)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in ranks:
+                t.start()
+            for t in ranks:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in ranks)
+        assert early == []
+
+    def test_abort_breaks_a_pending_wait(self):
+        bar = _Barrier(2)
+        failed = []
+
+        def waiter():
+            with pytest.raises(threading.BrokenBarrierError):
+                bar.wait()
+            failed.append(True)
+
+        t = threading.Thread(target=waiter)
+        t.start()
+        while True:
+            with bar._cond:
+                if bar._count == 1:
+                    break
+        bar.abort()
+        t.join(30)
+        assert failed == [True]
 
     def test_bcast_negative_root(self):
         with pytest.raises(CommunicationError, match="root"):

@@ -35,8 +35,6 @@ from repro.service import (
     Planner,
     ServiceReport,
     SortService,
-    TenantAdmission,
-    TenantPolicy,
     WorldPool,
 )
 from repro.service.jobs import sort_shards_job
@@ -55,7 +53,7 @@ _PARENT_PROFILE = Path(__file__).parent / "data" / "profile_v3_parent.json"
 def service():
     """One shared service for the read-only request tests (module-scoped:
     world spawning is the expensive part)."""
-    svc = SortService(trace=False)
+    svc = SortService()
     yield svc
     svc.close()
 
@@ -387,14 +385,15 @@ class TestHostProfile:
     def test_parent_schema_3_file_still_loads(self, tmp_path):
         """A /3 file carrying the removed ``overlap_efficiency`` field,
         the removed world spawn cost, the removed procs backend's lane,
-        ``spin_budget`` and ``ship_bytes_per_s``, and an ``adapt`` blob
-        from the removed online adapter loads: unknown keys and backends
-        are skipped, and the blob is ignored."""
+        ``spin_budget``, ``ship_bytes_per_s`` and ``fsync_s``, and an
+        ``adapt`` blob from the removed online adapter loads: unknown
+        keys and backends are skipped, and the blob is ignored."""
         doc = json.loads(_PARENT_PROFILE.read_text())
         assert doc["adapt"]["corrections"]
         profile = HostProfile.load(str(_PARENT_PROFILE))
         assert profile.source == "calibrated"
-        assert profile.has_disk_evidence
+        assert profile.disk_read_bytes_per_s and profile.disk_write_bytes_per_s
+        assert not hasattr(profile, "fsync_s")
         assert not hasattr(profile, "overlap_efficiency")
         assert not hasattr(profile, "spin_budget")
         assert set(profile.backends) == {"threads"}
@@ -592,19 +591,54 @@ class TestAdmissionControl:
             assert svc.report().rejected_queue_full == rejected
 
     def test_deadline_sheds(self):
-        with SortService(deadline_s=1e-12) as svc:
+        with SortService() as svc:
             with pytest.raises(AdmissionError) as err:
-                svc.submit(make_keys(1 << 14, seed=1))
+                svc.submit(make_keys(1 << 14, seed=1), deadline_s=1e-12)
             assert err.value.reason == "deadline"
             assert err.value.est_seconds > 0
             assert svc.report().shed_deadline == 1
 
     def test_per_request_deadline_overrides_default(self):
-        with SortService(deadline_s=None) as svc:
+        """The service has no deadline of its own: a request without one
+        is never shed, and the caller's own deadline sheds."""
+        with SortService() as svc:
             out = svc.sort(make_keys(1 << 10, seed=2), backend="threads", P=1)
             assert out.sorted_keys[0] <= out.sorted_keys[-1]
             with pytest.raises(AdmissionError):
                 svc.submit(make_keys(1 << 14, seed=3), deadline_s=1e-12)
+
+    def test_concurrent_submits_all_accounted(self):
+        """Many threads on one bounded queue: every submit ends as a
+        result or a typed queue-full rejection, and the counters agree."""
+        outcomes = {"ok": 0, "rejected": 0}
+        lock = threading.Lock()
+        with SortService(queue_depth=8) as svc:
+            def client(seed):
+                try:
+                    ticket = svc.submit(make_keys(1 << 10, seed=seed),
+                                        backend="threads", P=2)
+                except AdmissionError as exc:
+                    assert exc.reason == "queue-full"
+                    with lock:
+                        outcomes["rejected"] += 1
+                    return
+                ticket.result(60)
+                with lock:
+                    outcomes["ok"] += 1
+
+            threads = [
+                threading.Thread(target=client, args=(100 + i,))
+                for i in range(12)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            report = svc.report()
+        assert outcomes["ok"] + outcomes["rejected"] == 12
+        assert outcomes["ok"] >= 1
+        assert report.served == outcomes["ok"]
+        assert report.rejected_queue_full == outcomes["rejected"]
 
     def test_admission_errors_are_service_errors(self):
         assert issubclass(AdmissionError, ServiceError)
@@ -705,100 +739,6 @@ class TestDeadlinePropagation:
             out = svc.sort(make_keys(1 << 10, seed=4), backend="threads",
                            P=2, deadline_s=60.0)
             assert out.sorted_keys[0] <= out.sorted_keys[-1]
-
-
-class TestTenantFairness:
-    """Concurrent-client admission: mixed tenants on one queue."""
-
-    def test_tenant_accounting_in_report(self):
-        adm = TenantAdmission()
-        with SortService(admission=adm) as svc:
-            svc.sort(make_keys(1 << 10, seed=5), backend="threads", P=2,
-                     tenant="acme")
-            report = svc.report()
-        assert report.tenants["acme"]["admitted"] == 1
-        assert "acme" in report.describe()
-
-    def test_burst_tenant_bounded_quiet_tenant_admitted(self):
-        """Under a contended queue a bursting tenant is capped near its
-        fair share while a quiet tenant still gets in."""
-        adm = TenantAdmission(contended_fraction=0.25)
-        with SortService(queue_depth=8, admission=adm) as svc:
-            # Stall the dispatcher with one slow request so the burst
-            # really contends for queue slots.
-            slow = svc.submit(make_keys(1 << 20, seed=6),
-                              backend="threads", P=2)
-            tickets, rejections = [], []
-            for i in range(12):
-                try:
-                    tickets.append(
-                        svc.submit(make_keys(1 << 10, seed=10 + i),
-                                   backend="threads", P=4,
-                                   tenant="burst")
-                    )
-                except AdmissionError as exc:
-                    rejections.append(exc.reason)
-            # The burst was shed with the *tenant* reason, not only the
-            # queue-full wall, and the quiet tenant still admits.
-            assert "tenant-share" in rejections
-            quiet = svc.submit(make_keys(1 << 10, seed=30),
-                               backend="threads", P=4, tenant="quiet")
-            slow.result(120)
-            for t in tickets:
-                t.result(60)
-            quiet.result(60)
-            stats = svc.report().tenants
-            assert stats["burst"]["rejected_share"] >= 1
-            assert stats["quiet"]["admitted"] == 1
-            # Fairness bound: the burst tenant never held more queued
-            # slots than the whole queue minus the quiet share floor.
-            assert stats["burst"]["admitted"] <= 8
-
-    def test_rate_limited_tenant_rejected_typed(self):
-        adm = TenantAdmission(
-            {"metered": TenantPolicy(rate=0.001, burst=1.0)}
-        )
-        with SortService(admission=adm) as svc:
-            svc.sort(make_keys(1 << 10, seed=7), backend="threads", P=2,
-                     tenant="metered")
-            with pytest.raises(AdmissionError) as exc:
-                svc.submit(make_keys(1 << 10, seed=8), tenant="metered")
-            assert exc.value.reason == "tenant-rate"
-
-    def test_concurrent_mixed_tenants_all_accounted(self):
-        """Many threads, several tenants: every submit ends as a result
-        or a typed rejection, and the ledger drains to zero queued."""
-        adm = TenantAdmission()
-        outcomes = {"ok": 0, "rejected": 0}
-        lock = threading.Lock()
-        with SortService(queue_depth=8, admission=adm) as svc:
-            def client(tenant, seed):
-                try:
-                    ticket = svc.submit(make_keys(1 << 10, seed=seed),
-                                        backend="threads", P=2,
-                                        tenant=tenant)
-                except AdmissionError:
-                    with lock:
-                        outcomes["rejected"] += 1
-                    return
-                ticket.result(60)
-                with lock:
-                    outcomes["ok"] += 1
-
-            threads = [
-                threading.Thread(target=client,
-                                 args=(f"tenant{i % 3}", 100 + i))
-                for i in range(12)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            stats = svc.report().tenants
-        assert outcomes["ok"] + outcomes["rejected"] == 12
-        assert outcomes["ok"] >= 1
-        for tenant_stats in stats.values():
-            assert tenant_stats["queued"] == 0  # every admit released
 
 
 class TestServiceLifecycle:
