@@ -8,9 +8,9 @@ the unified front door (`repro.sort`), and then drops down to the raw
 `Comm` interface for the FFT to show the layer the front door stands on.
 
 The low-level programs are written against the abstract `Comm` interface,
-whose methods deliberately mirror mpi4py's (`alltoallv`, `allgather`,
-`bcast`, `sendrecv`): porting them to a cluster is a matter of wrapping
-`mpi4py.MPI.COMM_WORLD` in the same five methods.
+whose methods deliberately mirror mpi4py's (`barrier`, `alltoallv`,
+`allgather`, `bcast`): porting them to a cluster is a matter of wrapping
+`mpi4py.MPI.COMM_WORLD` in the same four methods.
 
 Run:  python examples/spmd_runtime.py
 """

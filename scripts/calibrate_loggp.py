@@ -11,9 +11,10 @@ Measures, on the machine actually running the sorts:
 * **the ``np.sort`` rate** — ns per key, best-of at sizes from 4 Ki to
   1 Mi keys, the median over the sizes kept: every local sort and merge
   phase of the SPMD runtime runs ``np.sort``;
-* **per-element remap rates** — pack/unpack gathers, the fused
-  permutation-composed pack, address computation;
-* **threads-backend LogGP parameters** — a 2-rank pingpong fits the
+* **per-element rates** — the sample sort's unpack placement, the
+  fused remap's permutation-composed pack, address computation;
+* **threads-backend LogGP parameters** — a 2-rank pingpong of
+  ``alltoallv`` rounds, the exchange every remap runs, fits the
   per-message overhead ``o`` (y-intercept) and per-byte gap ``G``
   (slope); ``L`` and ``g`` are set to ``o`` (on shared memory the wire
   latency and the gap are not separable from the overhead at this
@@ -75,7 +76,6 @@ def calibrate_compute(n, reps):
     perm = rng.permutation(n)
     idx32 = perm.astype(np.int32)
 
-    pack_s = _best_of(lambda: keys[idx32], reps)  # gather into send order
     unpack_s = _best_of(lambda: keys.copy(), reps)  # contiguous placement
     # The fused path composes the sort permutation with the gather index
     # once, then does a single gather — its marginal per-element cost is
@@ -84,7 +84,6 @@ def calibrate_compute(n, reps):
     addr_s = _best_of(lambda: (perm >> 3) & 0x7, reps)
 
     return {
-        "pack_us": pack_s / n * 1e6,
         "unpack_us": unpack_s / n * 1e6,
         "fused_pack_us": fused_s / n * 1e6,
         "address_us": addr_s / n * 1e6,
@@ -129,7 +128,7 @@ def calibrate_threads(rounds, reps):
 
     # Pingpong: seconds per round at two payload sizes; the slope is G
     # (per byte), the intercept 2o (one send + one recv overhead each
-    # way).  Runs inside the world so the backend's real sendrecv path
+    # way).  Runs inside the world so the backend's real alltoallv path
     # is timed.
     small, large = 1 << 10, 1 << 18
     t_small = min(world.run(pingpong_job, rank_args=[(small, rounds)] * 2))

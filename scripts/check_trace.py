@@ -18,22 +18,16 @@ Fails (exit 1) if any given trace file:
   (``remaps``, ``messages``, ``bytes_sent``) — pure out-of-core traces
   (``algo.external`` > 0, no remaps) are exempt: the external sort moves
   bytes through the filesystem, not a transport;
-* records a number of exchanges (``coll.alltoallv`` plus
-  ``coll.group_alltoallv``) other than its ``remaps`` plus ``retries``:
-  every remap of the bitonic and the sample sort is exactly one exchange,
-  and the reliable transport adds one per retransmission round;
-* ran the default (fused) bitonic sort but shows an ``unpack`` span — the
-  fused remap places each arrival inside its ``transfer`` span, so an
-  unpack pass means the fusion silently stopped.  With
-  ``--expect-unfused`` (traces of ``--no-fused`` runs) the opposite holds:
-  every trace with remaps must show both ``pack`` and ``unpack`` spans;
+* records a number of exchanges (``coll.alltoallv``) other than its
+  ``remaps`` plus ``retries``: every remap of the bitonic and the sample
+  sort is exactly one ``alltoallv``, and the reliable transport adds one
+  per retransmission round;
+* shows an ``unpack`` span — every remap places each arrival inside its
+  ``transfer`` span, so an unpack pass means the fusion silently stopped;
 * records sample-sort runs (``algo.sample`` > 0) with fewer ``remaps``
   than runs (each run is exactly one splitter-driven redistribution) or
   without a ``merge`` span — a sample trace missing its p-way merge
-  means the phase instrumentation silently stopped;
-* records group-scoped collectives with an inconsistent member tally
-  (``coll.group_alltoallv`` > 0 but ``coll.group_size`` == 0, or a mean
-  group size outside ``2 .. ranks``).
+  means the phase instrumentation silently stopped.
 
 Out-of-core traces (``algo.external`` > 0) must carry their own lane:
 ``spill`` spans for both the write and read sides, a ``merge/external``
@@ -57,8 +51,7 @@ from repro.trace import CHROME_TRACE_SCHEMA
 REQUIRED_COUNTERS = ("remaps", "messages", "bytes_sent")
 
 
-def check(path: str, expect_unfused: bool = False,
-          expect_external: bool = False) -> list:
+def check(path: str, expect_external: bool = False) -> list:
     errors = []
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -135,51 +128,23 @@ def check(path: str, expect_unfused: bool = False,
                 )
     remaps = counters.get("remaps", 0)
     retries = counters.get("retries", 0)
-    exchanges = counters.get("coll.alltoallv", 0) + counters.get(
-        "coll.group_alltoallv", 0
-    )
+    exchanges = counters.get("coll.alltoallv", 0)
     if exchanges != remaps + retries:
         errors.append(
             f"{exchanges} exchanges for {remaps} remaps and {retries} "
-            "retransmission rounds — every remap is exactly one alltoallv "
-            "or group_alltoallv"
+            "retransmission rounds — every remap is exactly one alltoallv"
         )
-    cats = {e.get("cat") for e in spans}
-    if expect_unfused:
-        if remaps and not {"pack", "unpack"} <= cats:
-            errors.append(
-                "an unfused trace without both pack and unpack spans — "
-                "the long messages were never packed or never unpacked"
-            )
-    elif "unpack" in cats:
+    if any(e.get("cat") == "unpack" for e in spans):
         errors.append(
-            "unpack spans in a fused trace — the fused remap places "
-            "arrivals inside transfer (pass --expect-unfused for "
-            "deliberately unfused runs)"
+            "unpack spans — every remap places its arrivals inside "
+            "transfer, so an unpack pass means the fusion stopped"
         )
-    group_calls = counters.get("coll.group_alltoallv", 0)
-    group_size = counters.get("coll.group_size", 0)
-    if group_calls and not group_size:
-        errors.append(
-            "coll.group_alltoallv recorded without coll.group_size members"
-        )
-    if group_calls:
-        ranks = other.get("ranks") or 0
-        mean = group_size / group_calls
-        if not 2 <= mean <= max(ranks, 2):
-            errors.append(
-                f"mean group size {mean:.2f} outside 2 .. {ranks} — "
-                "Lemma-4 group derivation looks wrong"
-            )
     return errors
 
 
 def main(argv) -> int:
     parser = argparse.ArgumentParser(description="validate Chrome traces")
     parser.add_argument("traces", nargs="*", help="Chrome-trace JSON files")
-    parser.add_argument("--expect-unfused", action="store_true",
-                        help="require pack and unpack spans instead of "
-                             "forbidding unpack (traces of --no-fused runs)")
     parser.add_argument("--expect-external", action="store_true",
                         help="require a positive algo.external counter "
                              "(traces of budget-degraded out-of-core runs)")
@@ -189,8 +154,7 @@ def main(argv) -> int:
         return 2
     failed = False
     for path in args.traces:
-        errors = check(path, expect_unfused=args.expect_unfused,
-                       expect_external=args.expect_external)
+        errors = check(path, expect_external=args.expect_external)
         if errors:
             failed = True
             print(f"FAIL {path}")

@@ -70,7 +70,6 @@ from repro.sorts import (
 )
 from repro.fft import ParallelFFT
 from repro.records import sort_records
-from repro.runtime import BackendOptions
 from repro.theory import best_algorithm, counts_for, predict
 from repro.trace import PhaseReport, Tracer, build_phase_report, write_chrome_trace
 from repro.utils.rng import make_keys
@@ -88,7 +87,6 @@ __all__ = [
     "SortReport",
     "SORT_ALGORITHMS",
     "SORT_BACKENDS",
-    "BackendOptions",
     # tracing & observability
     "Tracer",
     "PhaseReport",

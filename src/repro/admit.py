@@ -85,8 +85,6 @@ class Request(NamedTuple):
     algorithm: Optional[str]
     backend: Optional[str]
     P: Optional[int]
-    fused: bool
-    grouped: bool
     memory_budget: Optional[int]
     clamped: bool
     budget: bool
@@ -183,8 +181,8 @@ def _route_memory(N, dtype_size, faults, algorithm, backend, P,
 
 
 def admit(N: int, dtype_size: int, *, dtype=None, faults=False,
-          algorithm=None, backend=None, P=None, fused=None, grouped=None,
-          memory_budget=None, disk_budget=None) -> Request:
+          algorithm=None, backend=None, P=None, memory_budget=None,
+          disk_budget=None) -> Request:
     """The verdict at a door with a planner: the :class:`Request`, or a
     raise.  A planner asked about a size alone passes no ``dtype``."""
     if N < 1:
@@ -214,13 +212,11 @@ def admit(N: int, dtype_size: int, *, dtype=None, faults=False,
             errors = [spmd_refusal(a, N, P) for a in algos]
             if all(errors):
                 raise errors[0]
-    return Request(N, dtype_size, algorithm, backend, P,
-                   True if fused is None else fused,
-                   True if grouped is None else grouped,
-                   memory_budget, clamped, budget)
+    return Request(N, dtype_size, algorithm, backend, P, memory_budget,
+                   clamped, budget)
 
 
-def admit_direct(keys, P, algorithm, backend, faults=None, options=None,
+def admit_direct(keys, P, algorithm, backend, faults=None,
                  memory_budget=None) -> Tuple[np.ndarray, str]:
     """The verdict at a door without a planner (``sort()``,
     ``run_chaos_sort``): the keys and the algorithm to run, or a raise."""
@@ -242,16 +238,10 @@ def admit_direct(keys, P, algorithm, backend, faults=None, options=None,
         )
     armed = faults is not None and not faults.is_null
     # The default backend names none, as it does at sort(service=).
-    algorithm, *_, degraded = _route_memory(
+    algorithm, *_ = _route_memory(
         keys.size, keys.dtype.itemsize, armed, algorithm,
         None if backend == "simulated" else backend, P, memory_budget, None,
     )
-    if options is not None and not degraded and (
-            algorithm == "external" or backend == "simulated"):
-        raise ConfigurationError(
-            "backend options tune the SPMD sorts; the external sort and "
-            "the simulated machine take none"
-        )
     if algorithm == "external":
         return keys, algorithm
     if P is None:

@@ -127,7 +127,6 @@ def sort(
     faults: Optional["FaultPlan"] = None,  # noqa: F821 — forward ref
     timeout: float = 120.0,
     verify: bool = True,
-    options: Optional["BackendOptions"] = None,  # noqa: F821
     service: Optional["SortService"] = None,  # noqa: F821 — forward ref
     memory_budget: Optional[int] = None,
 ) -> SortReport:
@@ -166,20 +165,13 @@ def sort(
     verify:
         Check the output element-exactly against ``np.sort`` (on by
         default — the front door favours safety over benchmark purity).
-    options:
-        :class:`~repro.runtime.driver.BackendOptions` flags for the SPMD
-        sort.  Its ``fused`` / ``grouped`` fields (both on by
-        default) toggle the fused zero-copy remap and the
-        Lemma-4 group-scoped exchanges of the SPMD bitonic sort.
-        (Sample sort's single exchange ignores both flags.)
     service:
         A running :class:`~repro.service.SortService`.  When given, the
         call routes through the service's warm world pool instead of
         spawning a one-shot world: the explicitly-passed ``algorithm`` /
-        ``P`` / SPMD ``backend`` / ``options`` flags become forced
-        planner overrides, anything left unsaid (including
-        ``backend="simulated"``, which the service never runs) is the
-        planner's choice.
+        ``P`` / SPMD ``backend`` become forced planner overrides,
+        anything left unsaid (including ``backend="simulated"``, which
+        the service never runs) is the planner's choice.
     memory_budget:
         Working-set bound in bytes.  When the estimated in-memory
         working set of ``keys`` exceeds it, the call degrades to the
@@ -190,10 +182,10 @@ def sort(
     if service is not None:
         return _sort_service(
             np.asarray(keys), P, algorithm, backend, trace, faults, verify,
-            options, service, memory_budget,
+            service, memory_budget,
         )
     keys, algorithm = admit_direct(
-        keys, P, algorithm, backend, faults, options, memory_budget
+        keys, P, algorithm, backend, faults, memory_budget
     )
     if algorithm == "external":
         # The out-of-core path is backend-independent: it runs
@@ -202,7 +194,7 @@ def sort(
     if backend == "simulated":
         return _sort_simulated(keys, P, algorithm, trace, faults, verify)
     return _sort_spmd(
-        keys, P, algorithm, backend, trace, faults, timeout, verify, options
+        keys, P, algorithm, backend, trace, faults, timeout, verify
     )
 
 
@@ -288,8 +280,8 @@ def _sort_external(keys, trace, verify, memory_budget) -> SortReport:
 
 
 def _sort_service(
-    keys, P, algorithm, backend, trace, faults, verify, options,
-    service, memory_budget=None,
+    keys, P, algorithm, backend, trace, faults, verify, service,
+    memory_budget=None,
 ) -> SortReport:
     """Bridge the front door onto a running SortService.
 
@@ -301,15 +293,11 @@ def _sort_service(
     """
     from repro.sorts.base import verify_sorted
 
-    fused = options.fused if options is not None else None
-    grouped = options.grouped if options is not None else None
     outcome = service.sort(
         keys,
         algorithm=algorithm,
         backend=None if backend == "simulated" else backend,
         P=P,
-        fused=fused,
-        grouped=grouped,
         faults=faults,
         trace=trace,
         memory_budget=memory_budget,
@@ -382,14 +370,12 @@ def _sort_simulated(keys, P, algorithm, trace, faults, verify) -> SortReport:
 
 
 def _sort_spmd(
-    keys, P, algorithm, backend, trace, faults, timeout, verify, options
+    keys, P, algorithm, backend, trace, faults, timeout, verify
 ) -> SortReport:
     from repro.faults.plan import FaultInjector
-    from repro.runtime.bitonic_spmd import spmd_bitonic_sort
     from repro.runtime.driver import run_spmd
-    from repro.runtime.sample_spmd import spmd_sample_sort
+    from repro.runtime.jobs import sort_shards_job
     from repro.sorts.base import verify_sorted
-    from repro.trace.recorder import Tracer
     from repro.trace.report import build_phase_report
 
     n = keys.size // P
@@ -397,23 +383,14 @@ def _sort_spmd(
     if faults is not None and not faults.is_null:
         injector = FaultInjector(faults)
 
-    # Algorithm toggles ride in BackendOptions; None means "on".
-    fused = options is None or options.fused is not False
-    grouped = options is None or options.grouped is not False
-
     def prog(comm):
-        if trace:
-            comm.tracer = Tracer(comm.rank)
-        if injector is not None:
-            from repro.faults.transport import ReliableComm
-
-            comm = ReliableComm(comm, injector)
+        # The service's rank program, on this rank's slice.
         shard = keys[comm.rank * n : (comm.rank + 1) * n]
-        if algorithm == "sample":
-            out = spmd_sample_sort(comm, shard)
-        else:
-            out = spmd_bitonic_sort(comm, shard, fused=fused, grouped=grouped)
-        return out, comm.tracer
+        outs, tracers = sort_shards_job(
+            comm, [shard], trace=trace, injector=injector,
+            algorithm=algorithm,
+        )
+        return outs[0], tracers[0]
 
     start = time.perf_counter()
     parts = run_spmd(P, prog, timeout=timeout, backend=backend)

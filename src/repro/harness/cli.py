@@ -228,14 +228,6 @@ def _cmd_trace(args) -> int:
     from repro.utils.rng import make_keys
 
     keys = make_keys(args.keys, distribution=args.distribution, seed=args.seed)
-    options = None
-    if args.no_fused or args.no_group:
-        from repro.runtime import BackendOptions
-
-        options = BackendOptions(
-            fused=False if args.no_fused else None,
-            grouped=False if args.no_group else None,
-        )
     try:
         report = sort(
             keys,
@@ -244,7 +236,6 @@ def _cmd_trace(args) -> int:
             backend="threads",
             trace=True,
             timeout=args.timeout,
-            options=options,
         )
     except ReproError as exc:
         print(f"trace failed: {exc}", file=sys.stderr)
@@ -811,19 +802,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--procs", type=int, default=4)
     p_trace.add_argument("--algorithm", default="smart",
                          choices=("smart", "sample"),
-                         help="SPMD sort to trace (sample ignores the "
-                              "fused/group flags)")
+                         help="SPMD sort to trace")
     p_trace.add_argument("--out", default="trace.json",
                          help="Chrome-trace JSON output path")
     p_trace.add_argument("--distribution", default="uniform")
     p_trace.add_argument("--seed", type=int, default=0)
     p_trace.add_argument("--timeout", type=float, default=120.0)
-    p_trace.add_argument("--no-fused", action="store_true",
-                         help="disable the fused pack/transfer/unpack "
-                              "remap (run the classic 3-phase remap)")
-    p_trace.add_argument("--no-group", action="store_true",
-                         help="disable Lemma-4 group-scoped exchanges "
-                              "(every remap synchronizes the whole world)")
     p_trace.set_defaults(fn=_cmd_trace)
 
     p_serve = sub.add_parser(

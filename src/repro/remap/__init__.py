@@ -10,9 +10,8 @@ simulator's gather/scatter index vectors; :mod:`repro.remap.cache`
 memoizes those plans by layout value; :mod:`repro.remap.exchange` executes
 a remap on the simulated machine in long- or short-message mode, with or
 without pack/unpack fused into the local computation (§4.3);
-:mod:`repro.remap.groups` derives the Lemma-4 communication groups that
-let the executable backends scope each exchange to ``2**N_BitsChanged``
-ranks instead of the world.
+:mod:`repro.remap.groups` derives the Lemma-4 communication groups of
+``2**N_BitsChanged`` ranks that each remap's data stays within.
 """
 
 from repro.remap.masks import (

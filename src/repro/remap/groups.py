@@ -12,11 +12,11 @@ This module derives that partition from the layout algebra alone (no
 per-element work): :func:`destination_procs` enumerates, in
 ``O(2**N_BitsChanged)`` integer operations, the processors rank ``r`` can
 send to, and :func:`remap_group_partition` closes the send relation into
-the group partition with a union-find over the ``P`` ranks.  Every rank of
-an SPMD world computes the same partition independently — pure index
-algebra, no coordination — which is what lets the executable backends
-scope their per-stage ``alltoallv`` barriers and descriptor scans to the
-group instead of the world (:meth:`repro.runtime.api.Comm.group_alltoallv`).
+the group partition with a union-find over the ``P`` ranks.  Every rank
+computes the same partition independently — pure index algebra, no
+coordination.  The SPMD runtime does not scope its exchanges by it: there
+every remap is one world-wide ``alltoallv``, because a group-scoped
+exchange never won by more than ~1.05x (docs/PERFORMANCE.md).
 
 Partitions are memoized per layout pair (layouts hash by value), so the
 cost is paid once per ``(N, P, schedule phase)`` shape for the life of the

@@ -18,7 +18,7 @@ Porting to MPI is a matter of implementing :class:`Comm` over
 """
 
 from repro.runtime.api import Comm
-from repro.runtime.driver import BACKENDS, BackendOptions, run_spmd, spawn_world
+from repro.runtime.driver import BACKENDS, run_spmd, spawn_world
 from repro.runtime.world import World
 from repro.runtime.threads import ThreadComm, ThreadWorld
 from repro.runtime.bitonic_spmd import spmd_bitonic_sort
@@ -31,7 +31,6 @@ from repro.runtime.fft_spmd import (
 
 __all__ = [
     "BACKENDS",
-    "BackendOptions",
     "Comm",
     "ThreadComm",
     "ThreadWorld",

@@ -36,7 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover — avoid a runtime->faults import cycle
 from repro.layouts.base import BitFieldLayout
 from repro.layouts.schedule import smart_schedule
 from repro.layouts.smart import SmartParams, smart_params
-from repro.remap.groups import remap_group
 from repro.remap.masks import RemapMasks, remap_masks
 from repro.runtime.api import Comm
 from repro.trace.recorder import trace_span
@@ -49,8 +48,6 @@ def spmd_bitonic_sort(
     comm: Comm,
     local_keys: np.ndarray,
     checkpoint: Optional["CheckpointStore"] = None,
-    fused: bool = True,
-    grouped: bool = True,
 ) -> np.ndarray:
     """Sort the distributed array whose rank-``r`` partition is
     ``local_keys``, returning this rank's partition of the globally sorted
@@ -67,21 +64,18 @@ def spmd_bitonic_sort(
     are phase-labelled via their ``set_phase`` hook so errors and injected
     faults can name the sort phase they hit.
 
-    Every remap is one exchange.  ``fused`` (the default, §4.3) deposits
-    the pack mask's strided views of the partition, and each receiver
-    writes every key once, into its final slot, inside ``transfer``: no
-    ``unpack`` span, and ``pack`` only moves the kept block.  Unfused,
-    each message is packed into a copy and unpacked in its own span.
-    ``grouped`` (the default) scopes every exchange to its Lemma-4 group
-    of ``2**N_BitsChanged`` ranks, so synchronization fan-in no longer
-    spans the world.  No rank mutates an array it has deposited.
+    Every remap is one world-wide ``alltoallv``, with pack and unpack
+    fused into it (§4.3): each rank deposits the pack mask's strided
+    views of its partition, and each receiver writes every key once,
+    into its final slot, inside ``transfer``.  ``pack`` only moves the
+    kept block, and there is no separate unpack pass.  No rank mutates
+    an array it has deposited.
 
     When ``comm.tracer`` carries a :class:`~repro.trace.recorder.Tracer`,
     the sort records its phase spans (``local_sort`` and per-remap
-    ``address`` / ``pack`` / ``transfer`` [/ ``unpack`` when unfused] /
-    ``merge``) plus a ``remaps`` counter; the communicator's own ``wait``
-    spans nest inside.  With no tracer the instrumentation is a
-    zero-allocation no-op.
+    ``address`` / ``pack`` / ``transfer`` / ``merge``) plus a ``remaps``
+    counter; the communicator's own ``wait`` spans nest inside.  With no
+    tracer the instrumentation is a zero-allocation no-op.
     """
     data = np.asarray(local_keys)  # every path below sorts into a copy
     P, r = comm.size, comm.rank
@@ -143,9 +137,6 @@ def spmd_bitonic_sort(
             tracer.add("remaps")
         with trace_span(tracer, "address", stage):
             masks = remap_masks(layout, phase.layout, r)
-            # Lemma 4: this remap only exchanges within a group of
-            # 2**N_BitsChanged ranks — pure bit algebra, no coordination.
-            group = remap_group(layout, phase.layout, r) if grouped else None
         with trace_span(tracer, "pack", stage):
             src = data.reshape(masks.src_dims)
             fresh = np.empty(n, dtype=data.dtype)
@@ -153,22 +144,14 @@ def spmd_bitonic_sort(
             if masks.keep is not None:
                 keep_src, keep_dst = masks.keep
                 dst[keep_dst] = src[keep_src].transpose(masks.perm)
-            # Fused (§4.3): the strided view itself travels and the
-            # receiver writes each key once, into its final slot.
-            # Unfused: the packed long message.
+            # §4.3: the strided view itself travels and the receiver
+            # writes each key once, into its final slot.
             buckets: List[Optional[np.ndarray]] = [None] * P
             for q, idx in masks.send:
-                buckets[q] = src[idx] if fused else src[idx].copy()
+                buckets[q] = src[idx]
         with trace_span(tracer, "transfer", stage):
-            if group is not None and len(group) < P:
-                received = comm.group_alltoallv(buckets, group)
-            else:
-                received = comm.alltoallv(buckets)
-            if fused:
-                _unpack(dst, masks, received, r)
-        if not fused:
-            with trace_span(tracer, "unpack", stage):
-                _unpack(dst, masks, received, r)
+            received = comm.alltoallv(buckets)
+            _unpack(dst, masks, received, r)
         # Drop the old partition and the peers' views before the merge.
         del src, buckets, received
         data = fresh

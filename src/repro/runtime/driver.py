@@ -12,49 +12,20 @@ The contract: ``fn(comm)`` runs on every rank against the
 :class:`~repro.runtime.api.Comm` interface, results come back indexed by
 rank, the first rank failure is re-raised in the caller, and one
 wall-clock ``timeout`` bounds the whole world.
-
-The sort's communication flags ride in one typed :class:`BackendOptions`
-dataclass rather than loose keyword arguments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List
 
 from repro.errors import ConfigurationError
 from repro.runtime.api import Comm
 from repro.runtime.world import World
 
-__all__ = ["BackendOptions", "run_spmd", "spawn_world", "BACKENDS"]
+__all__ = ["run_spmd", "spawn_world", "BACKENDS"]
 
 #: Names accepted by :func:`run_spmd`'s ``backend`` argument.
 BACKENDS = ("threads",)
-
-
-@dataclass(frozen=True)
-class BackendOptions:
-    """Typed flags for the SPMD bitonic sort's communication.
-
-    They tune the sort running on a world (:func:`repro.api.sort`,
-    :func:`repro.runtime.bitonic_spmd.spmd_bitonic_sort`), not the world
-    itself.  Every field defaults to ``None``, which means **on**.
-
-    Attributes
-    ----------
-    fused:
-        Fuse each remap's pack and unpack into the exchange (§4.3):
-        senders deposit strided views of their partition and each
-        receiver writes every key once, straight into its final slot.
-        Off, senders pack each long message into a contiguous copy and
-        receivers unpack it in a separate pass.
-    grouped:
-        Scope each remap exchange to its Lemma-4 communication group of
-        ``2**N_BitsChanged`` ranks instead of the world.
-    """
-
-    fused: Optional[bool] = None
-    grouped: Optional[bool] = None
 
 
 def _check_backend(backend: str) -> None:

@@ -5,8 +5,8 @@ a shared mailbox matrix plus a reusable barrier: a phase's senders deposit
 references, everyone synchronizes, receivers pick up, everyone synchronizes
 again (so the mailbox can be reused).  NumPy array payloads are passed by
 reference — callers must not mutate a sent buffer afterwards, same as with
-a zero-copy MPI transport.  The fused bitonic sort deposits strided views
-of its partition itself; it builds each phase's partition in a fresh
+a zero-copy MPI transport.  The bitonic sort deposits strided views of
+its partition itself; it builds each phase's partition in a fresh
 buffer, so no rank ever mutates an array it has deposited.
 
 NumPy kernels drop the GIL, so ranks' local phases genuinely overlap on
@@ -19,7 +19,7 @@ from __future__ import annotations
 import threading
 import time
 from queue import Empty, SimpleQueue
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -59,7 +59,7 @@ class _Barrier:
 
     def __init__(self, parties: int):
         self.parties = parties
-        #: Set by :meth:`abort`, for good; ``sendrecv`` polls it.
+        #: Set by :meth:`abort`, for good.
         self.broken = False
         self._count = 0
         self._generation = 0
@@ -96,48 +96,6 @@ class _SharedState:
         # mailbox[src][dst] — written by src, read by dst, between barriers.
         self.mailbox: List[List[Any]] = [[None] * size for _ in range(size)]
         self.gather_slots: List[Any] = [None] * size
-        # Pairwise sendrecv channels, created on first use: (src, dst) ->
-        # FIFO queue.  Unlike the mailbox they need no barrier — a pair
-        # exchanging data does not synchronize the rest of the world.
-        self.channels: Dict[Tuple[int, int], SimpleQueue] = {}
-        self.channel_lock = threading.Lock()
-        # Sub-world barriers for group-scoped collectives (Lemma 4),
-        # created on first use per distinct member tuple.  A group barrier
-        # only synchronizes the group's members, so disjoint groups cross
-        # their exchanges concurrently instead of waiting world-wide.
-        self.group_barriers: Dict[Tuple[int, ...], _Barrier] = {}
-        self.group_lock = threading.Lock()
-        self.aborted = False
-
-    def channel(self, src: int, dst: int) -> SimpleQueue:
-        ch = self.channels.get((src, dst))
-        if ch is None:
-            with self.channel_lock:
-                ch = self.channels.setdefault((src, dst), SimpleQueue())
-        return ch
-
-    def group_barrier_for(self, group: Tuple[int, ...]) -> _Barrier:
-        bar = self.group_barriers.get(group)
-        if bar is None:
-            with self.group_lock:
-                if self.aborted:
-                    # A peer already failed; joining a fresh barrier would
-                    # hang forever waiting for the dead.
-                    raise threading.BrokenBarrierError
-                bar = self.group_barriers.setdefault(
-                    group, _Barrier(len(group))
-                )
-        return bar
-
-    def abort_all(self) -> None:
-        """Break the world barrier *and* every group barrier, so no rank
-        can block on a synchronization the failed peer will never join."""
-        with self.group_lock:
-            self.aborted = True
-            barriers = list(self.group_barriers.values())
-        self.barrier.abort()
-        for bar in barriers:
-            bar.abort()
 
 
 class ThreadComm(Comm):
@@ -191,47 +149,6 @@ class ThreadComm(Comm):
         self.barrier()  # all pickups done; mailbox reusable
         return received
 
-    def _group_barrier(self, group: Tuple[int, ...]) -> None:
-        with trace_span(self.tracer, "wait", "group-barrier"):
-            try:
-                self._state.group_barrier_for(group).wait()
-            except threading.BrokenBarrierError as exc:
-                raise CommunicationError(
-                    "SPMD world collapsed: a peer rank failed (see its "
-                    "traceback)"
-                ) from exc
-
-    def group_alltoallv(
-        self,
-        buckets: Sequence[Optional[np.ndarray]],
-        group: Sequence[int],
-    ) -> List[Optional[np.ndarray]]:
-        """Group-scoped ``alltoallv``: only the group's mailbox slots are
-        deposited/scanned and only the group's members synchronize, so
-        per-stage slot work and barrier fan-in drop from ``O(P)`` to
-        ``O(len(group))`` — the executable face of Lemma 4."""
-        g = self._check_group(buckets, group)
-        tr = self.tracer
-        if tr is not None:
-            tr.add("coll.group_alltoallv")
-            tr.add("coll.group_size", len(g))
-            tr.add("coll.slots", len(g))
-            for q in g:
-                payload = buckets[q]
-                if q != self.rank and payload is not None:
-                    tr.add("messages")
-                    tr.add("bytes_sent", _payload_nbytes(payload))
-        row = self._state.mailbox[self.rank]
-        for q in g:
-            row[q] = buckets[q]
-        self._group_barrier(g)  # group deposits visible
-        received: List[Optional[np.ndarray]] = [None] * self.size
-        for p in g:
-            received[p] = self._state.mailbox[p][self.rank]
-            self._state.mailbox[p][self.rank] = None
-        self._group_barrier(g)  # group pickups done; slots reusable
-        return received
-
     def allgather(self, value: Any) -> List[Any]:
         if self.tracer is not None:
             self.tracer.add("coll.allgather")
@@ -259,57 +176,16 @@ class ThreadComm(Comm):
             self._state.gather_slots[root] = None
         return out
 
-    def sendrecv(
-        self, send: Optional[np.ndarray], dst: int, src: int
-    ) -> Optional[np.ndarray]:
-        """Genuinely pairwise exchange over per-pair FIFO channels.
-
-        Unlike the :class:`~repro.runtime.api.Comm` fallback this never
-        crosses the world barrier or scans ``size`` mailbox slots: the
-        pair (and only the pair) synchronizes, so disjoint pairs exchange
-        concurrently without waiting on each other.
-        """
-        if not (0 <= dst < self.size and 0 <= src < self.size):
-            raise CommunicationError(
-                f"rank {self.rank}: sendrecv peers ({dst}, {src}) outside "
-                f"world of {self.size}"
-            )
-        tr = self.tracer
-        with trace_span(tr, "transfer", "sendrecv"):
-            if tr is not None:
-                tr.add("coll.sendrecv")
-                tr.add("coll.slots")
-            if dst != self.rank:
-                # Always deposit (None included) so the matched receiver
-                # never blocks on a nothing-to-send exchange.
-                if tr is not None and send is not None:
-                    tr.add("messages")
-                    tr.add("bytes_sent", _payload_nbytes(send))
-                self._state.channel(self.rank, dst).put(send)
-            if src == self.rank:
-                return None
-            channel = self._state.channel(src, self.rank)
-            with trace_span(tr, "wait", "sendrecv-recv"):
-                while True:
-                    try:
-                        return channel.get(timeout=0.05)
-                    except Empty:
-                        if self._state.barrier.broken:
-                            raise CommunicationError(
-                                "SPMD world collapsed: a peer rank failed "
-                                "while this rank waited in sendrecv"
-                            ) from None
-
 
 class ThreadWorld(World):
     """A persistent in-process SPMD world.
 
     ``size`` daemon rank threads are started once; each builds its
     :class:`ThreadComm` against one shared :class:`_SharedState` and then
-    loops on a per-rank job queue, so mailbox matrix, barriers and
-    channels are reused across jobs.  A job failure breaks the world's
-    barriers permanently (:meth:`_SharedState.abort_all`), so the world
-    goes dead and refuses further jobs — pools replace dead worlds.
+    loops on a per-rank job queue, so the mailbox matrix and the barrier
+    are reused across jobs.  A job failure breaks the world's barrier
+    permanently (:meth:`_Barrier.abort`), so the world goes dead and
+    refuses further jobs — pools replace dead worlds.
     """
 
     backend = "threads"
@@ -345,7 +221,7 @@ class ThreadWorld(World):
             try:
                 result = fn(comm) if args is None else fn(comm, *args)
             except BaseException as exc:  # noqa: BLE001 — re-raised in caller
-                self._state.abort_all()  # unblock peers before reporting
+                self._state.barrier.abort()  # unblock peers before reporting
                 self._result_q.put((rank, job, False, exc))
                 return  # broken barriers are permanent: rank retires
             comm.tracer = None  # jobs arm their own tracer; never leak
@@ -390,7 +266,7 @@ class ThreadWorld(World):
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 self._dead = True
-                self._state.abort_all()
+                self._state.barrier.abort()
                 stuck = reported.index(False)
                 raise SpmdTimeoutError(
                     f"SPMD rank spmd-rank-{stuck} did not finish within "

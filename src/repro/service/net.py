@@ -399,8 +399,8 @@ def _shm_path(name: str) -> str:
 #: refuse its request.
 _SORT_FIELDS = {
     "id": (str,), "dtype": (str,), "shape": (list,), "P": (int,),
-    "fused": (bool,), "grouped": (bool,), "algorithm": (str,),
-    "backend": (str,), "budget_s": (int, float), "shm": (str,),
+    "algorithm": (str,), "backend": (str,), "budget_s": (int, float),
+    "shm": (str,),
 }
 
 
@@ -754,8 +754,6 @@ class SortServer:
                 algorithm=meta.get("algorithm", "smart"),
                 backend=meta.get("backend"),
                 P=meta.get("P"),
-                fused=meta.get("fused"),
-                grouped=meta.get("grouped"),
                 deadline_s=budget,
             )
             outcome = ticket.result(
@@ -1009,8 +1007,6 @@ class SortClient:
         algorithm: Optional[str] = None,
         backend: Optional[str] = None,
         P: Optional[int] = None,
-        fused: Optional[bool] = None,
-        grouped: Optional[bool] = None,
         trace: bool = False,
     ) -> ClientOutcome:
         """Sort ``keys`` on the server; deadline-aware, retrying, typed.
@@ -1052,7 +1048,6 @@ class SortClient:
                     outcome, shm_name = self._attempt_sort(
                         rid, keys, shm_name, deadline_at, tracer,
                         algorithm=algorithm, backend=backend, P=P,
-                        fused=fused, grouped=grouped,
                     )
                     outcome.attempts = attempts
                     outcome.wall_s = time.monotonic() - started
@@ -1114,7 +1109,7 @@ class SortClient:
             "dtype": str(keys.dtype.str),
             "shape": [int(keys.size)],
         }
-        for key in ("algorithm", "backend", "P", "fused", "grouped"):
+        for key in ("algorithm", "backend", "P"):
             if opts.get(key) is not None:
                 meta[key] = opts[key]
         if deadline_at is not None:

@@ -3,9 +3,8 @@
 Given a request's ``(N, dtype, faults)`` the planner chooses the cheapest
 execution: **algorithm** (smart bitonic vs sample sort — the Figure
 5.7/5.8 crossover, priced live; the out-of-core external sort only when
-forced or when the memory budget degrades the request), world size
-``P``, and the fused/grouped communication flags — using the
-paper's closed forms priced with the host's calibrated
+forced or when the memory budget degrades the request) and world size
+``P`` — using the paper's closed forms priced with the host's calibrated
 :class:`~repro.service.profile.HostProfile`.  This mirrors how
 engineered distributed sorters pick algorithms from machine parameters
 instead of hardcoding one.
@@ -19,9 +18,8 @@ is priced without world dispatch, since the service runs it in its
 dispatcher thread) → **pick** (the first minimum).
 
 Every choice has a **forced-override escape hatch**: pass
-``algorithm=``, ``backend=``, ``P=``, ``fused=`` or ``grouped=`` to
-:meth:`Planner.plan` and the planner optimizes only the remaining free
-dimensions.
+``algorithm=``, ``backend=`` or ``P=`` to :meth:`Planner.plan` and the
+planner optimizes only the remaining free dimensions.
 """
 
 from __future__ import annotations
@@ -63,13 +61,13 @@ class PlanDecision:
     backend: str
     P: int
     algorithm: str
-    fused: bool
-    grouped: bool
     est_seconds: float
     clamped: bool = False
     source: str = "model"
     candidates: Dict[str, float] = field(default_factory=dict)
     # Constants, not fields: perfbench/ladder.py still reads these names.
+    fused = True
+    grouped = False
     overlap = False
     chunks = 1
 
@@ -80,8 +78,7 @@ class PlanDecision:
             + f"{self.backend}x{self.P}"
         )
         lines = [
-            f"plan: {self.algorithm} on {self.backend} x {self.P}, "
-            f"fused={self.fused} grouped={self.grouped}"
+            f"plan: {self.algorithm} on {self.backend} x {self.P}"
             + f" (~{self.est_seconds * 1e3:.3f} ms, source={self.source}"
             + (", budget-clamped" if self.clamped else "")
             + ")"
@@ -93,7 +90,7 @@ class PlanDecision:
 
 
 class Planner:
-    """Choose (algorithm, P, flags) per request from the host profile
+    """Choose (algorithm, backend, P) per request from the host profile
     (the built-in one when none is given)."""
 
     def __init__(self, profile: Optional[HostProfile] = None):
@@ -116,8 +113,6 @@ class Planner:
         algorithm: Optional[str] = None,
         backend: Optional[str] = None,
         P: Optional[int] = None,
-        fused: Optional[bool] = None,
-        grouped: Optional[bool] = None,
         memory_budget: Optional[int] = None,
     ) -> PlanDecision:
         """Plan one sort request of ``N`` keys.
@@ -150,8 +145,7 @@ class Planner:
         """
         return self.decide(admit(
             N, dtype_size, faults=faults, algorithm=algorithm,
-            backend=backend, P=P, fused=fused, grouped=grouped,
-            memory_budget=memory_budget,
+            backend=backend, P=P, memory_budget=memory_budget,
         ))
 
     def decide(self, req: Request) -> PlanDecision:
@@ -163,8 +157,7 @@ class Planner:
         for algo, b, p in self._candidates(req):
             name = ("" if algo == "smart" else f"{algo}:") + f"{b}x{p}"
             est = self.profile.estimate(
-                req.N, p, b, algorithm=algo, fused=req.fused,
-                grouped=req.grouped, dtype_size=req.dtype_size,
+                req.N, p, b, algorithm=algo, dtype_size=req.dtype_size,
                 memory_budget=req.memory_budget,
             )
             candidates[name] = est
@@ -181,8 +174,6 @@ class Planner:
             backend=b,
             P=p,
             algorithm=algo,
-            fused=req.fused,
-            grouped=req.grouped,
             est_seconds=est,
             clamped=req.clamped,
             source=source,
@@ -227,13 +218,12 @@ class Planner:
         regime)."""
         lines = [
             f"{'keys':>10}  {'algorithm':<9} {'backend':<8} {'P':>2}  "
-            f"{'fused':<5} {'grouped':<7} {'est':>10}"
+            f"{'est':>10}"
         ]
         for N in sizes:
             d = self.plan(N, memory_budget=memory_budget)
             lines.append(
                 f"{N:>10,}  {d.algorithm:<9} {d.backend:<8} {d.P:>2}  "
-                f"{str(d.fused):<5} {str(d.grouped):<7} "
                 f"{d.est_seconds * 1e3:>8.3f}ms"
             )
         return "\n".join(lines)

@@ -8,7 +8,7 @@ formulas need *host* numbers.  A :class:`HostProfile` carries them:
 
 * the measured ``np.sort`` rate, in ns per key — the kernel every local
   sort and merge phase of the runtime runs — plus the per-element
-  pack/unpack/fused-pack and addressing rates;
+  unpack, fused-pack and addressing rates;
 * per-backend :class:`BackendCosts` — LogGP parameters fitted to the
   backend's collectives plus the serving-specific fixed cost the closed
   forms do not cover: warm job dispatch;
@@ -49,9 +49,10 @@ __all__ = ["BackendCosts", "HostProfile", "PROFILE_SCHEMA"]
 #: /3 adds measured sequential disk read/write bandwidth, which prices
 #: the out-of-core external-sort regime.  Older files are rejected:
 #: re-run the calibration.  A /3 file written before the procs
-#: backend's, the adapter's or the spill fsync's removal still loads:
-#: its ``procs`` lane, the fields only that backend used, its ``adapt``
-#: blob and its ``fsync_s`` are ignored.
+#: backend's, the adapter's, the spill fsync's or the unfused remap's
+#: removal still loads: its ``procs`` lane, the fields only that backend
+#: used, its ``adapt`` blob, its ``fsync_s`` and its ``pack_us`` are
+#: ignored.
 PROFILE_SCHEMA = "repro-bitonic-profile/3"
 
 #: ``np.sort`` ns per 4-byte key when a profile carries no measurement:
@@ -108,8 +109,8 @@ class HostProfile:
     """Everything the planner knows about the serving host."""
 
     cpus: int
-    #: Per-element remap rates, µs (see :class:`ComputeCosts`).
-    pack_us: float
+    #: Per-element rates, µs (see :class:`ComputeCosts`): the sample
+    #: sort's unpack, the fused remap's pack and address computation.
     unpack_us: float
     fused_pack_us: float
     address_us: float
@@ -144,7 +145,6 @@ class HostProfile:
         """
         return cls(
             cpus=_usable_cpus(),
-            pack_us=0.010,
             unpack_us=0.008,
             fused_pack_us=0.004,
             address_us=0.001,
@@ -166,7 +166,6 @@ class HostProfile:
             radix_pass=sort_us / _SORT_PASSES,
             merge=sort_us,
             compare_exchange=sort_us,
-            pack=self.pack_us,
             unpack=self.unpack_us,
             address=self.address_us,
             fused_pack=self.fused_pack_us,
@@ -197,8 +196,6 @@ class HostProfile:
         backend: str,
         *,
         algorithm: str = "smart",
-        fused: bool = True,
-        grouped: bool = True,
         dtype_size: int = KEY_BYTES,
         memory_budget: Optional[int] = None,
     ) -> float:
@@ -208,9 +205,9 @@ class HostProfile:
         (:func:`repro.theory.predict.predict` with this host's spec) for
         the requested ``algorithm`` (``"smart"`` bitonic or ``"sample"``);
         oversubscription scales it by ``P / min(P, cpus)`` because ranks
-        beyond the core count serialize.  Ungrouped runs pay the full
-        world-barrier fan-in per remap instead of the Lemma-4 group
-        fan-in.  On top rides the warm world's job dispatch — except at
+        beyond the core count serialize.  Every remap pays the world
+        barrier's fan-in, one ``o`` per rank.  On top rides the warm
+        world's job dispatch — except at
         ``P=1``, which the service runs in its dispatcher thread with no
         world.  ``algorithm="external"`` prices
         :meth:`estimate_external` under ``memory_budget``.
@@ -223,7 +220,7 @@ class HostProfile:
         if external:
             key: Tuple[Any, ...] = (algorithm, N, dtype_size, memory_budget)
         else:
-            key = (algorithm, N, P, backend, dtype_size, fused, grouped)
+            key = (algorithm, N, P, backend, dtype_size)
         prices = self._prices
         price = prices.get(key)
         if price is None:
@@ -236,8 +233,7 @@ class HostProfile:
                     N, dtype_size=dtype_size, memory_budget=memory_budget
                 )
             else:
-                price = self._price(N, P, backend, algorithm, fused,
-                                    grouped)
+                price = self._price(N, P, backend, algorithm)
             if len(prices) >= PRICE_MEMO_LIMIT:
                 prices.clear()
             prices[key] = price
@@ -249,8 +245,6 @@ class HostProfile:
         P: int,
         backend: str,
         algorithm: str,
-        fused: bool,
-        grouped: bool,
     ) -> float:
         """The in-memory closed form behind :meth:`estimate`,
         unmemoized."""
@@ -265,29 +259,18 @@ class HostProfile:
                 f"profile has no backend {backend!r}; "
                 f"knows {sorted(self.backends)}"
             )
-        spec = self.machine_spec(backend, P)
-        if algorithm == "smart":
-            pt = predict("smart", N, P, spec=spec, fused=fused)
-        else:
-            pt = predict(algorithm, N, P, spec=spec)
-        busy_us = pt.total
+        busy_us = predict(
+            algorithm, N, P, spec=self.machine_spec(backend, P)
+        ).total
         if P > 1:
-            if algorithm == "smart":
-                counts = counts_for("smart", N, P)
-                remaps = counts.remaps
-                messages = counts.messages
-            else:
-                # Sample sort: one redistribution of P - 1 messages, and
-                # its single exchange always spans the whole world.
-                remaps, messages = 1, P - 1
-            # Synchronization fan-in per remap: each member waits on the
-            # group (Lemma 4) or on the whole world, one ``o`` per peer
-            # it must observe.  Groups average far fewer members.
-            mean_group = max(2.0, messages / remaps + 1)
-            fanin = (
-                mean_group if grouped and algorithm == "smart" else float(P)
+            # Sample sort redistributes once; every remap is one
+            # world-wide exchange, whose barrier each rank waits on, one
+            # ``o`` per rank it must observe.
+            remaps = (
+                counts_for("smart", N, P).remaps if algorithm == "smart"
+                else 1
             )
-            busy_us += remaps * costs.o * fanin
+            busy_us += remaps * costs.o * P
         oversub = P / max(1, min(P, self.cpus))
         wall = busy_us * oversub / 1e6
         if P > 1:

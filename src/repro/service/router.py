@@ -88,8 +88,6 @@ class LocalShard:
         algorithm: Optional[str] = None,
         backend: Optional[str] = None,
         P: Optional[int] = None,
-        fused: Optional[bool] = None,
-        grouped: Optional[bool] = None,
         trace: bool = False,
     ) -> ClientOutcome:
         started = time.monotonic()
@@ -100,13 +98,19 @@ class LocalShard:
             algorithm=algorithm or "smart",
             backend=backend,
             P=P,
-            fused=fused,
-            grouped=grouped,
             deadline_s=deadline_s,
+            trace=trace,
         )
         outcome = ticket.result(
             deadline_s if deadline_s is not None else RESULT_TIMEOUT_S
         )
+        tracer = None
+        if trace:
+            # One tracer per request, as a SortClient returns: the rank
+            # spans and the service's queue lane.
+            tracer = Tracer(0)
+            for part in outcome.tracers or ():
+                tracer.absorb(part)
         return ClientOutcome(
             sorted_keys=outcome.sorted_keys,
             request_id=f"local-{outcome.request_id}",
@@ -122,6 +126,7 @@ class LocalShard:
                 "batch_size": 1,  # as a SortServer's RESULT frame
                 "retries": outcome.retries,
             },
+            tracer=tracer,
         )
 
     def health(self, timeout_s: float = 5.0) -> Dict[str, Any]:
@@ -327,8 +332,6 @@ class ShardRouter:
         algorithm: Optional[str] = None,
         backend: Optional[str] = None,
         P: Optional[int] = None,
-        fused: Optional[bool] = None,
-        grouped: Optional[bool] = None,
         trace: bool = False,
     ) -> ClientOutcome:
         """Sort via the pool, failing over across shards inside the
@@ -368,8 +371,6 @@ class ShardRouter:
                     algorithm=algorithm,
                     backend=backend,
                     P=P,
-                    fused=fused,
-                    grouped=grouped,
                     trace=trace,
                 )
             except (RequestTimeoutError, ConfigurationError):
@@ -408,7 +409,7 @@ class ShardRouter:
                 if tracer is not None and out.tracer is not None:
                     # Fold the shard-level spans under the router tracer
                     # so one request reads as one timeline.
-                    tracer.spans.extend(out.tracer.spans)
+                    tracer.absorb(out.tracer)
                 out.tracer = tracer if tracer is not None else out.tracer
                 return out
             tried.add(name)

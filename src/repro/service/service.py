@@ -34,6 +34,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -281,8 +282,6 @@ class SortService:
         algorithm: Optional[str] = None,
         backend: Optional[str] = None,
         P: Optional[int] = None,
-        fused: Optional[bool] = None,
-        grouped: Optional[bool] = None,
         faults: Optional[Any] = None,
         deadline_s: Optional[float] = None,
         trace: bool = False,
@@ -290,7 +289,7 @@ class SortService:
     ) -> Ticket:
         """Enqueue one sort request; returns its :class:`Ticket`.
 
-        ``algorithm``/``backend``/``P``/``fused``/``grouped`` are forced
+        ``algorithm``/``backend``/``P`` are forced
         overrides for the planner (``None`` = planner chooses, including
         the smart-bitonic-vs-sample algorithm routing).  Raises
         :class:`~repro.errors.AdmissionError` when the queue is full or the
@@ -324,7 +323,7 @@ class SortService:
             request = admit(
                 keys.size, keys.dtype.itemsize, dtype=keys.dtype,
                 faults=have_faults, algorithm=algorithm, backend=backend,
-                P=P, fused=fused, grouped=grouped, memory_budget=budget,
+                P=P, memory_budget=budget,
                 disk_budget=self._disk_budget,
             )
         except MemoryBudgetError:
@@ -447,23 +446,18 @@ class SortService:
             injector = FaultInjector(p.faults)
         P = d.P
         n = p.keys.size // P
-        # Rank r sorts its slice; False, 1: sort_shards_job's unused
-        # overlap/chunks slots.
-        rank_args = [
-            ([p.keys[r * n:(r + 1) * n]], d.fused, d.grouped, p.trace,
-             injector, False, 1, d.algorithm)
-            for r in range(P)
-        ]
+        job = partial(sort_shards_job, trace=p.trace, injector=injector,
+                      algorithm=d.algorithm)
+        # Rank r sorts its slice.
+        rank_args = [([p.keys[r * n:(r + 1) * n]],) for r in range(P)]
         retries = 0
         if _needs_world(d, injector is not None):
-            rank_results, retries = self._run_on_world(p, rank_args)
+            rank_results, retries = self._run_on_world(p, job, rank_args)
         else:
             # One rank, no fault plan: the same job on a one-rank
             # communicator, here in the dispatcher thread — no pool
             # acquire, no hand-off to a rank thread.
-            rank_results = [
-                sort_shards_job(ThreadComm(0, _SharedState(1)), *rank_args[0])
-            ]
+            rank_results = [job(ThreadComm(0, _SharedState(1)), *rank_args[0])]
         done_at = time.perf_counter()
         parts = [outs[0] for outs, _ in rank_results]
         out = parts[0] if P == 1 else np.concatenate(parts)
@@ -515,8 +509,6 @@ class SortService:
                     "algorithm": d.algorithm,
                     "backend": d.backend,
                     "P": d.P,
-                    "fused": d.fused,
-                    "grouped": d.grouped,
                     "est_s": d.est_seconds,
                     "queue_wait_s": outcome.queue_wait_s,
                     "run_s": outcome.run_s,
@@ -527,10 +519,10 @@ class SortService:
         p.ticket._resolve(outcome)
 
     def _run_on_world(
-        self, p: _Pending, rank_args: List[tuple]
+        self, p: _Pending, job: Callable[..., Any], rank_args: List[tuple]
     ) -> Tuple[List[Any], int]:
-        """Run ``sort_shards_job`` on a pooled world: the per-rank results
-        and the world-replacement retries it took."""
+        """Run ``job`` (``sort_shards_job``) on a pooled world: the
+        per-rank results and the world-replacement retries it took."""
         d = p.decision
         # Deadline propagation into the world dispatch: a request with a
         # budget may not run past it (an overdue one was already expired).
@@ -543,7 +535,7 @@ class SortService:
             world = self.pool.acquire(d.backend, d.P)
             try:
                 rank_results = world.run(
-                    sort_shards_job, rank_args=rank_args, timeout=timeout
+                    job, rank_args=rank_args, timeout=timeout
                 )
                 break
             except CommunicationError as exc:

@@ -45,11 +45,8 @@ COUNTERS = (
     "messages",         # payloads actually handed to a peer
     "bytes_sent",       # payload bytes of those messages
     "coll.alltoallv",   # collective calls, by kind
-    "coll.sendrecv",
     "coll.allgather",
     "coll.bcast",
-    "coll.group_alltoallv",  # group-scoped collective calls (Lemma 4)
-    "coll.group_size",  # summed member count of those groups
     "coll.slots",       # per-destination descriptor slots written/scanned
     "remaps",           # data remaps performed by the sort
     "retries",          # retransmission rounds (reliable transport)
@@ -112,6 +109,18 @@ class Tracer:
     def add(self, counter: str, value: int = 1) -> None:
         """Accumulate ``value`` into the named counter."""
         self.counters[counter] = self.counters.get(counter, 0) + value
+
+    def absorb(self, other: "Tracer") -> None:
+        """Append ``other``'s spans, their nesting kept, and add its
+        counters into this tracer's: one request's tracers read as one
+        timeline."""
+        base = len(self.spans)
+        self.spans.extend(
+            [category, name, start, end, parent + base if parent >= 0 else -1]
+            for category, name, start, end, parent in other.spans
+        )
+        for counter, value in other.counters.items():
+            self.add(counter, value)
 
     # -- summaries -----------------------------------------------------
 

@@ -1,7 +1,4 @@
-"""The unified front door (`repro.api.sort`) and its typed backend
-options."""
-
-import warnings
+"""The unified front door (`repro.api.sort`)."""
 
 import numpy as np
 import pytest
@@ -10,7 +7,7 @@ import repro
 from repro.api import SORT_ALGORITHMS, SORT_BACKENDS, SortReport, sort
 from repro.errors import ConfigurationError
 from repro.faults import FaultPlan
-from repro.runtime import BackendOptions, run_spmd
+from repro.runtime import run_spmd
 from repro.utils.rng import make_keys
 
 
@@ -105,27 +102,22 @@ class TestSortRejections:
             sort(make_keys(64), 2, algorithm="auto", backend="threads")
 
     def test_simulated_rejects_backend_options(self):
-        with pytest.raises(ConfigurationError, match="backend options"):
-            sort(make_keys(64), 2, options=BackendOptions())
+        """No door takes backend options: every remap runs the one
+        exchange, so ``options=`` fails at the call."""
+        with pytest.raises(TypeError, match="options"):
+            sort(make_keys(64), 2, options=None)
 
 
 class TestOptionsShim:
-    def test_options_is_the_canonical_spelling(self):
-        keys = make_keys(1 << 9, seed=11)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            report = sort(keys, 2, backend="threads",
-                          options=BackendOptions(fused=False))
-        np.testing.assert_array_equal(report.sorted_keys, np.sort(keys))
-
     def test_both_spellings_rejected(self):
         """The old ``backend_options=`` spelling is gone, not aliased."""
         with pytest.raises(TypeError, match="backend_options"):
-            sort(make_keys(64), 2, backend="threads",
-                 options=BackendOptions(), backend_options=BackendOptions())
+            sort(make_keys(64), 2, backend="threads", backend_options=None)
 
 
 class TestBackendOptions:
+    """Loose backend options are refused before any world starts."""
+
     def test_legacy_kwargs_keep_threads_rejection(self):
         """Loose keyword options are not accepted: they fail at the
         call, before any world starts."""
@@ -143,9 +135,10 @@ class TestTopLevelExports:
         assert repro.sort is sort
         assert repro.SortReport is SortReport
         assert repro.SORT_BACKENDS is SORT_BACKENDS
-        for name in ("BackendOptions", "Tracer", "PhaseReport",
-                     "build_phase_report", "write_chrome_trace"):
+        for name in ("Tracer", "PhaseReport", "build_phase_report",
+                     "write_chrome_trace"):
             assert hasattr(repro, name)
+        assert not hasattr(repro, "BackendOptions")
 
     def test_module_quickstart_runs(self):
         """The code from repro.__doc__'s quickstart (scaled down)."""

@@ -1,17 +1,16 @@
-"""Group-scoped collectives (Lemma 4) and the fused zero-copy remap path.
+"""The Lemma-4 group algebra and the fused zero-copy remap path.
 
-Covers the Lemma-4 group derivation (pure bit algebra), the
-``group_alltoallv`` collective on the threads backend, byte-equality of
-every fused × grouped combination against the plain world-wide path, the
-trace-counter contracts, and the fused sort under the fault-injection
-transport.
+Covers the Lemma-4 group derivation (pure bit algebra: the paper's
+result, reproduced here; the runtime does not scope its exchanges by
+it), byte-equality of the one remap path against ``np.sort`` on warm
+worlds, the trace-counter contracts, and the fused sort under the
+fault-injection transport.
 """
 
 import numpy as np
 import pytest
 
 from repro.api import sort
-from repro.errors import CommunicationError
 from repro.layouts import smart_schedule
 from repro.layouts.base import bits_changed
 from repro.remap.cache import cached_remap_plan
@@ -20,8 +19,9 @@ from repro.remap.groups import (
     remap_group,
     remap_group_partition,
 )
-from repro.runtime import BackendOptions, run_spmd, spmd_bitonic_sort
+from repro.runtime import run_spmd, spawn_world, spmd_bitonic_sort
 from repro.runtime.threads import ThreadComm
+from repro.service.jobs import sort_shards_job
 from repro.trace import Tracer
 from repro.utils.rng import make_keys
 
@@ -77,168 +77,65 @@ class TestGroupDerivation:
 
 
 class TestByteEquality:
-    """Every fused × grouped combination produces the byte-identical
-    globally sorted output."""
+    """The one remap path produces the byte-identical globally sorted
+    output."""
 
-    @pytest.mark.parametrize("backend", ["threads"])
-    @pytest.mark.parametrize("fused", [True, False])
-    @pytest.mark.parametrize("grouped", [True, False])
-    def test_spmd_sort_all_modes(self, backend, fused, grouped):
-        P, n = 4, 512
-        keys = make_keys(P * n, seed=11)
-        expect = np.sort(keys)
-
-        def prog(c):
-            return spmd_bitonic_sort(
-                c, keys[c.rank * n : (c.rank + 1) * n],
-                fused=fused, grouped=grouped,
-            )
-
-        out = np.concatenate(run_spmd(P, prog, backend=backend))
-        assert out.tobytes() == expect.tobytes()
+    @pytest.mark.parametrize("N,P", [(1 << 14, 4), (1 << 16, 4),
+                                     (1 << 20, 2)])
+    def test_warm_sort_matches_np_sort(self, N, P):
+        """Two sorts on one warm world through the service's rank
+        program, at the shapes the serving workloads run (1 Mi x 2 is
+        the library benchmark's)."""
+        keys = make_keys(N, seed=N % 104729)
+        expected = np.sort(keys).tobytes()
+        n = N // P
+        rank_args = [([keys[r * n:(r + 1) * n]],) for r in range(P)]
+        with spawn_world(P) as world:
+            for _ in range(2):
+                parts = world.run(sort_shards_job, rank_args=rank_args)
+                out = np.concatenate([outs[0] for outs, _ in parts])
+                assert out.tobytes() == expected
 
     @pytest.mark.parametrize(
         "algorithm", ["smart", "cyclic-blocked", "blocked-merge", "radix", "sample"]
     )
     def test_simulated_sorts_unchanged(self, algorithm):
-        """The group/fused machinery lives in the SPMD runtime; all five
+        """The fused machinery lives in the SPMD runtime; all five
         simulated algorithms still verify element-exactly."""
         keys = make_keys(2048, seed=13)
         rep = sort(keys, P=4, algorithm=algorithm, backend="simulated")
         assert rep.sorted_keys.tobytes() == np.sort(keys).tobytes()
 
-    @pytest.mark.parametrize("backend", ["threads"])
-    def test_front_door_flags(self, backend):
-        keys = make_keys(2048, seed=17)
-        expect = np.sort(keys).tobytes()
-        for opts in (
-            None,
-            BackendOptions(fused=False),
-            BackendOptions(grouped=False),
-            BackendOptions(fused=False, grouped=False),
-        ):
-            rep = sort(keys, P=4, backend=backend, options=opts)
-            assert rep.sorted_keys.tobytes() == expect
-
 
 class TestTraceContracts:
-    def _tracers(self, backend, fused, grouped, P=4, n=1024):
+    def _tracers(self, backend, P=4, n=1024):
         keys = make_keys(P * n, seed=23)
 
         def prog(c):
             c.tracer = Tracer(c.rank)
-            spmd_bitonic_sort(
-                c, keys[c.rank * n : (c.rank + 1) * n],
-                fused=fused, grouped=grouped,
-            )
+            spmd_bitonic_sort(c, keys[c.rank * n : (c.rank + 1) * n])
             return c.tracer
 
         return run_spmd(P, prog, backend=backend)
 
     @pytest.mark.parametrize("backend", ["threads"])
-    def test_group_size_bounded_by_lemma4(self, backend):
-        """Summed group membership never exceeds the Lemma-4 bound
-        ``2**max(N_BitsChanged)`` per group collective, and grouping
-        strictly reduces descriptor-slot work against the world run."""
-        P, n = 4, 1024
-        max_changed = max(
-            bits_changed(old, new) for old, new in _transitions(P * n, P)
-        )
-        grouped_trs = self._tracers(backend, fused=False, grouped=True)
-        world_trs = self._tracers(backend, fused=False, grouped=False)
-        for tr in grouped_trs:
-            calls = tr.counters.get("coll.group_alltoallv", 0)
-            size_sum = tr.counters.get("coll.group_size", 0)
-            assert calls > 0, "grouping never engaged"
-            assert size_sum <= calls * 2 ** max_changed
-            assert size_sum >= 2 * calls  # groups have at least a pair
-        grouped_slots = sum(t.counters["coll.slots"] for t in grouped_trs)
-        world_slots = sum(t.counters["coll.slots"] for t in world_trs)
-        assert grouped_slots < world_slots
-
-    @pytest.mark.parametrize("backend", ["threads"])
     def test_fused_takes_the_direct_path_every_remap(self, backend,
                                                      monkeypatch):
-        """The fused sort deposits the pack mask's views of its partition
-        (no packed copy), runs one exchange per remap, and records no
-        unpack pass; unfused, every message is a packed copy."""
-        owned = {True: [], False: []}
-        fused_now = [True]
+        """The sort deposits the pack mask's views of its partition (no
+        packed copy), runs one exchange per remap, and records no unpack
+        pass."""
+        owned = []
+        real = ThreadComm.alltoallv
 
-        def spy(method):
-            def wrapper(self, buckets, *rest):
-                owned[fused_now[0]].extend(
-                    b.flags.owndata for b in buckets if b is not None
-                )
-                return method(self, buckets, *rest)
-            return wrapper
+        def spy(self, buckets):
+            owned.extend(b.flags.owndata for b in buckets if b is not None)
+            return real(self, buckets)
 
-        monkeypatch.setattr(ThreadComm, "alltoallv",
-                            spy(ThreadComm.alltoallv))
-        monkeypatch.setattr(ThreadComm, "group_alltoallv",
-                            spy(ThreadComm.group_alltoallv))
-        for tr in self._tracers(backend, fused=True, grouped=True):
-            exchanges = tr.counters.get("coll.alltoallv", 0) + tr.counters.get(
-                "coll.group_alltoallv", 0
-            )
-            assert exchanges == tr.counters["remaps"]
+        monkeypatch.setattr(ThreadComm, "alltoallv", spy)
+        for tr in self._tracers(backend):
+            assert tr.counters["coll.alltoallv"] == tr.counters["remaps"]
             assert "unpack" not in tr.totals()
-        fused_now[0] = False
-        for tr in self._tracers(backend, fused=False, grouped=True):
-            assert "unpack" in tr.totals()
-        assert owned[True] and not any(owned[True])
-        assert owned[False] and all(owned[False])
-
-    @pytest.mark.parametrize("backend", ["threads"])
-    def test_fused_moves_fewer_bytes_of_copies(self, backend):
-        """Fused and unfused runs transfer identical payload bytes — the
-        saving is the vanished unpack pass, not smaller messages."""
-        fused = self._tracers(backend, fused=True, grouped=False)
-        plain = self._tracers(backend, fused=False, grouped=False)
-        assert sum(t.counters["bytes_sent"] for t in fused) == sum(
-            t.counters["bytes_sent"] for t in plain
-        )
-
-
-class TestGroupCollectiveProtocol:
-    @pytest.mark.parametrize("backend", ["threads"])
-    def test_group_and_world_collectives_interleave(self, backend):
-        """Disjoint group exchanges, then a world collective, repeated —
-        exercises the per-group barriers."""
-        P = 4
-
-        def prog(c):
-            me = c.rank
-            for round_ in range(4):
-                g = (0, 1) if me < 2 else (2, 3)
-                peer = g[1 - g.index(me)]
-                buckets = [None] * P
-                buckets[peer] = np.full(8, me * 100 + round_, dtype=np.int64)
-                got = c.group_alltoallv(buckets, g)
-                assert (got[peer] == peer * 100 + round_).all()
-                assert c.allgather(me) == list(range(P))
-            return True
-
-        assert run_spmd(P, prog, backend=backend) == [True] * P
-
-    @pytest.mark.parametrize("backend", ["threads"])
-    def test_group_rejects_outside_bucket(self, backend):
-        P = 4
-
-        def prog(c):
-            if c.rank == 0:
-                buckets = [None] * P
-                buckets[3] = np.arange(4)  # rank 3 is outside (0, 1)
-                try:
-                    c.group_alltoallv(buckets, (0, 1))
-                except CommunicationError:
-                    return "raised"
-                return "no-raise"
-            return "peer"
-
-        # Rank 0 must reject before communicating, so no peer ever blocks.
-        out = run_spmd(P, prog, backend=backend)
-        assert out[0] == "raised"
+        assert owned and not any(owned)
 
 
 class TestFaultTransport:

@@ -567,8 +567,8 @@ class TestSortMeta:
         assert body == np.sort(self.KEYS).tobytes()
 
     @pytest.mark.parametrize("field, value", [
-        ("P", "two"), ("P", True), ("P", 2.0), ("fused", "yes"),
-        ("grouped", 1), ("algorithm", 7), ("backend", ["threads"]),
+        ("P", "two"), ("P", True), ("P", 2.0), ("backend", 2),
+        ("algorithm", True), ("algorithm", 7), ("backend", ["threads"]),
         ("budget_s", "soon"), ("budget_s", False), ("shm", 5),
         ("shape", 1024), ("shape", [True]), ("dtype", 4), ("id", 12),
     ])
@@ -577,13 +577,19 @@ class TestSortMeta:
         assert type(err) is ConfigurationError
         assert repr(field) in str(err)
 
-    @pytest.mark.parametrize("value", ["acme", 3])
-    def test_a_field_not_listed_is_ignored(self, server, value):
-        """An older client's ``tenant`` label, whatever its type, is
-        served: the protocol stays at version 2."""
+    @pytest.mark.parametrize("extra", [
+        pytest.param({"tenant": "acme"}, id="acme"),
+        pytest.param({"tenant": 3}, id="3"),
+        pytest.param({"fused": False}, id="fused"),
+        pytest.param({"grouped": True}, id="grouped"),
+    ])
+    def test_a_field_not_listed_is_ignored(self, server, extra):
+        """An older client's ``tenant`` label or ``fused``/``grouped``
+        flags, whatever their type, are served: the protocol stays at
+        version 2."""
         assert PROTO_VERSION == 2
         ftype, rmeta, body = _raw_sort(
-            server, self._meta(tenant=value), self.KEYS.tobytes()
+            server, self._meta(**extra), self.KEYS.tobytes()
         )
         assert ftype == FrameType.RESULT, rmeta
         assert body == np.sort(self.KEYS).tobytes()

@@ -5,17 +5,17 @@ fixed sample of requests, taken from the planner as it stood before it
 was rebuilt as passes (clamp, candidates, price, pick) and lost its
 bench-history correction.  Every planner here plans without bench
 history, so the rebuild must not move one decision: replaying each
-request must give the same algorithm, backend, P, flags, clamp, source
-and estimate, or the same error message.  The rows of faulty requests
-that moved when faults stopped forcing the flags off, and the estimates
-of the external rows when the spill fsync left their price, were
-re-recorded (``data/README.md``).
+request must give the same algorithm, backend, P, clamp, source and
+estimate, or the same error message.  The rows of faulty requests that
+moved when faults stopped forcing the flags off, the estimates of the
+external rows when the spill fsync left their price, and the estimates
+the fused/grouped flags' removal moved were re-recorded
+(``data/README.md``).
 
 The requests vary the size (4 to 16 Mi keys), the key width, faults,
-auto and forced algorithm (external included), forced backend and P,
-``fused``/``grouped=False`` and a 64 KiB memory budget.  The planners
-are fixed-core profiles with 2 and 8 cores and a profile with measured
-disk rates.
+auto and forced algorithm (external included), forced backend and P and
+a 64 KiB memory budget.  The planners are fixed-core profiles with 2 and
+8 cores and a profile with measured disk rates.
 """
 
 import json
@@ -52,20 +52,18 @@ PLANNERS = {
 def decide(planner, request):
     """One request's decision as the fixture records it, or the message
     of the ``ConfigurationError`` it raises.  ``request`` is
-    ``[log2 N, dtype size, faults, algorithm, backend, P, fused,
-    grouped, budget]``."""
-    log_n, dtype_size, faults, algorithm, backend, P, fused, grouped, \
-        budget = request
+    ``[log2 N, dtype size, faults, algorithm, backend, P, budget]``."""
+    log_n, dtype_size, faults, algorithm, backend, P, budget = request
     try:
         d = planner.plan(
             1 << log_n, dtype_size=dtype_size, faults=bool(faults),
-            algorithm=algorithm, backend=backend, P=P, fused=fused,
-            grouped=grouped, memory_budget=BUDGET if budget else None,
+            algorithm=algorithm, backend=backend, P=P,
+            memory_budget=BUDGET if budget else None,
         )
     except ConfigurationError as exc:
         return str(exc)
-    return [d.algorithm, d.backend, d.P, int(d.fused), int(d.grouped),
-            int(d.clamped), d.source, d.est_seconds]
+    return [d.algorithm, d.backend, d.P, int(d.clamped), d.source,
+            d.est_seconds]
 
 
 def _recorded(doc, name):
@@ -107,12 +105,12 @@ def test_fixture_covers_every_axis():
     }
     for axis, values in ((1, {4, 8}), (2, {0, 1}),
                          (4, {None, "threads", "local"}),
-                         (5, {None, 1, 2, 4}), (6, {None, False}),
-                         (7, {None, False}), (8, {0, 1})):
+                         (5, {None, 1, 2, 4}), (6, {0, 1})):
         assert {r[axis] for r in requests} == values
+    assert len({json.dumps(r) for r in requests}) == len(requests)
     outcomes = [out for name in doc["planners"]
                 for _, out in _recorded(doc, name)]
     assert any(isinstance(out, str) for out in outcomes)
-    assert {out[6] for out in outcomes if not isinstance(out, str)} == {
+    assert {out[4] for out in outcomes if not isinstance(out, str)} == {
         "model", "forced", "budget"
     }

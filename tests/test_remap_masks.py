@@ -19,7 +19,6 @@ from repro.faults.plan import FaultPlan
 from repro.layouts import blocked_layout, smart_schedule
 from repro.layouts.base import bits_changed
 from repro.remap import PLAN_CACHE, build_remap_plan, remap_masks
-from repro.runtime import BackendOptions
 from repro.runtime.bitonic_spmd import _unpack
 from repro.utils.rng import make_keys
 
@@ -179,19 +178,14 @@ class TestNoPlanCache:
     no entry to the simulator's cache and misses it nowhere."""
 
     @pytest.mark.parametrize(
-        "options,faults",
-        [
-            (None, None),
-            (BackendOptions(fused=False), None),
-            (None, FaultPlan(seed=5, drop=0.05, duplicate=0.05)),
-        ],
-        ids=["fused", "unfused", "reliable-comm"],
+        "faults",
+        [None, FaultPlan(seed=5, drop=0.05, duplicate=0.05)],
+        ids=["fused", "reliable-comm"],
     )
-    def test_threads_sort_leaves_plan_cache_alone(self, options, faults):
+    def test_threads_sort_leaves_plan_cache_alone(self, faults):
         keys = make_keys(1 << 13, seed=41)
         PLAN_CACHE.clear()
-        rep = sort(keys, P=8, backend="threads", options=options,
-                   faults=faults)
+        rep = sort(keys, P=8, backend="threads", faults=faults)
         assert rep.sorted_keys.tobytes() == np.sort(keys).tobytes()
         assert len(PLAN_CACHE) == 0
         assert PLAN_CACHE.misses == 0

@@ -309,6 +309,21 @@ class TestLocalShard:
                               P=2, deadline_s=60.0)
             assert out.shard == "inproc"
 
+    def test_traced_request_keeps_its_spans(self, service):
+        """A traced request through a local shard returns one tracer with
+        the rank spans and the queue lane, and the router folds it into
+        its own."""
+        keys = make_keys(4096, seed=1)
+        out = LocalShard(service).sort(keys, backend="threads", P=2,
+                                       trace=True)
+        categories = {span[0] for span in out.tracer.spans}
+        assert {"local_sort", "transfer", "merge", "wait"} <= categories
+        assert out.tracer.counters["remaps"] > 0
+        router = ShardRouter({"inproc": LocalShard(service)})
+        routed = router.sort(keys, backend="threads", P=2, trace=True)
+        assert len(routed.tracer.spans) == len(out.tracer.spans)
+        assert routed.tracer.counters == out.tracer.counters
+
 
 class TestIntegrationKillMidStream:
     def test_requests_survive_a_shard_kill(self):

@@ -53,14 +53,6 @@ class TestPrimitives:
         with pytest.raises(CommunicationError):
             run_spmd(2, lambda c: c.alltoallv([None]))
 
-    def test_sendrecv_pairwise(self):
-        def prog(c):
-            partner = c.rank ^ 1
-            got = c.sendrecv(np.array([c.rank]), dst=partner, src=partner)
-            return int(got[0])
-
-        assert run_spmd(4, prog) == [1, 0, 3, 2]
-
     def test_repeated_collectives_reuse_mailbox(self):
         def prog(c):
             total = 0

@@ -171,30 +171,24 @@ class TestPlanner:
     def test_faulty_plan_keeps_the_default_flags(self):
         d = Planner().plan(1 << 12, faults=True)
         assert d.backend == "threads"
-        assert d.fused is True and d.grouped is True
         assert d.clamped is False
+        assert d == Planner().plan(1 << 12)
 
-    # Fused views and group-scoped exchanges both travel through
-    # ReliableComm, so an armed fault plan changes nothing the planner
-    # decides: over any size and any attempted override, the faulty plan
-    # equals the fault-free one field for field.
+    # The fused remap's views travel through ReliableComm like any
+    # payload, so an armed fault plan changes nothing the planner
+    # decides: over any size and any forced P, the faulty plan equals the
+    # fault-free one field for field.
     @given(
         log_n=st.integers(min_value=2, max_value=20),
-        fused=st.sampled_from([None, True, False]),
-        grouped=st.sampled_from([None, True, False]),
         forced_P=st.sampled_from([None, 1, 2, 4]),
     )
-    def test_property_faults_do_not_change_the_plan(
-        self, log_n, fused, grouped, forced_P
-    ):
+    def test_property_faults_do_not_change_the_plan(self, log_n, forced_P):
         N = 1 << log_n
         if forced_P is not None and (N % forced_P or 0 < N // forced_P < 2):
             forced_P = None
         planner = Planner()
         plans = [
-            planner.plan(
-                N, faults=faults, fused=fused, grouped=grouped, P=forced_P
-            )
+            planner.plan(N, faults=faults, P=forced_P)
             for faults in (True, False)
         ]
         assert plans[0] == plans[1]
@@ -272,18 +266,15 @@ class TestPriceMemo:
         faults=st.booleans(),
         algorithm=st.sampled_from([None, "smart", "sample", "external"]),
         P=st.sampled_from([None, 1, 2, 4, 8]),
-        fused=st.sampled_from([None, True, False]),
-        grouped=st.sampled_from([None, True, False]),
         memory_budget=st.sampled_from([None, 1 << 12, 1 << 20, 1 << 28]),
     )
     def test_memoized_plans_match_fresh_ones(
-        self, log_n, dtype_size, faults, algorithm, P, fused, grouped,
-        memory_budget,
+        self, log_n, dtype_size, faults, algorithm, P, memory_budget,
     ):
         N = 1 << log_n
         kwargs = dict(
             dtype_size=dtype_size, faults=faults, algorithm=algorithm, P=P,
-            fused=fused, grouped=grouped, memory_budget=memory_budget,
+            memory_budget=memory_budget,
         )
         memoized = _planned(_SHARED_PROFILE, N, kwargs)
         assert _planned(_SHARED_PROFILE, N, kwargs) == memoized
@@ -385,15 +376,17 @@ class TestHostProfile:
     def test_parent_schema_3_file_still_loads(self, tmp_path):
         """A /3 file carrying the removed ``overlap_efficiency`` field,
         the removed world spawn cost, the removed procs backend's lane,
-        ``spin_budget``, ``ship_bytes_per_s`` and ``fsync_s``, and an
-        ``adapt`` blob from the removed online adapter loads: unknown
-        keys and backends are skipped, and the blob is ignored."""
+        ``spin_budget``, ``ship_bytes_per_s``, ``fsync_s`` and
+        ``pack_us``, and an ``adapt`` blob from the removed online
+        adapter loads: unknown keys and backends are skipped, and the
+        blob is ignored."""
         doc = json.loads(_PARENT_PROFILE.read_text())
         assert doc["adapt"]["corrections"]
         profile = HostProfile.load(str(_PARENT_PROFILE))
         assert profile.source == "calibrated"
         assert profile.disk_read_bytes_per_s and profile.disk_write_bytes_per_s
         assert not hasattr(profile, "fsync_s")
+        assert not hasattr(profile, "pack_us")
         assert not hasattr(profile, "overlap_efficiency")
         assert not hasattr(profile, "spin_budget")
         assert set(profile.backends) == {"threads"}
@@ -469,11 +462,15 @@ class TestSortServiceRequests:
 
     def test_faulty_request_runs_fused_and_correct(self, service):
         keys = make_keys(1 << 11, seed=52)
-        out = service.sort(keys, faults=FaultPlan(seed=9, drop=0.05), P=2)
+        out = service.sort(keys, faults=FaultPlan(seed=9, drop=0.05), P=2,
+                           trace=True)
         assert out.sorted_keys.tobytes() == np.sort(keys).tobytes()
         assert out.decision.backend == "threads"
-        assert out.decision.fused is True and not out.decision.clamped
+        assert not out.decision.clamped
         assert out.fault_stats.get("decisions", 0) > 0
+        for tracer in out.tracers[:2]:
+            assert tracer.counters["remaps"] > 0
+            assert "unpack" not in tracer.totals()
 
     def test_non_power_of_two_sorts_unless_smart_is_forced(self, service):
         """The planner's candidates are the (algorithm, P) pairs the
@@ -647,12 +644,15 @@ class TestAdmissionControl:
 
 class TestLadderSeam:
     """``perfbench/ladder.py`` calls ``sort_shards_job`` positionally,
-    ``overlap``/``chunks`` included, and reads them off the plan."""
+    ``fused``/``grouped`` and ``overlap``/``chunks`` included, and reads
+    them off the plan."""
 
     def test_positional_call_sorts(self):
         keys = make_keys(1 << 12, seed=31)
         d = Planner().plan(keys.size)
-        assert (d.overlap, d.chunks) == (False, 1)
+        assert (d.fused, d.grouped, d.overlap, d.chunks) == (
+            True, False, False, 1
+        )
         n = keys.size // 2
         rank_args = [
             ([keys[r * n:(r + 1) * n]], d.fused, d.grouped, False, None,

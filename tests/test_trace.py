@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro.api import sort
 from repro.errors import ConfigurationError
 from repro.machine.metrics import CATEGORIES
-from repro.runtime import Comm, run_spmd, spmd_bitonic_sort
+from repro.runtime import run_spmd, spmd_bitonic_sort
 from repro.trace import (
     CHROME_TRACE_SCHEMA,
     PhaseReport,
@@ -175,16 +175,14 @@ class TestPhaseReport:
 class TestRuntimeInstrumentation:
     @pytest.mark.parametrize("backend", ["threads"])
     def test_spmd_sort_records_phases_and_counters(self, backend):
-        """Unfused/world mode records the classic five-phase breakdown."""
+        """Each remap records its address, pack, transfer and merge spans
+        and one world-wide exchange."""
         P, n = 4, 256
         keys = make_keys(P * n, seed=5)
 
         def prog(c):
             c.tracer = Tracer(c.rank)
-            out = spmd_bitonic_sort(
-                c, keys[c.rank * n : (c.rank + 1) * n],
-                fused=False, grouped=False,
-            )
+            out = spmd_bitonic_sort(c, keys[c.rank * n : (c.rank + 1) * n])
             return out, c.tracer
 
         results = run_spmd(P, prog, backend=backend)
@@ -195,7 +193,7 @@ class TestRuntimeInstrumentation:
             assert tr.rank == rank
             totals = tr.totals()
             for cat in ("local_sort", "address", "pack", "transfer",
-                        "unpack", "merge"):
+                        "merge"):
                 assert cat in totals, f"rank {rank} missing {cat!r} spans"
             assert tr.counters["remaps"] >= 1
             assert tr.counters["coll.alltoallv"] == tr.counters["remaps"]
@@ -204,9 +202,8 @@ class TestRuntimeInstrumentation:
 
     @pytest.mark.parametrize("backend", ["threads"])
     def test_fused_sort_has_no_unpack_spans(self, backend):
-        """The fused default collapses pack/transfer/unpack into one
-        exchange: the unpack span disappears and every remap runs exactly
-        one collective."""
+        """The remap fuses pack/transfer/unpack into one exchange: no
+        unpack span, and every remap runs exactly one alltoallv."""
         P, n = 4, 256
         keys = make_keys(P * n, seed=5)
 
@@ -224,10 +221,7 @@ class TestRuntimeInstrumentation:
             assert "unpack" not in totals
             for cat in ("local_sort", "address", "pack", "transfer", "merge"):
                 assert cat in totals
-            exchanges = tr.counters.get("coll.alltoallv", 0) + tr.counters.get(
-                "coll.group_alltoallv", 0
-            )
-            assert exchanges == tr.counters["remaps"]
+            assert tr.counters["coll.alltoallv"] == tr.counters["remaps"]
 
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(0, 2**16), P=st.sampled_from([2, 4]))
@@ -269,85 +263,3 @@ class TestZeroOverhead:
 
         parts = run_spmd(P, prog, backend=backend)
         np.testing.assert_array_equal(np.concatenate(parts), np.sort(keys))
-
-
-class TestSendrecvSpecialization:
-    @pytest.mark.parametrize("backend", ["threads"])
-    def test_pairwise_exchange_correct(self, backend):
-        P = 4
-
-        def prog(c):
-            partner = c.rank ^ 1
-            got = c.sendrecv(np.full(4, c.rank, dtype=np.int64),
-                             partner, partner)
-            return got
-
-        results = run_spmd(P, prog, backend=backend)
-        for rank, got in enumerate(results):
-            np.testing.assert_array_equal(
-                got, np.full(4, rank ^ 1, dtype=np.int64)
-            )
-
-    @pytest.mark.parametrize("backend", ["threads"])
-    def test_none_send_matched_pattern(self, backend):
-        """One side of a matched pair may have nothing to send."""
-        P = 2
-
-        def prog(c):
-            send = np.arange(3) if c.rank == 0 else None
-            return c.sendrecv(send, c.rank ^ 1, c.rank ^ 1)
-
-        r0, r1 = run_spmd(P, prog, backend=backend)
-        assert r0 is None
-        np.testing.assert_array_equal(r1, np.arange(3))
-
-    def test_specialized_cheaper_than_fallback_threads(self):
-        """The backend override must beat the size-wide Comm fallback —
-        asserted through the trace counters, not timing."""
-        P = 4
-
-        def prog(c):
-            partner = c.rank ^ 1
-            payload = np.full(8, c.rank, dtype=np.int64)
-            c.tracer = Tracer(c.rank)
-            fast = c.sendrecv(payload, partner, partner)
-            fast_counters = dict(c.tracer.counters)
-            c.tracer = Tracer(c.rank)
-            slow = Comm.sendrecv(c, payload, partner, partner)
-            slow_counters = dict(c.tracer.counters)
-            return fast, slow, fast_counters, slow_counters
-
-        for rank, (fast, slow, fc, sc) in enumerate(
-            run_spmd(P, prog, backend="threads")
-        ):
-            np.testing.assert_array_equal(fast, slow)
-            # Pairwise: one descriptor slot, no world-wide collective.
-            assert fc["coll.sendrecv"] == 1
-            assert fc["coll.slots"] == 1
-            assert "coll.alltoallv" not in fc
-            # Fallback: a full alltoallv, one slot per destination.
-            assert sc["coll.alltoallv"] == 1
-            assert sc["coll.slots"] == P
-            assert fc["coll.slots"] < sc["coll.slots"]
-            assert fc["messages"] == sc["messages"] == 1
-
-    def test_sendrecv_then_collective_no_stale_reads(self):
-        """A sendrecv followed by an alltoallv (and vice versa) must not
-        leak payloads between the pairwise channels and the mailbox."""
-        P = 4
-
-        def prog(c):
-            ring_next, ring_prev = (c.rank + 1) % P, (c.rank - 1) % P
-            got = c.sendrecv(np.full(2, c.rank), ring_next, ring_prev)
-            buckets = [np.full(1, c.rank * 10 + q) for q in range(P)]
-            received = c.alltoallv(buckets)
-            got2 = c.sendrecv(np.full(2, c.rank + 100), ring_next, ring_prev)
-            return got, [r[0] for r in received], got2
-
-        for rank, (got, recv, got2) in enumerate(
-            run_spmd(P, prog, backend="threads")
-        ):
-            prev = (rank - 1) % P
-            np.testing.assert_array_equal(got, np.full(2, prev))
-            assert recv == [p * 10 + rank for p in range(P)]
-            np.testing.assert_array_equal(got2, np.full(2, prev + 100))
