@@ -148,9 +148,9 @@ def sort(
         with a service, ``"smart"`` without.
     backend:
         ``"simulated"`` runs on the LogGP-costed machine;
-        ``"threads"`` runs the real message-passing sort via
-        :func:`repro.runtime.driver.run_spmd`; any other name raises
-        :class:`~repro.errors.ConfigurationError`.
+        ``"threads"`` runs the real message-passing sort on a one-shot
+        world (:func:`repro.runtime.driver.spawn_world`); any other name
+        raises :class:`~repro.errors.ConfigurationError`.
     trace:
         Record per-phase time and attach a
         :class:`~repro.trace.report.PhaseReport` aligning measured (SPMD
@@ -165,6 +165,8 @@ def sort(
     verify:
         Check the output element-exactly against ``np.sort`` (on by
         default — the front door favours safety over benchmark purity).
+        On the SPMD paths the reference sorts on the calling thread
+        while the ranks (or the service) sort the request.
     service:
         A running :class:`~repro.service.SortService`.  When given, the
         call routes through the service's warm world pool instead of
@@ -291,9 +293,9 @@ def _sort_service(
     the SPMD backend; likewise ``algorithm`` defaults to ``"auto"``, the
     planner's cross-algorithm routing).
     """
-    from repro.sorts.base import verify_sorted
+    from repro.sorts.base import reference_sort, verify_sorted
 
-    outcome = service.sort(
+    ticket = service.submit(
         keys,
         algorithm=algorithm,
         backend=None if backend == "simulated" else backend,
@@ -302,11 +304,14 @@ def _sort_service(
         trace=trace,
         memory_budget=memory_budget,
     )
+    # The exact reference sorts here while the service sorts the request.
+    expected = reference_sort(keys) if verify else None
+    outcome = ticket.result()
     d = outcome.decision
     if verify:
         verify_sorted(
             keys, outcome.sorted_keys,
-            f"service[{d.algorithm}:{d.backend}x{d.P}]",
+            f"service[{d.algorithm}:{d.backend}x{d.P}]", expected,
         )
     phases = None
     if trace and outcome.tracers:
@@ -373,38 +378,46 @@ def _sort_spmd(
     keys, P, algorithm, backend, trace, faults, timeout, verify
 ) -> SortReport:
     from repro.faults.plan import FaultInjector
-    from repro.runtime.driver import run_spmd
+    from repro.runtime.driver import spawn_world
     from repro.runtime.jobs import sort_shards_job
-    from repro.sorts.base import verify_sorted
+    from repro.sorts.base import reference_sort, verify_sorted
     from repro.trace.report import build_phase_report
 
     n = keys.size // P
     injector = None
     if faults is not None and not faults.is_null:
         injector = FaultInjector(faults)
+    # The one result array: every rank writes its partition into it.
+    out = np.empty(keys.size, dtype=keys.dtype)
 
     def prog(comm):
         # The service's rank program, on this rank's slice.
         shard = keys[comm.rank * n : (comm.rank + 1) * n]
-        outs, tracers = sort_shards_job(
+        _parts, tracers = sort_shards_job(
             comm, [shard], trace=trace, injector=injector,
-            algorithm=algorithm,
+            algorithm=algorithm, out=[out],
         )
-        return outs[0], tracers[0]
+        return tracers[0]
 
     start = time.perf_counter()
-    parts = run_spmd(P, prog, timeout=timeout, backend=backend)
+    world = spawn_world(P, backend)
+    try:
+        job = world.start(prog, timeout=timeout)
+        # The exact reference sorts here while the ranks sort.
+        expected = reference_sort(keys) if verify else None
+        rank_tracers = world.wait(job)
+    finally:
+        world.close()
     wall = time.perf_counter() - start
-    out = np.concatenate([p for p, _ in parts])
     if verify:
-        verify_sorted(keys, out, f"{algorithm}-spmd[{backend}]")
+        verify_sorted(keys, out, f"{algorithm}-spmd[{backend}]", expected)
 
     phases = tracers = None
     if trace:
         # The aligned three-source table: measured spans from this run,
         # the LogGP machine's simulation of the same (N, P), and the
         # closed-form prediction.
-        tracers = [tr for _, tr in parts]
+        tracers = rank_tracers
         sim_stats, predicted = _columns(algorithm, keys, P)
         phases = build_phase_report(
             tracers=tracers,

@@ -13,14 +13,17 @@ each arrival lands through the unpack mask
 It deliberately shares *no execution machinery* with the simulator version
 (:class:`~repro.sorts.smart.SmartBitonicSort`): no ``Machine``, no
 ``perform_remap``, no ``RemapPlan`` — only the layout algebra and a
-:class:`~repro.runtime.api.Comm`.  Every local phase runs ``np.sort``, the
-fastest local sort this host has (the paper's Chapter 4 argument; its
-1996 answer was radix sort, which the simulator still charges): each
-phase's output shape is known (Lemma 6, Theorems 2/3), so sorting the
-right slices in the right direction lands exactly the keys the bitonic
-merges would.  The tests cross-check the two implementations element for
-element, and run this one concurrently on the threads backend where real
-races would surface.
+:class:`~repro.runtime.api.Comm`.  Each local phase does only the work
+the network still needs there (the paper's Chapter 4 argument), on the
+fastest kernels this host has: each phase's output shape is known
+(Lemma 6, Theorems 2/3), so the initial, inside and crossing phases
+``np.sort`` the right slices in the right direction, landing exactly the
+keys the bitonic merges would, and the last phase runs its ``s``
+remaining network steps — as compare-exchanges on strided views while
+``s <= LAST_PHASE_STEPS``, and as a sort of each ``2**s``-key run above
+it.  The tests cross-check the two implementations element for element,
+and run this one concurrently on the threads backend where real races
+would surface.
 """
 
 from __future__ import annotations
@@ -43,17 +46,28 @@ from repro.utils.bits import bit_of, ilog2
 
 __all__ = ["spmd_bitonic_sort"]
 
+#: The largest ``s`` at which the last phase runs its ``s`` network
+#: steps as compare-exchanges; above it, sorting each ``2**s``-key run
+#: is cheaper (docs/PERFORMANCE.md, the last-phase kernel table).
+LAST_PHASE_STEPS = 2
+
 
 def spmd_bitonic_sort(
     comm: Comm,
     local_keys: np.ndarray,
     checkpoint: Optional["CheckpointStore"] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Sort the distributed array whose rank-``r`` partition is
     ``local_keys``, returning this rank's partition of the globally sorted
     (blocked) result.
 
     Every rank must hold the same power-of-two number of integer keys.
+    ``out``, when given, is the whole result array, ``P * n`` keys of the
+    input's dtype, shared by every rank: the last remap writes rank
+    ``r``'s partition straight into ``out[r*n:(r+1)*n]`` and the last
+    phase finishes it there, so the returned partition is a view of
+    ``out`` and nobody concatenates.
 
     With a :class:`~repro.faults.checkpoint.CheckpointStore` the rank
     snapshots its shard after the initial local sort (stage 0) and after
@@ -92,9 +106,14 @@ def spmd_bitonic_sort(
             f"ranks hold unequal partitions: {sizes} — the bitonic network "
             "needs the same n everywhere"
         )
+    part = None if out is None else out[r * n:(r + 1) * n]
     if P == 1:
         with trace_span(tracer, "local_sort"):
-            return np.sort(data)
+            if part is None:
+                return np.sort(data)
+            part[...] = data  # np.sort's own copy, into the result
+            part.sort()
+            return part
     N = n * P
     schedule = smart_schedule(N, P)  # same on every rank: pure algebra
     lgn = ilog2(n)
@@ -139,7 +158,10 @@ def spmd_bitonic_sort(
             masks = remap_masks(layout, phase.layout, r)
         with trace_span(tracer, "pack", stage):
             src = data.reshape(masks.src_dims)
-            fresh = np.empty(n, dtype=data.dtype)
+            if part is not None and stage == len(schedule.phases):
+                fresh = part  # the last remap lands in the result array
+            else:
+                fresh = np.empty(n, dtype=data.dtype)
             dst = fresh.reshape(masks.dst_dims)
             if masks.keep is not None:
                 keep_src, keep_dst = masks.keep
@@ -162,6 +184,9 @@ def spmd_bitonic_sort(
             data = _merge_phase(data, layout, params, lgn, r)
         if checkpoint is not None:
             checkpoint.save(r, stage, data)
+    if part is not None and resume == len(schedule.phases):
+        part[...] = data  # every phase was restored from a checkpoint
+        data = part
     return data
 
 
@@ -198,7 +223,7 @@ def _merge_phase(
     lgn: int,
     rank: int,
 ) -> np.ndarray:
-    """One rank's merge-based phase (Theorems 2/3), on ``np.sort``.
+    """One rank's merge-based phase (Theorems 2/3), in place.
 
     The simulator's :meth:`~repro.sorts.smart.SmartBitonicSort._merge_local`
     runs the same phase as bitonic merges; each merge sorts a bitonic
@@ -207,8 +232,21 @@ def _merge_phase(
     sorted in place; a descending result is a reversed view of it.
     """
     if params.is_last:
-        # Final blocked phase: the partition ends ascending.
-        data.sort()
+        # Final blocked phase: n / 2**s ascending bitonic runs of 2**s
+        # keys (the last stage's direction bit is always 0), each one
+        # merge of s network steps away from sorted.
+        if params.s > LAST_PHASE_STEPS:
+            data.reshape(-1, 1 << params.s).sort(axis=1)
+            return data
+        for step in reversed(range(params.s)):
+            # Compare-exchange i with i + d in every block of 2d keys:
+            # d pairs of 1-D views, each strided by 2d.
+            d = 1 << step
+            for i in range(d):
+                lo, hi = data[i::2 * d], data[i + d::2 * d]
+                low = np.minimum(lo, hi)
+                np.maximum(lo, hi, out=hi)
+                lo[...] = low
         return data
     stage = lgn + params.k
     base_abs = int(layout.to_absolute(rank, 0))

@@ -33,6 +33,7 @@ def sort_shards_job(
     overlap: bool = False,
     chunks: int = 1,
     algorithm: str = "smart",
+    out: Optional[Sequence[np.ndarray]] = None,
 ) -> Tuple[List[np.ndarray], List[Optional[Tracer]]]:
     """Sort each of this rank's shards in turn: the one rank program of
     every door (:func:`repro.sort`, the service and the ladder).
@@ -40,11 +41,14 @@ def sort_shards_job(
     ``shards[i]`` is *this rank's* partition of request ``i``; the doors
     pass one, and perfbench/ladder.py calls with the list.  Returns the
     rank's output partitions and (when ``trace``) one :class:`Tracer`
-    per shard.  ``injector`` wraps the comm in the fault-tolerant
-    transport for every shard.  ``algorithm`` picks the SPMD sort:
-    ``"smart"`` bitonic or ``"sample"`` (one splitter-driven
-    redistribution).  ``fused``, ``grouped`` and ``chunks`` are ignored;
-    ``overlap=True`` raises :class:`~repro.errors.ConfigurationError`.
+    per shard.  ``out[i]``, when given, is request ``i``'s whole result
+    array, shared by every rank; each rank writes its partition into it
+    and returns that view, so the doors concatenate nothing.
+    ``injector`` wraps the comm in the fault-tolerant transport for
+    every shard.  ``algorithm`` picks the SPMD sort: ``"smart"``
+    bitonic or ``"sample"`` (one splitter-driven redistribution).
+    ``fused``, ``grouped`` and ``chunks`` are ignored; ``overlap=True``
+    raises :class:`~repro.errors.ConfigurationError`.
     """
     if overlap:
         raise ConfigurationError(
@@ -58,13 +62,14 @@ def sort_shards_job(
         comm = ReliableComm(base, injector)
     outs: List[np.ndarray] = []
     tracers: List[Optional[Tracer]] = []
-    for shard in shards:
+    for i, shard in enumerate(shards):
         tracer = Tracer(base.rank) if trace else None
         base.tracer = tracer
+        result = None if out is None else out[i]
         if algorithm == "sample":
-            outs.append(spmd_sample_sort(comm, shard))
+            outs.append(spmd_sample_sort(comm, shard, out=result))
         else:
-            outs.append(spmd_bitonic_sort(comm, shard))
+            outs.append(spmd_bitonic_sort(comm, shard, out=result))
         base.tracer = None
         tracers.append(tracer)
     return outs, tracers

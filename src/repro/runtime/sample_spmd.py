@@ -46,6 +46,7 @@ def spmd_sample_sort(
     comm: Comm,
     local_keys: np.ndarray,
     oversample: int = 32,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Sort the distributed array whose rank-``r`` partition is
     ``local_keys``, returning this rank's partition of the globally
@@ -54,7 +55,10 @@ def spmd_sample_sort(
     Every rank must hold the same number of integer input keys; the
     *returned* partitions are generally unequal (bucket sizes follow the
     key distribution).  The concatenation across ranks equals
-    ``np.sort`` of the whole input, element for element.
+    ``np.sort`` of the whole input, element for element.  ``out``, when
+    given, is that whole result array, shared by every rank: each rank
+    merges its runs straight into it, at the prefix sum of the partition
+    sizes (one ``allgather``, when ``P > 1``), and returns that view.
 
     When ``comm.tracer`` carries a :class:`~repro.trace.recorder.Tracer`
     the sort records its phase spans (``local_sort``, ``address``,
@@ -84,6 +88,10 @@ def spmd_sample_sort(
         set_phase("local-sort", 0)
     # 1. Local sort.
     with trace_span(tracer, "local_sort"):
+        if P == 1 and out is not None:
+            out[...] = data  # np.sort's own copy, into the result
+            out.sort()
+            return out
         data = np.sort(data)
     if P == 1:
         return data
@@ -123,14 +131,19 @@ def spmd_sample_sort(
     with trace_span(tracer, "transfer", 2):
         received = comm.alltoallv(buckets)
 
-    # 4. Merge the received sorted runs: one sort of their concatenation.
+    # 4. Merge the received sorted runs: one sort of their concatenation,
+    # in place, at this rank's offset of the result array when given.
     if set_phase is not None:
         set_phase("merge", 3)
     runs = [p for p in received if p is not None and p.size]
+    m = sum(run.size for run in runs)
+    if out is None:
+        merged = np.empty(m, dtype=data.dtype)
+    else:
+        at = sum(comm.allgather(m)[:r])
+        merged = out[at:at + m]
     with trace_span(tracer, "merge", 3):
         if runs:
-            merged = np.sort(np.concatenate(runs))
-        else:
-            merged = np.empty(0, dtype=data.dtype)
-    comm.barrier()
+            np.concatenate(runs, out=merged)
+            merged.sort()
     return merged

@@ -19,7 +19,7 @@ from __future__ import annotations
 import threading
 import time
 from queue import Empty, SimpleQueue
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -177,6 +177,14 @@ class ThreadComm(Comm):
         return out
 
 
+class _Job(NamedTuple):
+    """A posted job: its number and its one monotonic deadline."""
+
+    id: int
+    deadline: float
+    timeout: float
+
+
 class ThreadWorld(World):
     """A persistent in-process SPMD world.
 
@@ -234,12 +242,12 @@ class ThreadWorld(World):
             and all(t.is_alive() for t in self._threads)
         )
 
-    def run(
+    def start(
         self,
         fn: Callable[..., Any],
         rank_args: Optional[Sequence[Sequence[Any]]] = None,
         timeout: float = 120.0,
-    ) -> List[Any]:
+    ) -> _Job:
         if self._closed:
             raise ConfigurationError("cannot run a job on a closed world")
         if self._dead:
@@ -253,32 +261,34 @@ class ThreadWorld(World):
                 f"({self.size}), got {len(rank_args)}"
             )
         self._job += 1
-        job = self._job
         for r in range(self.size):
             args = None if rank_args is None else tuple(rank_args[r])
-            self._job_qs[r].put((job, fn, args))
-        # One deadline for the whole world, whatever order results land.
-        deadline = time.monotonic() + timeout
+            self._job_qs[r].put((self._job, fn, args))
+        # One deadline for the whole world, whatever order results land
+        # and however long the caller takes to wait for them.
+        return _Job(self._job, time.monotonic() + timeout, timeout)
+
+    def wait(self, job: _Job) -> List[Any]:
         results: List[Any] = [None] * self.size
         failures: List[BaseException] = []
         reported = [False] * self.size
         while not all(reported):
-            remaining = deadline - time.monotonic()
+            remaining = job.deadline - time.monotonic()
             if remaining <= 0:
                 self._dead = True
                 self._state.barrier.abort()
                 stuck = reported.index(False)
                 raise SpmdTimeoutError(
                     f"SPMD rank spmd-rank-{stuck} did not finish within "
-                    f"the world's {timeout}s budget (deadlock or runaway "
-                    "work)",
+                    f"the world's {job.timeout}s budget (deadlock or "
+                    "runaway work)",
                     phase="run_spmd",
                 )
             try:
                 rank, got, ok, payload = self._result_q.get(timeout=remaining)
             except Empty:
                 continue
-            if got != job:
+            if got != job.id:
                 continue  # stale report from an abandoned job
             reported[rank] = True
             if ok:

@@ -8,7 +8,10 @@ construction cost per request, so the lifecycle is now split:
 * :func:`repro.runtime.driver.spawn_world` builds a world once;
 * :meth:`World.run` dispatches a job to the resident ranks and collects
   the per-rank results — rank threads and barriers are reused across
-  jobs;
+  jobs.  It is ``wait(start(...))``: :meth:`World.start` posts the job
+  and fixes its deadline, :meth:`World.wait` collects, and a caller
+  with work of its own (the front door's verification reference) does
+  it in between, while the ranks sort;
 * :meth:`World.close` releases the ranks.
 
 ``run_spmd`` is now a thin spawn/run/close composition, so the one-shot
@@ -44,7 +47,6 @@ class World(ABC):
     backend: str = "?"
     size: int = 0
 
-    @abstractmethod
     def run(
         self,
         fn: Callable[..., Any],
@@ -58,6 +60,28 @@ class World(ABC):
         wall-clock ``timeout`` bounds the job.  Any failure or timeout
         marks the world dead.
         """
+        return self.wait(self.start(fn, rank_args, timeout))
+
+    @abstractmethod
+    def start(
+        self,
+        fn: Callable[..., Any],
+        rank_args: Optional[Sequence[Sequence[Any]]] = None,
+        timeout: float = 120.0,
+    ) -> Any:
+        """Post one job to every rank and return its handle at once.
+
+        The job's one wall-clock deadline, ``timeout`` from now, is fixed
+        here, however late :meth:`wait` is called.  A closed world raises
+        :class:`~repro.errors.ConfigurationError` and a dead one
+        :class:`~repro.errors.CommunicationError`, before any rank runs.
+        One job at a time: wait for it before starting the next.
+        """
+
+    @abstractmethod
+    def wait(self, job: Any) -> List[Any]:
+        """Collect the per-rank results of the job :meth:`start`
+        returned, under :meth:`run`'s contract."""
 
     @abstractmethod
     def healthy(self) -> bool:

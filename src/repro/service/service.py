@@ -446,8 +446,10 @@ class SortService:
             injector = FaultInjector(p.faults)
         P = d.P
         n = p.keys.size // P
+        # The one result array: every rank writes its partition into it.
+        out = np.empty(p.keys.size, dtype=p.keys.dtype)
         job = partial(sort_shards_job, trace=p.trace, injector=injector,
-                      algorithm=d.algorithm)
+                      algorithm=d.algorithm, out=[out])
         # Rank r sorts its slice.
         rank_args = [([p.keys[r * n:(r + 1) * n]],) for r in range(P)]
         retries = 0
@@ -459,8 +461,6 @@ class SortService:
             # acquire, no hand-off to a rank thread.
             rank_results = [job(ThreadComm(0, _SharedState(1)), *rank_args[0])]
         done_at = time.perf_counter()
-        parts = [outs[0] for outs, _ in rank_results]
-        out = parts[0] if P == 1 else np.concatenate(parts)
         if self._verify:
             from repro.sorts.base import verify_sorted
 

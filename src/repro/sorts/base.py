@@ -14,7 +14,7 @@ from repro.machine.simulator import Machine
 from repro.model.machines import MEIKO_CS2, MachineSpec
 from repro.utils.validation import require_sizes
 
-__all__ = ["SortResult", "ParallelSort", "verify_sorted"]
+__all__ = ["SortResult", "ParallelSort", "reference_sort", "verify_sorted"]
 
 
 @dataclass
@@ -39,14 +39,28 @@ class SortResult:
         verify_sorted(original, self.sorted_keys, self.algorithm)
 
 
-def verify_sorted(original: np.ndarray, result: np.ndarray, label: str) -> None:
+def reference_sort(original: np.ndarray) -> np.ndarray:
+    """The exact reference :func:`verify_sorted` compares against.
+
+    One ``np.sort`` with the default kind: ``array_equal`` treats keys
+    that compare equal as equal, so a stable reference would add cost
+    without changing the verdict.  The SPMD front doors compute it on the
+    calling thread while the ranks sort."""
+    return np.sort(np.asarray(original))
+
+
+def verify_sorted(
+    original: np.ndarray,
+    result: np.ndarray,
+    label: str,
+    expected: Optional[np.ndarray] = None,
+) -> None:
     """Check that ``result`` == sorted(``original``) (element-exact).
 
-    The reference uses the default sort kind: ``array_equal`` treats keys
-    that compare equal as equal, so a stable reference would add cost
-    without changing the verdict.  A NaN counts as equal to a NaN:
-    ``np.sort`` puts them last, and so must the output."""
-    expect = np.sort(np.asarray(original))
+    ``expected`` is :func:`reference_sort` of ``original`` when the
+    caller already has it.  A NaN counts as equal to a NaN: ``np.sort``
+    puts them last, and so must the output."""
+    expect = reference_sort(original) if expected is None else expected
     got = np.asarray(result)
     if got.shape != expect.shape:
         raise VerificationError(

@@ -1,14 +1,46 @@
 """The unified front door (`repro.api.sort`)."""
 
+import sys
+import threading
+import tracemalloc
+from functools import partial
+
 import numpy as np
 import pytest
 
 import repro
 from repro.api import SORT_ALGORITHMS, SORT_BACKENDS, SortReport, sort
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, VerificationError
 from repro.faults import FaultPlan
-from repro.runtime import run_spmd
+from repro.runtime import jobs, run_spmd, spawn_world
+from repro.service import SortService
+from repro.sorts import base
 from repro.utils.rng import make_keys
+
+
+@pytest.fixture
+def svc():
+    with SortService() as service:
+        yield service
+
+
+def _spy_partitions(monkeypatch, name: str) -> dict:
+    """Record the partition each rank's SPMD sort returns, by rank."""
+    parts = {}
+    real = getattr(jobs, name)
+
+    def spy(comm, shard, **kwargs):
+        parts[comm.rank] = real(comm, shard, **kwargs)
+        return parts[comm.rank]
+
+    monkeypatch.setattr(jobs, name, spy)
+    return parts
+
+
+def _offset(view: np.ndarray, whole: np.ndarray) -> int:
+    """Where ``view`` starts inside ``whole``, in keys."""
+    start = view.__array_interface__["data"][0]
+    return (start - whole.__array_interface__["data"][0]) // whole.itemsize
 
 
 class TestSortSimulated:
@@ -81,6 +113,176 @@ class TestSortSpmd:
         )
         np.testing.assert_array_equal(report.sorted_keys, np.sort(keys))
         assert report.fault_stats["decisions"] > 0
+
+
+class TestOverlappedVerification:
+    """The exact reference sorts on the calling thread while the ranks
+    (or the service) sort, and still catches a wrong answer."""
+
+    def _door(self, door, svc):
+        if door == "sort":
+            return lambda keys, **kw: sort(keys, 2, backend="threads", **kw)
+        return lambda keys, **kw: sort(
+            keys, 2, backend="threads", algorithm="smart", service=svc, **kw
+        )
+
+    @pytest.mark.parametrize("door", ["sort", "service"])
+    def test_planted_wrong_answer_is_caught(self, monkeypatch, svc, door):
+        real = jobs.spmd_bitonic_sort
+
+        def reversed_on_rank_1(comm, shard, **kwargs):
+            part = real(comm, shard, **kwargs)
+            if comm.rank == 1:
+                part[...] = part[::-1].copy()
+            return part
+
+        monkeypatch.setattr(jobs, "spmd_bitonic_sort", reversed_on_rank_1)
+        keys = make_keys(1 << 12, seed=21)
+        expected = np.sort(keys)
+        n = keys.size // 2
+        planted = expected.copy()
+        planted[n:] = planted[n:][::-1]
+        bad = int(np.argmax(planted != expected))
+        with pytest.raises(
+            VerificationError,
+            match=f"first mismatch at index {bad}: got {planted[bad]}, "
+                  f"expected {expected[bad]}",
+        ):
+            self._door(door, svc)(keys)
+
+    @pytest.mark.parametrize("door", ["sort", "service"])
+    def test_reference_only_when_verifying(self, monkeypatch, svc, door):
+        calls = []
+        real = base.reference_sort
+
+        def spy(keys):
+            calls.append(keys.size)
+            return real(keys)
+
+        monkeypatch.setattr(base, "reference_sort", spy)
+        keys = make_keys(1 << 12, seed=22)
+        run = self._door(door, svc)
+        assert run(keys, verify=False).sorted_keys.tobytes() == (
+            np.sort(keys).tobytes()
+        )
+        assert calls == []
+        run(keys)
+        assert calls == [keys.size]  # one reference, none inside the check
+
+    @pytest.mark.parametrize("door", ["sort", "service"])
+    def test_reference_sorts_while_the_ranks_sort(self, monkeypatch, svc,
+                                                  door):
+        """Rank 0 cannot finish before the reference exists: a door that
+        sorted its reference after the ranks would fail here after 10 s."""
+        ready = threading.Event()
+        real_reference = base.reference_sort
+
+        def reference(keys):
+            out = real_reference(keys)
+            ready.set()
+            return out
+
+        real = jobs.spmd_bitonic_sort
+
+        def gated(comm, shard, **kwargs):
+            if comm.rank == 0 and not ready.wait(10):
+                raise AssertionError("the reference did not overlap")
+            return real(comm, shard, **kwargs)
+
+        monkeypatch.setattr(base, "reference_sort", reference)
+        monkeypatch.setattr(jobs, "spmd_bitonic_sort", gated)
+        keys = make_keys(1 << 14, seed=23)
+        report = self._door(door, svc)(keys)
+        assert report.verified
+        assert report.sorted_keys.tobytes() == np.sort(keys).tobytes()
+
+
+class TestResultArray:
+    """Every door allocates one result array, and every rank writes its
+    partition into it: nothing is concatenated."""
+
+    @pytest.mark.parametrize("N,P", [(1 << 20, 2), (1 << 16, 4)])
+    def test_smart_partitions_are_views_of_the_result(self, monkeypatch,
+                                                      N, P):
+        parts = _spy_partitions(monkeypatch, "spmd_bitonic_sort")
+        keys = make_keys(N, seed=N % 7919)
+        out = sort(keys, P, backend="threads").sorted_keys
+        assert out.tobytes() == np.sort(keys).tobytes()
+        n = N // P
+        for r in range(P):
+            assert np.shares_memory(parts[r], out)
+            assert parts[r].size == n and _offset(parts[r], out) == r * n
+
+    @pytest.mark.parametrize("door", ["sort", "service"])
+    def test_sample_partitions_land_at_their_offsets(self, monkeypatch, svc,
+                                                     door):
+        parts = _spy_partitions(monkeypatch, "spmd_sample_sort")
+        keys = make_keys(1 << 14, seed=31, distribution="low-entropy")
+        if door == "sort":
+            report = sort(keys, 4, backend="threads", algorithm="sample")
+        else:
+            report = svc.sort(keys, algorithm="sample", backend="threads",
+                              P=4)
+        out = report.sorted_keys
+        assert out.tobytes() == np.sort(keys).tobytes()
+        sizes = [parts[r].size for r in range(4)]
+        assert len(set(sizes)) > 1 and sum(sizes) == keys.size
+        for r in range(4):
+            assert np.shares_memory(parts[r], out)
+            assert _offset(parts[r], out) == sum(sizes[:r])
+
+    def test_shared_result_array_under_contention(self):
+        """Sixteen ranks on a warm world write one result array per
+        request, with the interpreter switching threads every
+        microsecond: a rank writing at a wrong offset, or over a peer's
+        partition, breaks the bytes."""
+        P = 16
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with spawn_world(P) as world:
+                for seed in range(6):
+                    algorithm = ("smart", "sample")[seed % 2]
+                    keys = make_keys(1 << 12, seed=seed,
+                                     distribution="low-entropy")
+                    n = keys.size // P
+                    out = np.empty_like(keys)
+                    rank_args = [
+                        ([keys[r * n:(r + 1) * n]],) for r in range(P)
+                    ]
+                    world.run(
+                        partial(jobs.sort_shards_job, algorithm=algorithm,
+                                out=[out]),
+                        rank_args=rank_args, timeout=60,
+                    )
+                    assert out.tobytes() == np.sort(keys).tobytes()
+        finally:
+            sys.setswitchinterval(switch)
+
+    @pytest.mark.parametrize("algorithm", ["smart", "sample"])
+    @pytest.mark.parametrize("door", ["sort", "service"])
+    def test_one_rank_sorts_into_the_result(self, svc, door, algorithm):
+        """A one-rank request is one sort into the result array: no
+        second array of the keys' size is ever allocated."""
+        keys = make_keys(1 << 16, seed=41)
+        if door == "sort":
+            def run():
+                return sort(keys, 1, backend="threads", algorithm=algorithm,
+                            verify=False).sorted_keys
+        else:
+            def run():
+                return svc.sort(keys, algorithm=algorithm, backend="threads",
+                                P=1).sorted_keys
+        run()  # warm: imports and the planner's price of this shape
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            out = run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.tobytes() == np.sort(keys).tobytes()
+        assert peak - before < 1.5 * keys.nbytes
 
 
 class TestSortRejections:

@@ -8,10 +8,15 @@ import time
 import numpy as np
 import pytest
 
+from repro.api import sort
 from repro.errors import CommunicationError, ConfigurationError, SpmdTimeoutError
+from repro.layouts.schedule import smart_schedule
+from repro.layouts.smart import smart_params
 from repro.runtime import run_spmd, spmd_bitonic_sort
+from repro.runtime.bitonic_spmd import LAST_PHASE_STEPS
 from repro.runtime.threads import ThreadComm, _Barrier, _SharedState
 from repro.sorts import SmartBitonicSort
+from repro.utils.bits import ilog2
 from repro.utils.rng import make_keys
 
 
@@ -249,16 +254,38 @@ class TestSpmdBitonicSort:
         np.testing.assert_array_equal(np.concatenate(parts), np.sort(keys))
 
     def test_matches_simulator_implementation(self):
-        """Two independent implementations of Algorithm 1 agree exactly."""
-        P, n = 8, 512
-        keys = make_keys(P * n, seed=3)
-        sim = SmartBitonicSort().run(keys, P).sorted_keys
+        """Two independent implementations of Algorithm 1 agree exactly,
+        through every last-phase kernel: s = 1 at P = 2, s = 3 at P = 4
+        and s = 6 at P = 8 (n = 512)."""
+        n = 512
+        for P in (2, 4, 8):
+            keys = make_keys(P * n, seed=3)
+            sim = SmartBitonicSort().run(keys, P).sorted_keys
 
-        def prog(c):
-            return spmd_bitonic_sort(c, keys[c.rank * n:(c.rank + 1) * n])
+            def prog(c):
+                return spmd_bitonic_sort(c, keys[c.rank * n:(c.rank + 1) * n])
 
-        spmd = np.concatenate(run_spmd(P, prog))
-        np.testing.assert_array_equal(spmd, sim)
+            spmd = np.concatenate(run_spmd(P, prog))
+            np.testing.assert_array_equal(spmd, sim)
+
+    def test_restart_lands_in_the_result_array(self):
+        """A rerun that restores every phase from its checkpoints still
+        writes each rank's partition into the shared result array."""
+        from repro.faults.checkpoint import CheckpointStore
+
+        P, n = 4, 256
+        keys = make_keys(P * n, seed=12)
+        store = CheckpointStore()
+        out = np.empty_like(keys)
+
+        def prog(c, result):
+            local = keys[c.rank * n:(c.rank + 1) * n]
+            return spmd_bitonic_sort(c, local, checkpoint=store, out=result)
+
+        first = np.concatenate(run_spmd(P, lambda c: prog(c, None)))
+        parts = run_spmd(P, lambda c: prog(c, out))
+        assert all(np.shares_memory(part, out) for part in parts)
+        assert first.tobytes() == out.tobytes() == np.sort(keys).tobytes()
 
     def test_duplicate_heavy_keys(self):
         P, n = 4, 256
@@ -305,6 +332,60 @@ class TestSpmdBitonicSort:
 
             parts = run_spmd(P, prog)
             np.testing.assert_array_equal(np.concatenate(parts), np.sort(keys))
+
+
+def _last_s(N: int, P: int) -> int:
+    """The ``s`` of the smart schedule's last phase: the network steps
+    left inside each run of ``2**s`` keys."""
+    return smart_params(N, P, *smart_schedule(N, P).phases[-1].columns[0]).s
+
+
+#: Every power of two from 2P to 2^16 keys at each P, plus 2^18 x 32,
+#: where s = 2 at a larger partition.
+LAST_PHASE_SHAPES = [
+    (P, 1 << lgN)
+    for P in (2, 4, 8, 16, 32, 64)
+    for lgN in range(ilog2(P) + 1, 17)
+] + [(32, 1 << 18)]
+
+#: Key kinds, one per shape in turn, so that every P sees every kind.
+KEY_KINDS = ("uniform", "low-entropy", "int8", "int32", "int64")
+
+
+def _kind_keys(kind: str, N: int, seed: int) -> np.ndarray:
+    if kind in ("uniform", "low-entropy"):
+        return make_keys(N, seed=seed, distribution=kind)
+    info = np.iinfo(kind)
+    rng = np.random.default_rng(seed)
+    return rng.integers(info.min, info.max, N, dtype=kind, endpoint=True)
+
+
+class TestLastPhaseKernel:
+    """The last merge phase runs only its s network steps: compare-
+    exchanges while s <= LAST_PHASE_STEPS, a sort of each 2^s-key run
+    above it."""
+
+    def test_shapes_reach_every_branch(self):
+        s_of = {shape: _last_s(shape[1], shape[0])
+                for shape in LAST_PHASE_SHAPES}
+        assert {s for (P, _N), s in s_of.items() if P == 2} == {1}
+        assert s_of[(16, 1 << 12)] == 2 and s_of[(32, 1 << 18)] == 2
+        for P in (4, 8):
+            assert any(s > LAST_PHASE_STEPS
+                       for (q, _N), s in s_of.items() if q == P)
+        assert LAST_PHASE_STEPS == 2
+
+    @pytest.mark.parametrize(
+        "P,N,kind",
+        [(P, N, KEY_KINDS[i % len(KEY_KINDS)])
+         for i, (P, N) in enumerate(LAST_PHASE_SHAPES)],
+    )
+    def test_threads_sort_is_np_sort(self, P, N, kind):
+        keys = _kind_keys(kind, N, seed=N + P)
+        report = sort(keys, P, backend="threads")
+        expected = np.sort(keys)
+        assert report.sorted_keys.dtype == expected.dtype
+        assert report.sorted_keys.tobytes() == expected.tobytes()
 
 
 class TestSpmdFFT:

@@ -7,10 +7,13 @@ state (tracers, counters) never bleeds between jobs, and dead worlds
 refuse further work and are replaceable.
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from repro.errors import CommunicationError, ConfigurationError
+from repro.errors import CommunicationError, ConfigurationError, SpmdTimeoutError
 from repro.runtime import (
     ThreadWorld,
     World,
@@ -18,6 +21,7 @@ from repro.runtime import (
     spawn_world,
     spmd_bitonic_sort,
 )
+from repro.runtime import threads
 from repro.service.jobs import noop_job, sort_shards_job
 from repro.trace.recorder import Tracer
 from repro.utils.rng import make_keys
@@ -158,6 +162,66 @@ class TestDeadWorlds:
         # The replacement world is unaffected by the corpse.
         with spawn_world(2, backend=backend) as fresh:
             assert fresh.run(noop_job) == [0, 1]
+
+
+class TestStartWait:
+    """``run`` is ``wait(start(...))``: the caller may do work of its own
+    between the two while the ranks run."""
+
+    def test_start_returns_while_the_ranks_run(self):
+        # The ranks finish only once the caller acts after start: a
+        # start that waited for them would see False after 10 s.
+        release = threading.Event()
+        with spawn_world(2) as world:
+            job = world.start(lambda comm: release.wait(10))
+            release.set()
+            assert world.wait(job) == [True, True]
+            assert world.run(noop_job) == [0, 1]
+
+    def test_closed_and_dead_worlds_refuse_at_start(self):
+        world = spawn_world(2)
+        try:
+            job = world.start(_boom_job)
+            with pytest.raises(ValueError, match="rank 1 exploded"):
+                world.wait(job)
+            with pytest.raises(CommunicationError, match="dead"):
+                world.start(noop_job)
+        finally:
+            world.close()
+        with pytest.raises(ConfigurationError, match="closed"):
+            world.start(noop_job)
+
+    def test_wedged_rank_times_out_from_start(self, monkeypatch):
+        """The deadline is fixed at start: a caller whose own work
+        outlasts the whole budget before it waits gets the timeout at
+        once, not ``timeout`` seconds after it calls wait."""
+
+        class Clock:  # the world's clock; the caller's work moves it on
+            offset = 0.0
+
+            @classmethod
+            def monotonic(cls) -> float:
+                return time.monotonic() + cls.offset
+
+        release = threading.Event()
+
+        def wedge(comm):
+            if comm.rank == 1:
+                release.wait(30)
+
+        monkeypatch.setattr(threads, "time", Clock)
+        world = spawn_world(2)
+        try:
+            job = world.start(wedge, timeout=5.0)
+            Clock.offset = 6.0  # the caller sorted for 6 s of the 5 s
+            waited = time.monotonic()
+            with pytest.raises(SpmdTimeoutError, match="5.0s budget"):
+                world.wait(job)
+            assert time.monotonic() - waited < 2.5
+            assert not world.healthy()
+        finally:
+            release.set()
+            world.close()
 
 
 class TestOneShotCompatibility:
