@@ -111,6 +111,8 @@ class ThreadComm(Comm):
     # -- primitives ---------------------------------------------------
 
     def barrier(self) -> None:
+        if self.size == 1:
+            return  # a one-rank world has no peer to wait for
         with trace_span(self.tracer, "wait", "barrier"):
             try:
                 self._state.barrier.wait()

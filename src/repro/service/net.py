@@ -40,13 +40,18 @@ not.
 The server deduplicates across its connections: a retried id waits on
 the in-flight run (or returns the cached reply, errors included)
 instead of sorting twice, which makes the client's deadline-retry loop
-safe even when only the *response* was lost.
+safe even when only the *response* was lost.  The cache keeps the newest
+:data:`REPLY_CACHE` replies and at most :data:`REPLY_CACHE_BYTES` of
+their bodies; an id retried after its reply left it is sorted again,
+which is safe because a sort is a pure function of its keys.
 
 **Server model**: :class:`SortServer` serves each connection on one
 blocking thread of its own, as :class:`SortClient` does on its side: the
-thread reads a frame, answers it (a SORT waits for the service on that
-thread) and reads the next.  Connections beyond :data:`MAX_CONNECTIONS`
-get one typed ``AdmissionError(reason="connections")`` and are closed.
+thread reads a frame, answers it and reads the next.  A SORT goes
+through the service's synchronous door, so an idle service runs a
+one-rank request on the connection's own thread.  Connections beyond
+:data:`MAX_CONNECTIONS` get one typed
+``AdmissionError(reason="connections")`` and are closed.
 ``close(drain=True)`` stops reading but lets a reply already being
 computed go out; ``kill()`` resets every connection with no reply.
 
@@ -103,6 +108,8 @@ __all__ = [
     "PROTO_VERSION",
     "MAX_CONNECTIONS",
     "RESULT_TIMEOUT_S",
+    "REPLY_CACHE",
+    "REPLY_CACHE_BYTES",
     "BACKOFF_MAX_S",
     "FrameType",
     "ClientOutcome",
@@ -136,9 +143,15 @@ MAX_BODY = 1 << 31
 #: is closed.  ``chaos-serve``, the heaviest traffic here, peaks at 8.
 MAX_CONNECTIONS = 64
 
-#: How long a request with no budget of its own waits for the service's
-#: outcome, on a server or a local shard.
+#: How long ``close(drain=True)`` waits for each connection's reply
+#: still being computed.
 RESULT_TIMEOUT_S = 120.0
+
+#: The newest replies a server keeps for retries of their request ids,
+#: and the most body bytes they may hold: the oldest reply goes first,
+#: and a retried id whose reply went is sorted again.
+REPLY_CACHE = 512
+REPLY_CACHE_BYTES = 64 << 20
 
 #: The cap on a client's backoff between attempts, in seconds.
 BACKOFF_MAX_S = 1.0
@@ -516,6 +529,7 @@ class SortServer:
         self._conns: Dict[socket.socket, threading.Thread] = {}
         self._inflight: Dict[str, Future] = {}
         self._done: OrderedDict = OrderedDict()
+        self._done_bytes = 0
 
     # -- lifecycle -------------------------------------------------------
 
@@ -676,15 +690,12 @@ class SortServer:
                 b"",
             )
         if ftype == FrameType.HEALTH:
-            report = self.service.report()
             return (
                 FrameType.HEALTH_OK,
                 {
                     "server": self.name,
                     "healthy": True,
-                    "served": report.served,
-                    "failed": report.failed,
-                    "expired": report.expired,
+                    **self.service.counters(),
                     "inflight": len(self._inflight),
                 },
                 b"",
@@ -720,11 +731,25 @@ class SortServer:
         reply = self._run_request(meta, body, received_at)
         with self._lock:
             del self._inflight[rid]
-            self._done[rid] = reply
-            if len(self._done) > 512:  # the newest 512 replies stay
-                self._done.popitem(last=False)
+            self._remember(rid, reply)
         fut.set_result(reply)
         return reply
+
+    def _remember(self, rid: str, reply: Tuple[int, Dict[str, Any], bytes]
+                  ) -> None:
+        """Cache ``reply`` for retries of ``rid`` (under ``_lock``): the
+        newest :data:`REPLY_CACHE` replies, at most
+        :data:`REPLY_CACHE_BYTES` of bodies, the oldest evicted first.  A
+        body over the whole byte cap is not cached."""
+        size = len(reply[2])
+        if size > REPLY_CACHE_BYTES:
+            return
+        self._done[rid] = reply
+        self._done_bytes += size
+        while (len(self._done) > REPLY_CACHE
+               or self._done_bytes > REPLY_CACHE_BYTES):
+            _rid, (_ftype, _meta, body) = self._done.popitem(last=False)
+            self._done_bytes -= len(body)
 
     # -- the worker plane ------------------------------------------------
 
@@ -747,7 +772,9 @@ class SortServer:
                         elapsed_s=float(meta["budget_s"]) - budget,
                         stage="admission",
                     )
-            ticket = self.service.submit(
+            # The synchronous door: an idle service runs a one-rank
+            # request right here, on this connection's thread.
+            outcome = self.service.sort(
                 keys,
                 # Absent when the client left it unset: the smart
                 # bitonic sort; "auto" opts into planner routing.
@@ -755,9 +782,6 @@ class SortServer:
                 backend=meta.get("backend"),
                 P=meta.get("P"),
                 deadline_s=budget,
-            )
-            outcome = ticket.result(
-                budget if budget is not None else RESULT_TIMEOUT_S
             )
             rmeta: Dict[str, Any] = {
                 "id": rid,

@@ -12,10 +12,11 @@ instead of hardcoding one.
 :meth:`Planner.plan` runs in passes: **admit** (the admission contract
 :func:`repro.admit.admit`, memory-budget clamp included) →
 **candidates** (every ``(algorithm, backend, P)`` the contract admits)
-→ **price** (each candidate's price from the profile's memo, so
-planning a shape seen before costs a few table lookups; a one-rank plan
-is priced without world dispatch, since the service runs it in its
-dispatcher thread) → **pick** (the first minimum).
+→ **price** (each candidate's price from the profile's memo; a
+one-rank plan is priced without world dispatch, since the service runs
+it with no world) → **pick** (the first minimum).  The planner memoizes
+each admitted request's decision, so planning a request seen before is
+one lookup; assigning :attr:`Planner.profile` plans afresh.
 
 Every choice has a **forced-override escape hatch**: pass
 ``algorithm=``, ``backend=`` or ``P=`` to :meth:`Planner.plan` and the
@@ -36,7 +37,7 @@ from repro.admit import (
 )
 from repro.errors import ConfigurationError
 from repro.runtime.driver import BACKENDS
-from repro.service.profile import HostProfile
+from repro.service.profile import PRICE_MEMO_LIMIT, HostProfile
 
 __all__ = ["PlanDecision", "Planner", "EXTERNAL_BACKEND"]
 
@@ -102,6 +103,18 @@ class Planner:
                 f"(knows {sorted(self.profile.backends)})"
             )
 
+    @property
+    def profile(self) -> HostProfile:
+        return self._plans[0]
+
+    @profile.setter
+    def profile(self, profile: HostProfile) -> None:
+        # The profile and the decisions planned on it, swapped as one:
+        # a new profile prices afresh, so it plans afresh.
+        self._plans: Tuple[HostProfile, Dict[Request, PlanDecision]] = (
+            profile, {}
+        )
+
     # -- the decision --------------------------------------------------
 
     def plan(
@@ -151,12 +164,25 @@ class Planner:
     def decide(self, req: Request) -> PlanDecision:
         """Plan a request the admission contract
         (:func:`repro.admit.admit`) already admitted: the candidate,
-        price and pick passes."""
+        price and pick passes, or the decision memoized for an equal
+        request (at most :data:`~repro.service.profile.PRICE_MEMO_LIMIT`
+        of them, cleared when full, as the price memo is).  The hit path
+        takes no lock, and a racing miss plans the same decision."""
+        profile, decisions = self._plans
+        decision = decisions.get(req)
+        if decision is None:
+            decision = self._decide(profile, req)
+            if len(decisions) >= PRICE_MEMO_LIMIT:
+                decisions.clear()
+            decisions[req] = decision
+        return decision
+
+    def _decide(self, profile: HostProfile, req: Request) -> PlanDecision:
         candidates: Dict[str, float] = {}
         best: Optional[Tuple[float, str, str, int]] = None
         for algo, b, p in self._candidates(req):
             name = ("" if algo == "smart" else f"{algo}:") + f"{b}x{p}"
-            est = self.profile.estimate(
+            est = profile.estimate(
                 req.N, p, b, algorithm=algo, dtype_size=req.dtype_size,
                 memory_budget=req.memory_budget,
             )
@@ -191,7 +217,9 @@ class Planner:
         algos = SPMD_ALGORITHMS if req.algorithm is None else (
             req.algorithm,
         )
-        ps = _DEFAULT_CANDIDATE_P if req.P is None else (req.P,)
+        # An equal request may spell P as a NumPy integer: every memoized
+        # decision carries a plain int.
+        ps = _DEFAULT_CANDIDATE_P if req.P is None else (int(req.P),)
         backends = BACKENDS if req.backend is None else (req.backend,)
         out: List[Tuple[str, str, int]] = []
         for algo in algos:

@@ -208,8 +208,8 @@ class HostProfile:
         beyond the core count serialize.  Every remap pays the world
         barrier's fan-in, one ``o`` per rank.  On top rides the warm
         world's job dispatch — except at
-        ``P=1``, which the service runs in its dispatcher thread with no
-        world.  ``algorithm="external"`` prices
+        ``P=1``, which the service runs with no world, on the dispatcher
+        or the caller's thread.  ``algorithm="external"`` prices
         :meth:`estimate_external` under ``memory_budget``.
 
         Prices are memoized per profile (at most

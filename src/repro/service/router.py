@@ -54,7 +54,7 @@ from repro.errors import (
     ServiceClosedError,
     ShardUnavailableError,
 )
-from repro.service.net import RESULT_TIMEOUT_S, ClientOutcome
+from repro.service.net import ClientOutcome
 from repro.trace.recorder import Tracer, trace_span
 
 __all__ = ["LocalShard", "ShardRouter", "HEALTH_TIMEOUT_S"]
@@ -91,7 +91,8 @@ class LocalShard:
         trace: bool = False,
     ) -> ClientOutcome:
         started = time.monotonic()
-        ticket = self.service.submit(
+        # The synchronous door, as a SortServer's connection thread uses.
+        outcome = self.service.sort(
             np.asarray(keys),
             # The wire defaults an absent algorithm to "smart"; the local
             # shard mirrors that so mixed deployments behave alike.
@@ -100,9 +101,6 @@ class LocalShard:
             P=P,
             deadline_s=deadline_s,
             trace=trace,
-        )
-        outcome = ticket.result(
-            deadline_s if deadline_s is not None else RESULT_TIMEOUT_S
         )
         tracer = None
         if trace:
@@ -131,19 +129,13 @@ class LocalShard:
 
     def health(self, timeout_s: float = 5.0) -> Dict[str, Any]:
         try:
-            report = self.service.report()
+            counters = self.service.counters()
         except Exception as exc:  # noqa: BLE001 — typed for the router
             raise ShardUnavailableError(
                 f"local shard {self.name} cannot report: {exc}",
                 shards={self.name: "unreachable"}, attempts=1,
             ) from exc
-        return {
-            "server": self.name,
-            "healthy": True,
-            "served": report.served,
-            "failed": report.failed,
-            "expired": report.expired,
-        }
+        return {"server": self.name, "healthy": True, **counters}
 
 
 @dataclass

@@ -3,9 +3,20 @@
 ``SortService`` accepts sort requests (:meth:`~SortService.submit` /
 :meth:`~SortService.map` / :meth:`~SortService.sort`), plans each one
 with the LogGP planner, and runs it on a warm world from the pool — or,
-for a one-rank plan without a fault plan, on a one-rank communicator in
-the dispatcher thread, with no world at all.  The dispatcher runs one
-request at a time, in submission order:
+for a one-rank plan without a fault plan, on a one-rank communicator
+with no world at all.  Requests run one at a time, in the order they
+were admitted, each under the one *running token*:
+
+* **the dispatcher** takes the oldest queued request once no request
+  runs, and runs it on its own thread;
+* **the synchronous door** (:meth:`~SortService.sort`) runs a one-rank
+  request with no fault plan and no external sort on the calling thread
+  when nothing is queued or running, so it skips the hand-off to the
+  dispatcher and back; otherwise it queues the request and waits its
+  turn.  :meth:`~SortService.submit` and :meth:`~SortService.map` always
+  queue, so their callers run on while the service sorts.
+
+Around that:
 
 * **bounded queue + the caller's deadline** — the whole load
   admission: a full queue rejects
@@ -24,7 +35,8 @@ request at a time, in submission order:
 
 Everything observable lands in :class:`ServiceReport`, which keeps the
 counters for the service's lifetime and the records of the last
-:data:`REQUEST_LOG` served requests.
+:data:`REQUEST_LOG` served requests; :meth:`~SortService.counters`
+reads the three a health probe answers without copying either.
 """
 
 from __future__ import annotations
@@ -193,8 +205,9 @@ class ServiceReport:
 
 def _needs_world(decision: PlanDecision, faults: bool) -> bool:
     """Whether a request runs on a pooled world.  External plans run
-    in-process and one-rank plans in the dispatcher thread; a fault-armed
-    plan always takes a world, because its retry needs a fresh one."""
+    in-process and one-rank plans on the thread that runs the request;
+    a fault-armed plan always takes a world, because its retry needs a
+    fresh one."""
     return decision.backend != EXTERNAL_BACKEND and (
         decision.P > 1 or faults
     )
@@ -264,6 +277,9 @@ class SortService:
         self._queue: deque = deque()
         self._cond = threading.Condition()
         self._closed = False
+        #: The running token, under ``_cond``: True while a request runs,
+        #: in the dispatcher or on a caller's thread.
+        self._running = False
         self._ids = itertools.count(1)
         self._report = ServiceReport()
         self._requests: deque = deque(maxlen=REQUEST_LOG)
@@ -313,6 +329,57 @@ class SortService:
         Every refusal is the admission contract's (:mod:`repro.admit`),
         made before the request is queued.
         """
+        p, _ = self._admit(
+            keys, False, algorithm=algorithm, backend=backend, P=P,
+            faults=faults, deadline_s=deadline_s, trace=trace,
+            memory_budget=memory_budget,
+        )
+        return p.ticket
+
+    def sort(self, keys: np.ndarray, **kwargs: Any) -> SortOutcome:
+        """Sort and wait: :meth:`submit`'s arguments and admission, then
+        the request's outcome or its typed error.
+
+        When nothing is queued or running, a one-rank request with no
+        fault plan and no external sort runs right here, on the calling
+        thread, under the running token the dispatcher takes too: no
+        hand-off to the dispatcher and back.  Any other request queues
+        and this call waits its turn, at most ``deadline_s`` when one is
+        given.  Either way requests run one at a time, in the order they
+        were admitted, and a raise fails this request alone.
+        """
+        p, here = self._admit(keys, True, **kwargs)
+        if here:
+            try:
+                self._run(p)
+            finally:
+                self._release()
+        return p.ticket.result(kwargs.get("deadline_s"))
+
+    def map(
+        self, arrays: Sequence[np.ndarray], **kwargs: Any
+    ) -> List[SortOutcome]:
+        """Submit many requests, wait for all, return outcomes in order."""
+        tickets = [self.submit(a, **kwargs) for a in arrays]
+        return [t.result() for t in tickets]
+
+    def _admit(
+        self,
+        keys: np.ndarray,
+        here: bool,
+        *,
+        algorithm: Optional[str] = None,
+        backend: Optional[str] = None,
+        P: Optional[int] = None,
+        faults: Optional[Any] = None,
+        deadline_s: Optional[float] = None,
+        trace: bool = False,
+        memory_budget: Optional[int] = None,
+    ) -> Tuple[_Pending, bool]:
+        """Admit, plan and queue one request; returns it and whether the
+        caller took the running token to run it on its own thread
+        instead, which only ``here`` allows and only for a one-rank,
+        fault-free, in-memory plan with nothing queued or running."""
         keys = admit_keys(keys)
         budget = (
             memory_budget if memory_budget is not None
@@ -334,7 +401,8 @@ class SortService:
         if decision.source == "budget":
             with self._report_lock:
                 self._report.degraded_external += 1
-        ticket = Ticket(next(self._ids))
+        here = (here and decision.P == 1 and not have_faults
+                and decision.backend != EXTERNAL_BACKEND)
         with self._cond:
             if self._closed:
                 raise ServiceClosedError("service is closed")
@@ -361,43 +429,44 @@ class SortService:
                         est_seconds=est_completion,
                     )
             now = time.perf_counter()
-            self._queue.append(
-                _Pending(
-                    ticket=ticket,
-                    keys=keys,
-                    decision=decision,
-                    faults=faults if have_faults else None,
-                    trace=trace,
-                    enqueued_at=now,
-                    deadline_at=(
-                        None if deadline_s is None else now + deadline_s
-                    ),
-                    memory_budget=budget,
-                )
+            # Ids are drawn under the lock, so they count admissions.
+            p = _Pending(
+                ticket=Ticket(next(self._ids)),
+                keys=keys,
+                decision=decision,
+                faults=faults if have_faults else None,
+                trace=trace,
+                enqueued_at=now,
+                deadline_at=None if deadline_s is None else now + deadline_s,
+                memory_budget=budget,
             )
-            self._cond.notify()
-        return ticket
-
-    def sort(self, keys: np.ndarray, **kwargs: Any) -> SortOutcome:
-        """Submit and wait: the synchronous convenience spelling."""
-        return self.submit(keys, **kwargs).result()
-
-    def map(
-        self, arrays: Sequence[np.ndarray], **kwargs: Any
-    ) -> List[SortOutcome]:
-        """Submit many requests, wait for all, return outcomes in order."""
-        tickets = [self.submit(a, **kwargs) for a in arrays]
-        return [t.result() for t in tickets]
+            here = here and not self._queue and not self._running
+            if here:
+                self._running = True
+            else:
+                self._queue.append(p)
+                self._cond.notify()
+        return p, here
 
     # -- the dispatcher -------------------------------------------------
 
     def _take(self) -> Optional[_Pending]:
-        """The oldest queued request, or ``None`` once the service is
-        closed and drained."""
+        """The oldest queued request once no request runs, with the
+        running token taken; ``None`` once the service is closed, drained
+        and idle."""
         with self._cond:
-            while not self._queue and not self._closed:
+            while self._running or not self._queue:
+                if self._closed and not self._running:
+                    return None
                 self._cond.wait()
-            return self._queue.popleft() if self._queue else None
+            self._running = True
+            return self._queue.popleft()
+
+    def _release(self) -> None:
+        """Hand the running token back and wake the dispatcher."""
+        with self._cond:
+            self._running = False
+            self._cond.notify()
 
     def _dispatch_loop(self) -> None:
         while True:
@@ -405,11 +474,19 @@ class SortService:
             if p is None:
                 return
             try:
-                self._run_request(p)
-            except BaseException as exc:  # noqa: BLE001 — fail the request, not the service
-                p.ticket._fail(exc)
-                with self._report_lock:
-                    self._report.failed += 1
+                self._run(p)
+            finally:
+                self._release()
+
+    def _run(self, p: _Pending) -> None:
+        """Run one request to its ticket's outcome: a raise fails that
+        request alone, counted, never the service."""
+        try:
+            self._run_request(p)
+        except BaseException as exc:  # noqa: BLE001 — fail the request, not the service
+            p.ticket._fail(exc)
+            with self._report_lock:
+                self._report.failed += 1
 
     def _expire_overdue(self, p: _Pending) -> bool:
         """Fail (typed, never silent) a request whose caller's budget ran
@@ -457,8 +534,8 @@ class SortService:
             rank_results, retries = self._run_on_world(p, job, rank_args)
         else:
             # One rank, no fault plan: the same job on a one-rank
-            # communicator, here in the dispatcher thread — no pool
-            # acquire, no hand-off to a rank thread.
+            # communicator, on the thread holding the running token — no
+            # pool acquire, no hand-off to a rank thread.
             rank_results = [job(ThreadComm(0, _SharedState(1)), *rank_args[0])]
         done_at = time.perf_counter()
         if self._verify:
@@ -616,9 +693,20 @@ class SortService:
             )
         return snap
 
+    def counters(self) -> Dict[str, int]:
+        """The served, failed and expired counts, what a ``HEALTH`` probe
+        answers: read under the report lock, copying no request record
+        and no pool stats."""
+        with self._report_lock:
+            r = self._report
+            return {"served": r.served, "failed": r.failed,
+                    "expired": r.expired}
+
     def close(self, drain: bool = True, timeout: float = 30.0) -> None:
         """Stop accepting requests, optionally drain the queue, stop the
-        dispatcher and close the pool.  Idempotent."""
+        dispatcher and close the pool.  The dispatcher stops only once no
+        request runs, so a request running on a caller's thread finishes
+        first.  Idempotent."""
         with self._cond:
             if self._closed:
                 return

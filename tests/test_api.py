@@ -119,11 +119,11 @@ class TestOverlappedVerification:
     """The exact reference sorts on the calling thread while the ranks
     (or the service) sort, and still catches a wrong answer."""
 
-    def _door(self, door, svc):
+    def _door(self, door, svc, P=2):
         if door == "sort":
-            return lambda keys, **kw: sort(keys, 2, backend="threads", **kw)
+            return lambda keys, **kw: sort(keys, P, backend="threads", **kw)
         return lambda keys, **kw: sort(
-            keys, 2, backend="threads", algorithm="smart", service=svc, **kw
+            keys, P, backend="threads", algorithm="smart", service=svc, **kw
         )
 
     @pytest.mark.parametrize("door", ["sort", "service"])
@@ -169,11 +169,17 @@ class TestOverlappedVerification:
         run(keys)
         assert calls == [keys.size]  # one reference, none inside the check
 
-    @pytest.mark.parametrize("door", ["sort", "service"])
+    @pytest.mark.parametrize("door,P", [
+        pytest.param("sort", 2, id="sort"),
+        pytest.param("service", 2, id="service"),
+        pytest.param("service", 1, id="service-P1"),
+    ])
     def test_reference_sorts_while_the_ranks_sort(self, monkeypatch, svc,
-                                                  door):
+                                                  door, P):
         """Rank 0 cannot finish before the reference exists: a door that
-        sorted its reference after the ranks would fail here after 10 s."""
+        sorted its reference after the ranks would fail here after 10 s.
+        At P=1 this pins that ``submit()`` stays asynchronous: the
+        service's one rank runs on its dispatcher, not on the caller."""
         ready = threading.Event()
         real_reference = base.reference_sort
 
@@ -192,7 +198,7 @@ class TestOverlappedVerification:
         monkeypatch.setattr(base, "reference_sort", reference)
         monkeypatch.setattr(jobs, "spmd_bitonic_sort", gated)
         keys = make_keys(1 << 14, seed=23)
-        report = self._door(door, svc)(keys)
+        report = self._door(door, svc, P)(keys)
         assert report.verified
         assert report.sorted_keys.tobytes() == np.sort(keys).tobytes()
 

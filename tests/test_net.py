@@ -3,7 +3,8 @@
 Covers the frame codec (CRC, magic, truncation — damage is always a
 typed :class:`FrameCorruptError`), the typed-error wire round-trip, the
 server/client sort path (frame and shm payloads), request idempotency
-under retried ids (on one connection and across two), deadline
+under retried ids (on one connection and across two) with the reply
+cache's byte cap, the O(1) ``HEALTH`` probe, deadline
 propagation onto the wire, fault-injected corruption, the server's
 connection cap, drain-on-close, and clean teardown with zero leaked shm
 segments or server threads.
@@ -13,6 +14,7 @@ import socket
 import sys
 import threading
 import time
+from collections import deque
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from repro.errors import (
     SizeError,
 )
 from repro.faults import FaultPlan, NetFaultInjector, corrupt_frame_bytes
-from repro.service import SortClient, SortServer, SortService, net
+from repro.service import LocalShard, SortClient, SortServer, SortService, net
 from repro.service.net import (
     HEADER_SIZE,
     MAGIC,
@@ -46,6 +48,7 @@ from repro.service.net import (
     shm_segments,
     validate_payload,
 )
+from repro.service.service import REQUEST_LOG
 from repro.utils.rng import make_keys
 
 
@@ -200,19 +203,23 @@ def _threads_of(name):
 
 
 class _GatedService:
-    """A service whose ``submit`` signals ``entered`` and then waits for
-    ``release``: it holds a request, already read off the wire, on its
-    connection thread until the test lets it go."""
+    """A service whose ``sort`` (the door a server calls) signals
+    ``entered`` and then waits for ``release``: it holds a request,
+    already read off the wire, on its connection thread until the test
+    lets it go."""
 
     def __init__(self, service):
         self.service = service
         self.entered = threading.Event()
         self.release = threading.Event()
 
-    def submit(self, keys, **opts):
+    def sort(self, keys, **opts):
         self.entered.set()
         assert self.release.wait(30.0)
-        return self.service.submit(keys, **opts)
+        return self.service.sort(keys, **opts)
+
+    def counters(self):
+        return self.service.counters()
 
     def report(self):
         return self.service.report()
@@ -636,6 +643,92 @@ class TestSortMeta:
         err = error_from_meta(emeta)
         assert type(err) is MemoryBudgetError
         assert (err.required_bytes, err.budget_bytes) == (8192, 1024)
+
+
+class TestReplyCache:
+    """A shard keeps replies for retried ids under a byte cap as well as
+    a count cap, evicting the oldest first."""
+
+    @staticmethod
+    def _request(i, n):
+        keys = make_keys(n, seed=40 + i)  # uint32: 4 bytes a key
+        return {"id": f"{i:032x}", "dtype": str(keys.dtype.str)}, keys
+
+    def test_large_replies_keep_the_cached_bytes_under_the_cap(
+            self, monkeypatch):
+        monkeypatch.setattr(net, "REPLY_CACHE_BYTES", 3 * 16384 + 100)
+        srv = SortServer(SortService(queue_depth=4), name="byte-capped",
+                         own_service=True)
+        srv.start()
+        try:
+            requests = [self._request(i, 4096) for i in range(5)]
+            for meta, keys in requests:
+                ftype, _m, body = _raw_sort(srv, meta, keys.tobytes())
+                assert ftype == FrameType.RESULT
+                assert body == np.sort(keys).tobytes()
+                cached = sum(len(r[2]) for r in srv._done.values())
+                assert cached == srv._done_bytes <= net.REPLY_CACHE_BYTES
+            # Three 16 KiB bodies fit; the two oldest replies went.
+            assert list(srv._done) == [m["id"] for m, _k in requests[2:]]
+            served = srv.service.report().served
+            meta, keys = requests[-1]
+            _raw_sort(srv, meta, keys.tobytes())  # cached: not sorted
+            assert srv.service.report().served == served
+            meta, keys = requests[0]
+            ftype, _m, body = _raw_sort(srv, meta, keys.tobytes())
+            assert body == np.sort(keys).tobytes()  # evicted: sorted again
+            assert srv.service.report().served == served + 1
+            # A body over the whole cap is not cached and evicts nothing.
+            kept = list(srv._done)
+            meta, keys = self._request(9, 16384)
+            _raw_sort(srv, meta, keys.tobytes())
+            assert list(srv._done) == kept
+        finally:
+            srv.close()
+
+
+class _ReadCountingLog(deque):
+    """A request log that counts the times something reads it whole."""
+
+    def __init__(self, maxlen):
+        super().__init__(maxlen=maxlen)
+        self.reads = 0
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+class TestHealthProbe:
+    def test_a_probe_copies_no_request_record(self, monkeypatch):
+        """``HEALTH`` reads three counters: neither a server's probe nor
+        a local shard's copies the request log or the pool stats."""
+        svc = SortService(queue_depth=4)
+        log = svc._requests = _ReadCountingLog(REQUEST_LOG)
+        real_stats = svc.pool.stats
+        stats_calls = []
+
+        def stats():
+            stats_calls.append(1)
+            return real_stats()
+
+        monkeypatch.setattr(svc.pool, "stats", stats)
+        srv = SortServer(svc, name="probed", own_service=True)
+        addr = srv.start()
+        try:
+            with SortClient(addr, via_shm=False) as cli:
+                cli.sort(make_keys(512, seed=50))
+                remote = cli.health()
+            local = LocalShard(svc, name="probed").health()
+            assert (log.reads, stats_calls) == (0, [])
+            assert svc.report().requests  # the full report still copies
+            assert (log.reads, len(stats_calls)) == (1, 1)
+        finally:
+            srv.close()
+        assert remote == {"server": "probed", "healthy": True, "served": 1,
+                          "failed": 0, "expired": 0, "inflight": 0}
+        assert local == {"server": "probed", "healthy": True, "served": 1,
+                         "failed": 0, "expired": 0}
 
 
 class TestFaultInjectedServer:

@@ -1,13 +1,16 @@
 """Tests for the persistent sort service (:mod:`repro.service`).
 
 Covers the warm world pool, the LogGP request planner (including the
-fault-safety clamp pinned as a hypothesis property), admission control,
-first-in first-out dispatch, per-request tracing with the queue-wait
+fault-safety clamp pinned as a hypothesis property) and its decision
+memo, admission control, first-in first-out dispatch whether a request
+runs in the dispatcher or on its caller's thread, per-request tracing
+with the queue-wait
 span, the calibrated host profile round-trip (older files included), and
 the ``sort(service=...)`` front door bridge.
 """
 
 import json
+import sys
 import threading
 import time
 from dataclasses import asdict, replace
@@ -18,9 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.admit import admit
 from repro.api import sort
 from repro.errors import (
     AdmissionError,
+    CommunicationError,
     ConfigurationError,
     RequestTimeoutError,
     ServiceClosedError,
@@ -37,6 +42,7 @@ from repro.service import (
     SortService,
     WorldPool,
 )
+from repro.service import service as service_mod
 from repro.service.jobs import sort_shards_job
 from repro.service.planner import _DEFAULT_CANDIDATE_P
 from repro.service.profile import DEFAULT_NP_SORT_NS_PER_KEY
@@ -315,6 +321,35 @@ class TestPriceMemo:
             1 << 14
         ).candidates
 
+    def test_second_decide_prices_nothing(self, monkeypatch):
+        calls = []
+        real = HostProfile.estimate
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(HostProfile, "estimate", counting)
+        planner = Planner()
+        first = planner.decide(admit(1 << 14, 4))
+        assert calls
+        calls.clear()
+        assert planner.decide(admit(1 << 14, 4)) is first
+        assert calls == []
+        # A new profile plans afresh.
+        planner.profile = replace(planner.profile)
+        assert planner.decide(admit(1 << 14, 4)) == first
+        assert calls
+
+    def test_decision_memo_is_bounded(self):
+        from repro.service.profile import PRICE_MEMO_LIMIT
+
+        planner = Planner()
+        for i in range(PRICE_MEMO_LIMIT + 10):  # distinct requests
+            planner.decide(admit(1 << 12, 4, P=1,
+                                 memory_budget=(1 << 40) + i))
+        assert 0 < len(planner._plans[1]) <= PRICE_MEMO_LIMIT
+
     def test_memo_is_bounded(self):
         from repro.service.profile import PRICE_MEMO_LIMIT
 
@@ -492,8 +527,9 @@ class TestSortServiceRequests:
 
 
 class TestOneRankDispatch:
-    """A one-rank plan with no fault plan runs in the dispatcher thread,
-    on a one-rank communicator: no world is spawned or acquired."""
+    """A one-rank plan with no fault plan runs on a one-rank
+    communicator, on the caller's thread or the dispatcher's: no world
+    is spawned or acquired."""
 
     @staticmethod
     def _service(**kwargs):
@@ -551,6 +587,221 @@ class TestOneRankDispatch:
         assert out.decision.P == 1
         assert out.sorted_keys.tobytes() == np.sort(keys).tobytes()
         assert spawned == 1
+
+
+def _until(predicate, timeout=60.0):
+    """Poll ``predicate`` until it holds (a test bug if it never does)."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "the condition never held"
+        time.sleep(0.001)
+
+
+class _JobSpy:
+    """Stands in for the service's rank program: records which thread
+    ran each request (told apart by key count), holds the request of
+    ``hold`` keys until :attr:`gate` is set, and fails the one of
+    ``fail`` keys."""
+
+    def __init__(self, monkeypatch, hold=None, fail=None):
+        self.ran = []
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+        real = service_mod.sort_shards_job
+
+        def job(comm, shards, *args, **kwargs):
+            size = shards[0].size
+            self.ran.append((size, threading.current_thread().name))
+            if size == hold:
+                self.entered.set()
+                assert self.gate.wait(60)
+            if size == fail:
+                raise CommunicationError("planted failure")
+            return real(comm, shards, *args, **kwargs)
+
+        monkeypatch.setattr(service_mod, "sort_shards_job", job)
+
+
+class TestCallerThreadRun:
+    """``sort()`` on an idle service runs a one-rank request on the
+    calling thread, under the running token it shares with the
+    dispatcher: requests still run one at a time, first in, first out."""
+
+    _service = staticmethod(TestOneRankDispatch._service)
+    A, B, C = (make_keys(n, seed=240 + n) for n in (1024, 2048, 4096))
+
+    def test_idle_service_runs_on_the_calling_thread(self, monkeypatch):
+        spy = _JobSpy(monkeypatch)
+        with self._service() as svc:
+            here = svc.sort(self.A, P=1)
+            queued = svc.submit(self.A, P=1).result(60)
+        assert here.sorted_keys.tobytes() == np.sort(self.A).tobytes()
+        assert queued.sorted_keys.tobytes() == here.sorted_keys.tobytes()
+        # submit() stays asynchronous: the dispatcher runs its request.
+        assert [name for _, name in spy.ran] == [
+            threading.current_thread().name, "sort-service-dispatch"
+        ]
+
+    def test_a_call_behind_a_running_request_waits_its_turn(
+            self, monkeypatch):
+        spy = _JobSpy(monkeypatch, hold=self.A.size)
+        outs = {}
+        with self._service() as svc:
+            first = threading.Thread(
+                target=lambda: outs.update(a=svc.sort(self.A, P=1)),
+                name="caller-a",
+            )
+            first.start()
+            assert spy.entered.wait(60)  # A runs on its caller's thread
+            second = threading.Thread(
+                target=lambda: outs.update(b=svc.sort(self.B, P=1)),
+                name="caller-b",
+            )
+            second.start()
+            _until(lambda: len(svc._queue) == 1)  # B queued behind A
+            third = svc.submit(self.C, P=1)
+            spy.gate.set()
+            first.join(60)
+            second.join(60)
+            outs["c"] = third.result(60)
+            report = svc.report()
+        ids = [outs[k].request_id for k in "abc"]
+        assert ids == sorted(ids)
+        assert [r["id"] for r in report.requests] == ids
+        assert spy.ran == [(1024, "caller-a"),
+                           (2048, "sort-service-dispatch"),
+                           (4096, "sort-service-dispatch")]
+        for k, keys in zip("abc", (self.A, self.B, self.C)):
+            assert outs[k].sorted_keys.tobytes() == np.sort(keys).tobytes()
+
+    def test_a_call_never_overtakes_a_queued_request(self):
+        with self._service() as svc:
+            # Holding the queue's lock keeps the dispatcher from taking
+            # B: nothing runs, but B is queued, so A must queue too.
+            with svc._cond:
+                queued = svc.submit(self.B, P=1)
+                p, here = svc._admit(self.A, True, P=1)
+            assert not here
+            outs = [queued.result(60), p.ticket.result(60)]
+            report = svc.report()
+        assert [r["id"] for r in report.requests] == [
+            o.request_id for o in outs
+        ]
+        assert outs[1].sorted_keys.tobytes() == np.sort(self.A).tobytes()
+
+    def test_an_overdue_call_expires_and_never_runs(self, monkeypatch):
+        spy = _JobSpy(monkeypatch, hold=self.A.size)
+        with self._service() as svc:
+            first = threading.Thread(target=svc.sort, args=(self.A,),
+                                     kwargs={"P": 1})
+            first.start()
+            assert spy.entered.wait(60)
+            with pytest.raises(RequestTimeoutError):
+                # Queued behind A, and overdue before A lets go.
+                svc.sort(self.B, P=1, deadline_s=0.05)
+            spy.gate.set()
+            first.join(60)
+            svc.close()  # drains: the dispatcher expires B
+            report = svc.report()
+        assert (report.served, report.expired, report.failed) == (1, 1, 0)
+        assert [size for size, _ in spy.ran] == [self.A.size]
+
+    def test_a_raise_fails_only_that_call(self, monkeypatch):
+        spy = _JobSpy(monkeypatch, fail=self.A.size)
+        with self._service() as svc:
+            with pytest.raises(CommunicationError, match="planted"):
+                svc.sort(self.A, P=1)
+            out = svc.sort(self.B, P=1)
+            report = svc.report()
+        assert out.sorted_keys.tobytes() == np.sort(self.B).tobytes()
+        assert (report.served, report.failed) == (1, 1)
+        # The token came back: the next call ran on its caller too.
+        me = threading.current_thread().name
+        assert spy.ran == [(1024, me), (2048, me)]
+
+    def test_concurrent_calls_run_one_at_a_time(self, monkeypatch):
+        """Eight callers on two cores, with a short switch interval:
+        every call gets its own keys sorted, no two requests ever run at
+        once, and the log lists ids in admission order."""
+        real = service_mod.sort_shards_job
+        lock = threading.Lock()
+        running, overlaps = [0], []
+
+        def job(*args, **kwargs):
+            with lock:
+                running[0] += 1
+                if running[0] > 1:
+                    overlaps.append(running[0])
+            try:
+                return real(*args, **kwargs)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        monkeypatch.setattr(service_mod, "sort_shards_job", job)
+        errors = []
+
+        def caller(svc, i):
+            try:
+                for j in range(25):
+                    keys = make_keys(256 + 8 * i, seed=1000 * i + j)
+                    out = svc.sort(keys, P=1)
+                    assert out.sorted_keys.tobytes() == (
+                        np.sort(keys).tobytes()
+                    )
+            except BaseException as exc:  # noqa: BLE001 — collected
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with self._service() as svc:
+                threads = [threading.Thread(target=caller, args=(svc, i))
+                           for i in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(120)
+                assert not any(t.is_alive() for t in threads)
+                report = svc.report()
+        finally:
+            sys.setswitchinterval(switch)
+        assert errors == [] and overlaps == []
+        assert (report.served, report.failed) == (200, 0)
+        ids = [r["id"] for r in report.requests]
+        assert ids == sorted(ids)
+
+    @pytest.mark.parametrize("queued", [False, True])
+    def test_close_during_a_caller_thread_run_drains(self, monkeypatch,
+                                                     queued):
+        spy = _JobSpy(monkeypatch, hold=self.A.size)
+        outs = {}
+        svc = self._service()
+        first = threading.Thread(
+            target=lambda: outs.update(a=svc.sort(self.A, P=1))
+        )
+        first.start()
+        assert spy.entered.wait(60)
+        behind = svc.submit(self.B, P=1) if queued else None
+        closer = threading.Thread(target=svc.close)
+        closer.start()
+        _until(lambda: svc._closed)
+        with pytest.raises(ServiceClosedError):
+            svc.sort(self.C, P=1)
+        # close() returns, and the dispatcher stops, only once no
+        # request runs.
+        closer.join(0.2)
+        assert closer.is_alive() and svc._dispatcher.is_alive()
+        spy.gate.set()
+        first.join(60)
+        closer.join(60)
+        assert not closer.is_alive() and not svc._dispatcher.is_alive()
+        assert outs["a"].sorted_keys.tobytes() == np.sort(self.A).tobytes()
+        if queued:
+            assert behind.result(0).sorted_keys.tobytes() == (
+                np.sort(self.B).tobytes()
+            )
+        assert svc.report().served == 1 + queued
 
 
 class TestRequestLog:
